@@ -68,11 +68,8 @@ class MixedSequence:
 def _read_line_format(path: Path) -> list[list[str]]:
     playlists = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                keys = line.split()
-            except Exception as exc:  # pragma: no cover - split cannot fail on str
-                raise ValueError(f"{path}:{lineno}: unreadable line") from exc
+        for line in fh:
+            keys = line.split()
             if keys:
                 playlists.append(keys)
     return playlists

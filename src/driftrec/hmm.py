@@ -120,12 +120,12 @@ class TrainConfig:
             raise ValueError("emission_floor must be > 0")
 
 
-def _check_items(model: HmmModel, seq: InteractionSequence) -> np.ndarray:
+def _check_items(seq: InteractionSequence, m: int) -> np.ndarray:
     items = seq.items
-    if items.max(initial=-1) >= model.num_items:
+    if items.max(initial=-1) >= m:
         raise ValueError(
             f"sequence {seq.user_id!r} contains item index {int(items.max())} "
-            f">= model item count {model.num_items}"
+            f">= model item count {m}"
         )
     return items
 
@@ -133,25 +133,11 @@ def _check_items(model: HmmModel, seq: InteractionSequence) -> np.ndarray:
 def forward_log_likelihood(model: HmmModel, seq: InteractionSequence) -> float:
     """Log probability of the observed sequence under the model.
 
-    Uses the scaled forward recursion; returns -inf if the sequence has
-    zero probability (an impossible observation under the model).
+    The scaled forward recursion on a corpus of one; returns -inf if the
+    sequence has zero probability (an impossible observation under the
+    model).
     """
-    items = _check_items(model, seq)
-    alpha = model.pi * model.emit[:, items[0]]
-    total = 0.0
-    c = alpha.sum()
-    if c == 0.0:
-        return float("-inf")
-    alpha = alpha / c
-    total += np.log(c)
-    for t in range(1, len(items)):
-        alpha = (alpha @ model.trans) * model.emit[:, items[t]]
-        c = alpha.sum()
-        if c == 0.0:
-            return float("-inf")
-        alpha = alpha / c
-        total += np.log(c)
-    return float(total)
+    return total_log_likelihood(model, [seq])
 
 
 def viterbi_decode(model: HmmModel, seq: InteractionSequence) -> DecodedPath:
@@ -161,7 +147,7 @@ def viterbi_decode(model: HmmModel, seq: InteractionSequence) -> DecodedPath:
     backpointers and in the final state, so decoding is deterministic.
     Raises ValueError if every path has probability zero.
     """
-    items = _check_items(model, seq)
+    items = _check_items(seq, model.num_items)
     T = len(items)
     h = model.num_states
     with np.errstate(divide="ignore"):
@@ -205,9 +191,7 @@ def _init_params(corpus, h, m, cfg):
     pi = np.full(h, 1.0 / h)
     trans = np.full((h, h), 1.0 / h) + 0.25 * rng.dirichlet(np.ones(h), size=h)
     trans /= trans.sum(axis=1, keepdims=True)
-    freq = np.zeros(m)
-    for seq in corpus:
-        np.add.at(freq, seq.items, 1.0)
+    freq = np.bincount(np.concatenate([seq.items for seq in corpus]), minlength=m).astype(float)
     freq /= freq.sum()
     n_cand = max(8, 4 * h)
     cands = np.zeros((n_cand, m))
@@ -215,7 +199,7 @@ def _init_params(corpus, h, m, cfg):
         items = corpus[int(rng.integers(len(corpus)))].items
         w = min(10, len(items))
         r = int(rng.integers(0, len(items) - w + 1))
-        np.add.at(cands[c], items[r : r + w], 1.0)
+        cands[c] = np.bincount(items[r : r + w], minlength=m)
         cands[c] /= cands[c].sum()
     chosen = [0]
     while len(chosen) < h:
@@ -229,16 +213,55 @@ def _init_params(corpus, h, m, cfg):
 
 
 def _pack_corpus(corpus, m):
-    lengths = np.array([len(seq) for seq in corpus], dtype=np.int64)
-    t_max = int(lengths.max())
-    obs = np.zeros((len(corpus), t_max), dtype=np.int64)
-    for i, seq in enumerate(corpus):
-        if seq.items.max(initial=-1) >= m:
-            raise ValueError(
-                f"sequence {seq.user_id!r} contains item index >= num_items {m}"
-            )
-        obs[i, : lengths[i]] = seq.items
-    return obs, lengths
+    """Store a corpus time-major, without padding.
+
+    Sequences are sorted by length, descending and stable; order[j] is the
+    corpus index of sorted sequence j.  Step t's live cells are
+    obs[start[t]:start[t + 1]], one per sorted sequence still running at t,
+    so each step's live set is a prefix of the previous step's.
+    """
+    lengths = np.array([len(_check_items(seq, m)) for seq in corpus], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[order]
+    live = len(corpus) - np.cumsum(np.bincount(lengths))[:-1]  # sequences longer than t
+    start = np.concatenate([[0], np.cumsum(live)])
+    step = np.arange(start[-1]) - np.repeat(np.cumsum(sorted_len) - sorted_len, sorted_len)
+    obs = np.empty(start[-1], dtype=np.int64)
+    obs[start[step] + np.repeat(np.arange(len(corpus)), sorted_len)] = np.concatenate(
+        [corpus[i].items for i in order]
+    )
+    return order, start, obs
+
+
+def _forward(pi, trans, emit, start, obs):
+    """Scaled forward recursion (Rabiner, 1989) over a packed corpus.
+
+    Returns alpha, shape (h, cells), with every cell normalized to sum to
+    1; the scale of each cell; and each sorted sequence's log-likelihood,
+    -inf when it has zero probability.  From the step where a sequence's
+    probability vanishes, its alpha is zero and its scales are 1, so it
+    adds nothing to expected counts.
+    """
+    alpha = np.take(emit, obs, axis=1)
+    scale = np.empty(len(obs))
+    for t in range(len(start) - 1):
+        lo, hi = start[t], start[t + 1]
+        a = alpha[:, lo:hi]
+        if t == 0:
+            a *= pi[:, None]
+        else:
+            a *= trans.T @ alpha[:, start[t - 1] : start[t - 1] + hi - lo]
+        c = a.sum(axis=0)
+        scale[lo:hi] = c
+        c[c == 0.0] = 1.0
+        a /= c
+    with np.errstate(divide="ignore"):
+        log_scale = np.log(scale)
+    log_lik = np.zeros(start[1])
+    for t in range(len(start) - 1):
+        log_lik[: start[t + 1] - start[t]] += log_scale[start[t] : start[t + 1]]
+    scale[scale == 0.0] = 1.0
+    return alpha, scale, log_lik
 
 
 def baum_welch_train(
@@ -251,13 +274,16 @@ def baum_welch_train(
     """Learn model parameters from a corpus by expectation-maximization.
 
     The E-step runs the scaled forward-backward recursions batched across
-    all sequences (padded to the longest length and masked), with sums
-    accumulated in a fixed order so training is bit-reproducible.  The
-    returned corpus log-likelihood history is non-decreasing up to
-    floating-point slack; a small emission pseudo-count keeps every
-    emission probability strictly positive.
+    all sequences of a packed, length-sorted corpus that stores no padding,
+    with sums accumulated in a fixed order so training is bit-reproducible.
+    A small emission pseudo-count keeps every emission probability strictly
+    positive.
 
-    With return_history=True, returns (model, per-iteration log-likelihoods).
+    With return_history=True, returns (model, history).  history[i] is the
+    corpus log-likelihood of the parameters before update i + 1, so it lags
+    the returned model by one update; score that model with
+    total_log_likelihood.  The history is non-decreasing up to
+    floating-point slack.
     """
     if not corpus:
         raise ValueError("corpus must not be empty")
@@ -265,64 +291,32 @@ def baum_welch_train(
         raise ValueError("h must be >= 1")
     cfg = cfg or TrainConfig()
     m = num_items if num_items is not None else int(max(seq.items.max() for seq in corpus)) + 1
-    obs, lengths = _pack_corpus(corpus, m)
-    n, t_max = obs.shape
+    _, start, obs = _pack_corpus(corpus, m)
+    t_max = len(start) - 1
     pi, trans, emit = _init_params(corpus, h, m, cfg)
     floor = cfg.emission_floor / m
 
-    valid = np.arange(t_max)[None, :] < lengths[:, None]  # (n, t_max)
     history: list[float] = []
     for _ in range(cfg.max_iters):
-        # forward pass, scaled per step; padded steps are frozen with scale 1
-        alpha = np.zeros((t_max, n, h))
-        scale = np.ones((t_max, n))
-        a = pi[None, :] * emit[:, obs[:, 0]].T
-        c = a.sum(axis=1)
-        c[c == 0] = np.finfo(float).tiny
-        alpha[0] = a / c[:, None]
-        scale[0] = c
-        for t in range(1, t_max):
-            live = valid[:, t]
-            a = (alpha[t - 1] @ trans) * emit[:, obs[:, t]].T
-            c = a.sum(axis=1)
-            c[c == 0] = np.finfo(float).tiny
-            alpha[t] = np.where(live[:, None], a / c[:, None], alpha[t - 1])
-            scale[t] = np.where(live, c, 1.0)
-        log_lik = float(np.log(scale).sum())
-        history.append(log_lik)
+        gamma, scale, log_lik = _forward(pi, trans, emit, start, obs)
+        history.append(float(log_lik.sum()))
 
-        # backward pass with the same scaling constants
-        beta = np.zeros((t_max, n, h))
-        beta[t_max - 1] = np.where(
-            (lengths - 1 == t_max - 1)[:, None], 1.0 / scale[t_max - 1][:, None], 0.0
-        )
+        # backward pass with the same scaling constants, keeping beta for one
+        # step: it adds step t's expected transitions and turns alpha into gamma
+        beta = np.ones((h, start[t_max] - start[t_max - 1]))
+        xi = np.zeros((h, h))
         for t in range(t_max - 2, -1, -1):
-            tmp = emit[:, obs[:, t + 1]].T * beta[t + 1]
-            b = (tmp @ trans.T) / scale[t][:, None]
-            is_last = lengths - 1 == t
-            beta[t] = np.where(is_last[:, None], 1.0 / scale[t][:, None], b)
-            beta[t][~valid[:, t]] = 0.0
+            lo, mid, hi = start[t], start[t + 1], start[t + 2]
+            weighted = np.take(emit, obs[mid:hi], axis=1) * beta / scale[mid:hi]
+            xi += gamma[:, lo : lo + hi - mid] @ weighted.T
+            gamma[:, mid:hi] *= beta
+            beta = np.ones((h, mid - lo))
+            beta[:, : hi - mid] = trans @ weighted
+        gamma[:, : start[1]] *= beta
 
-        # accumulate expected counts in fixed sequence-major order
-        gamma0 = alpha[0] * beta[0] * scale[0][:, None]
-        pi_new = gamma0.sum(axis=0)
-        trans_num = np.zeros((h, h))
-        emit_num = np.zeros((m, h))
-        emit_den = np.zeros(h)
-        for t in range(t_max):
-            live = valid[:, t]
-            gamma = alpha[t] * beta[t] * scale[t][:, None]
-            gamma[~live] = 0.0
-            np.add.at(emit_num, obs[live, t], gamma[live])
-            emit_den += gamma.sum(axis=0)
-            if t < t_max - 1:
-                mid = valid[:, t + 1]
-                tmp = emit[:, obs[:, t + 1]].T * beta[t + 1]
-                tmp[~mid] = 0.0
-                masked_alpha = np.where(mid[:, None], alpha[t], 0.0)
-                trans_num += trans * (masked_alpha.T @ tmp)
-
-        pi = pi_new / pi_new.sum()
+        pi = gamma[:, : start[1]].sum(axis=1)
+        pi /= pi.sum()
+        trans_num = trans * xi
         # row sums of the expected transition counts are the state occupancies
         # at steps with a successor; rows with no evidence keep their values
         trans_den = trans_num.sum(axis=1)
@@ -331,7 +325,8 @@ def baum_welch_train(
             safe[:, None], trans_num / np.where(safe, trans_den, 1.0)[:, None], trans
         )
         trans /= trans.sum(axis=1, keepdims=True)
-        emit = (emit_num.T + floor) / (emit_den + floor * m)[:, None]
+        emit_num = np.stack([np.bincount(obs, weights=g, minlength=m) for g in gamma])
+        emit = (emit_num + floor) / (emit_num.sum(axis=1) + floor * m)[:, None]
         emit /= emit.sum(axis=1, keepdims=True)
 
         if len(history) >= 2:
@@ -346,8 +341,13 @@ def baum_welch_train(
 
 
 def total_log_likelihood(model: HmmModel, corpus: list[InteractionSequence]) -> float:
-    """Corpus log-likelihood, summed in corpus order."""
-    return sum(forward_log_likelihood(model, seq) for seq in corpus)
+    """Corpus log-likelihood: each sequence's from one batched forward pass,
+    summed in corpus order; -inf if any sequence has zero probability."""
+    if not corpus:
+        return 0.0
+    order, start, obs = _pack_corpus(corpus, model.num_items)
+    log_lik = _forward(model.pi, model.trans, model.emit, start, obs)[2]
+    return sum(log_lik[np.argsort(order)].tolist())
 
 
 def save_model(

@@ -82,9 +82,12 @@ def hmm_item_factors(model: HmmModel) -> ItemFactors:
     p_state = state_mass / state_mass.sum()
     p_item = model.emit.T @ p_state
     total = p_item.sum()
-    assert total > 0, "emission mass vanished"
+    if not total > 0:
+        raise ValueError("emission mass vanished: the item marginal sums to 0")
     p_item = p_item / total
-    assert np.all(p_item > 0), "item with zero emission mass"
+    if not np.all(p_item > 0):
+        item = int(np.argmin(p_item > 0))
+        raise ValueError(f"item {item} has zero emission mass under the state prior")
     posterior = (model.emit.T * p_state[None, :]) / p_item[:, None]
     posterior /= posterior.sum(axis=1, keepdims=True)
     return ItemFactors(vectors=posterior, source="hmm")

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from driftrec import hmm
 from driftrec.hmm import (
     HmmModel,
     InteractionSequence,
@@ -241,6 +243,65 @@ class TestBaumWelch:
         assert history[1] == pytest.approx(
             total_log_likelihood(model_one, corpus), rel=1e-10
         )
+
+    def test_batched_total_matches_brute_force_on_ragged_corpus(self):
+        # a length-1 sequence, three tied at the maximum length, and an item
+        # no state emits, so a sequence containing it has probability zero
+        rng = np.random.default_rng(43)
+        h, m = 3, 4
+        base = random_model(rng, h, m - 1)
+        model = HmmModel(
+            pi=base.pi, trans=base.trans, emit=np.hstack([base.emit, np.zeros((h, 1))])
+        )
+        corpus = [
+            seq(rng.integers(0, m - 1, size=n), user=f"u{i}")
+            for i, n in enumerate((3, 1, 6, 2, 6, 4, 6, 5))
+        ]
+        want = [math.log(brute_force_likelihood(model, s.items)) for s in corpus]
+        assert total_log_likelihood(model, corpus) == pytest.approx(sum(want), rel=1e-10)
+        for s, w in zip(corpus, want):
+            assert forward_log_likelihood(model, s) == pytest.approx(w, rel=1e-10)
+
+        # -inf, not nan: the impossible sequence leaves its neighbours intact
+        impossible = seq([0, m - 1, 1, 2], user="x")
+        assert forward_log_likelihood(model, impossible) == float("-inf")
+        assert total_log_likelihood(model, corpus[:4] + [impossible] + corpus[4:]) == float("-inf")
+
+    def test_corpus_order_does_not_change_the_model(self, monkeypatch):
+        # the starting point samples windows by corpus position, so pin it to
+        # the original order's; the E-step itself must not depend on order
+        rng = np.random.default_rng(47)
+        gen = random_model(rng, h=3, m=6)
+        corpus = [
+            seq(_sample(gen, int(rng.integers(1, 30)), rng)[1], user=f"u{i}")
+            for i in range(40)
+        ]
+        cfg = TrainConfig(max_iters=25, log_lik_tol=0.0, seed=4)
+        start = hmm._init_params(corpus, 3, 6, cfg)
+        monkeypatch.setattr(hmm, "_init_params", lambda *args: tuple(a.copy() for a in start))
+        shuffled = [corpus[i] for i in rng.permutation(len(corpus))]
+        a = baum_welch_train(corpus, 3, cfg, num_items=6)
+        b = baum_welch_train(shuffled, 3, cfg, num_items=6)
+        np.testing.assert_allclose(b.pi, a.pi, rtol=1e-10)
+        np.testing.assert_allclose(b.trans, a.trans, rtol=1e-10)
+        np.testing.assert_allclose(b.emit, a.emit, rtol=1e-10)
+
+    def test_memory_scales_with_live_cells_not_padding(self):
+        # padded to the longest sequence, this corpus needs 2001 x 4000 x 2
+        # doubles (128 MB) per forward or backward buffer; it has 8000 cells
+        rng = np.random.default_rng(53)
+        corpus = [seq(rng.integers(0, 5, size=4000), user="long")]
+        corpus += [seq(rng.integers(0, 5, size=2), user=f"s{i}") for i in range(2000)]
+        tracemalloc.start()
+        try:
+            model = baum_welch_train(
+                corpus, 2, TrainConfig(max_iters=2, log_lik_tol=0.0, seed=1), num_items=5
+            )
+            total_log_likelihood(model, corpus)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
     def test_single_iteration_matches_path_enumeration_counts(self):
         # one M-step must reproduce the expected-count update computed by

@@ -106,6 +106,19 @@ class TestHmmItemFactors:
                 factors.vectors, posterior_oracle(model), rtol=1e-10
             )
 
+    def test_item_with_zero_emission_mass_rejected(self):
+        model = HmmModel(pi=[1.0], trans=[[1.0]], emit=[[0.5, 0.0, 0.5]])
+        with pytest.raises(ValueError, match="item 1 has zero emission mass"):
+            hmm_item_factors(model)
+
+    def test_vanished_emission_mass_rejected(self):
+        # HmmModel validates on construction only; a caller that zeroes the
+        # emissions afterwards must get an error, not a division by zero
+        model = HmmModel(pi=[1.0], trans=[[1.0]], emit=[[0.5, 0.5]])
+        model.emit = np.zeros((1, 2))
+        with pytest.raises(ValueError, match="emission mass vanished"):
+            hmm_item_factors(model)
+
     def test_rows_are_distributions(self):
         rng = np.random.default_rng(37)
         model = random_model(rng, h=4, m=9)
