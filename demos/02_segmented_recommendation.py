@@ -19,7 +19,7 @@ from driftrec import (
     baum_welch_train,
     build_segmented_matrix,
     factors_from_pair,
-    hmcd_detect,
+    hmcd_detect_all,
     item_popularity,
     nmf_fit,
     partition,
@@ -58,7 +58,7 @@ for u in range(80):
 #    matrix: one row per (user, segment) instead of one row per user.
 # ------------------------------------------------------------------
 model = baum_welch_train(corpus, h=2, cfg=TrainConfig(max_iters=50, seed=1), num_items=M_ITEMS)
-points = {seq.user_id: hmcd_detect(model, seq, k=1).predicted for seq in corpus}
+points = {res.user_id: res.predicted for res in hmcd_detect_all(model, corpus, k=1)}
 
 segments_by_user = {}
 for seq in corpus:

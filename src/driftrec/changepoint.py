@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hmm import HmmModel, InteractionSequence, viterbi_decode
+from .hmm import HmmModel, InteractionSequence, viterbi_decode, viterbi_decode_all
 
 
 @dataclass
@@ -57,6 +57,18 @@ class SegmentedMatrix:
 def hmcd_detect(model: HmmModel, seq: InteractionSequence, k: int = 1) -> ChangePointResult:
     """Change points from the decoded state path, strongest switches first.
 
+    The result hmcd_detect_all gives for a corpus of one; see there for
+    how candidates are found, scored and selected.
+    """
+    _check_k(k)
+    return _switch_points(model, seq, viterbi_decode(model, seq).states, k)
+
+
+def hmcd_detect_all(
+    model: HmmModel, corpus: list[InteractionSequence], k: int = 1
+) -> list[ChangePointResult]:
+    """Change points of every sequence, in corpus order, from one batched decode.
+
     A candidate is any step whose decoded state differs from its
     predecessor's.  Each candidate t is scored by the probability of the
     decoded switch times the probability of the observed item under the
@@ -64,9 +76,19 @@ def hmcd_detect(model: HmmModel, seq: InteractionSequence, k: int = 1) -> Change
     order; score ties prefer the earliest step.  A switchless path yields
     an empty result flagged no_change.
     """
+    _check_k(k)
+    paths = viterbi_decode_all(model, corpus)
+    return [_switch_points(model, seq, path.states, k) for seq, path in zip(corpus, paths)]
+
+
+def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
-    path = viterbi_decode(model, seq).states
+
+
+def _switch_points(
+    model: HmmModel, seq: InteractionSequence, path: np.ndarray, k: int
+) -> ChangePointResult:
     switches = np.flatnonzero(path[1:] != path[:-1]) + 1
     if len(switches) == 0:
         return ChangePointResult(user_id=seq.user_id, no_change=True)

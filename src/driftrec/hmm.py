@@ -10,6 +10,7 @@ underflow.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -143,35 +144,72 @@ def forward_log_likelihood(model: HmmModel, seq: InteractionSequence) -> float:
 def viterbi_decode(model: HmmModel, seq: InteractionSequence) -> DecodedPath:
     """Most likely hidden state path for the observed sequence.
 
-    Ties are broken toward the lowest state index, both in the per-step
-    backpointers and in the final state, so decoding is deterministic.
-    Raises ValueError if every path has probability zero.
+    A batch of one for viterbi_decode_all: ties are broken toward the
+    lowest state index, and ValueError is raised if every path has
+    probability zero.
     """
-    items = _check_items(seq, model.num_items)
-    T = len(items)
+    return viterbi_decode_all(model, [seq])[0]
+
+
+def viterbi_decode_all(
+    model: HmmModel, corpus: list[InteractionSequence]
+) -> list[DecodedPath]:
+    """Most likely hidden state path of every sequence, in corpus order.
+
+    One log-space Viterbi recursion (Rabiner, 1989) runs over the packed,
+    length-sorted corpus.  Ties are broken toward the lowest state index,
+    both in the per-step backpointers and in the final state, so decoding
+    is deterministic and each path is the one a corpus of one would give.
+    Raises ValueError naming the first sequence, in corpus order, whose
+    every path has probability zero.
+    """
+    if not corpus:
+        return []
+    order, start, obs = _pack_corpus(corpus, model.num_items)
     h = model.num_states
     with np.errstate(divide="ignore"):
         log_pi = np.log(model.pi)
         log_trans = np.log(model.trans)
         log_emit = np.log(model.emit)
 
-    delta = log_pi + log_emit[:, items[0]]
-    back = np.zeros((T, h), dtype=np.int64)
-    for t in range(1, T):
-        # scores[i, j]: best log prob ending in j after transitioning from i
-        scores = delta[:, None] + log_trans
-        back[t] = np.argmax(scores, axis=0)
-        delta = scores[back[t], np.arange(h)] + log_emit[:, items[t]]
+    # delta[c, j]: best log prob of a path ending in state j at cell c
+    delta = log_emit.T[obs]
+    delta[: start[1]] += log_pi
+    back = np.zeros(delta.shape, dtype=np.min_scalar_type(h - 1))
+    # at most `block` cells per scores buffer, which bounds it to 8 MB
+    block = max(1, 2**20 // (h * h))
+    bounds = start.tolist()
+    columns = delta[:, :, None]
+    for t in range(1, len(bounds) - 1):
+        shift = bounds[t] - bounds[t - 1]  # a cell's predecessor is `shift` cells back
+        for lo in range(bounds[t], bounds[t + 1], block):
+            hi = min(lo + block, bounds[t + 1])
+            # scores[c, i, j]: best log prob ending in j after transitioning from i
+            scores = columns[lo - shift : hi - shift] + log_trans
+            back[lo:hi] = scores.argmax(axis=1)
+            delta[lo:hi] += np.maximum.reduce(scores, axis=1)
 
-    last = int(np.argmax(delta))
-    log_joint = float(delta[last])
-    if log_joint == float("-inf"):
-        raise ValueError("sequence inconsistent with model")
-    states = np.zeros(T, dtype=np.int64)
-    states[T - 1] = last
-    for t in range(T - 1, 0, -1):
-        states[t - 1] = back[t, states[t]]
-    return DecodedPath(states=states, log_joint=log_joint)
+    order = order.tolist()
+    lengths = [len(corpus[i]) for i in order]
+    ends = delta[[bounds[n - 1] + j for j, n in enumerate(lengths)]]
+    finals = ends.argmax(axis=1).tolist()
+    log_joint = np.maximum.reduce(ends, axis=1).tolist()
+    if -math.inf in log_joint:
+        bad = min(i for i, v in zip(order, log_joint) if v == -math.inf)
+        raise ValueError(f"sequence {corpus[bad].user_id!r} inconsistent with model")
+
+    # walk each sequence's backpointers back from its final state
+    pointers = memoryview(back.reshape(-1))
+    offsets = [b * h for b in bounds]
+    paths = [None] * len(corpus)
+    for j, (i, state, length) in enumerate(zip(order, finals, lengths)):
+        states = [state]
+        for t in range(length - 1, 0, -1):
+            state = pointers[offsets[t] + j * h + state]
+            states.append(state)
+        states.reverse()
+        paths[i] = DecodedPath(states=np.array(states, dtype=np.int64), log_joint=log_joint[j])
+    return paths
 
 
 def _init_params(corpus, h, m, cfg):
@@ -222,14 +260,11 @@ def _pack_corpus(corpus, m):
     """
     lengths = np.array([len(_check_items(seq, m)) for seq in corpus], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
-    sorted_len = lengths[order]
     live = len(corpus) - np.cumsum(np.bincount(lengths))[:-1]  # sequences longer than t
     start = np.concatenate([[0], np.cumsum(live)])
-    step = np.arange(start[-1]) - np.repeat(np.cumsum(sorted_len) - sorted_len, sorted_len)
     obs = np.empty(start[-1], dtype=np.int64)
-    obs[start[step] + np.repeat(np.arange(len(corpus)), sorted_len)] = np.concatenate(
-        [corpus[i].items for i in order]
-    )
+    for j, i in enumerate(order.tolist()):
+        obs[start[: lengths[i]] + j] = corpus[i].items
     return order, start, obs
 
 

@@ -23,7 +23,7 @@ from driftrec.changepoint import (
     cooccurrence_item_vectors,
     cusum_detect,
     build_segmented_matrix,
-    hmcd_detect,
+    hmcd_detect_all,
     partition,
     random_partition,
     sliding_window_detect,
@@ -378,8 +378,10 @@ def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
         extra = ""
         if label.startswith("HMCD-S"):
             model, _ = load_model(_require(out / f"hmm_s{label[6:]}.json"))
-            results = _pmap(lambda seq: hmcd_detect(model, seq, k=cfg.k), seqs, cfg.threads)
-            per_seq = [(res.predicted, res.score_per_point) for res in results]
+            per_seq = [
+                (res.predicted, res.score_per_point)
+                for res in hmcd_detect_all(model, seqs, k=cfg.k)
+            ]
         elif label == "CUSUM":
             tau = tune_cusum_threshold(seqs)
             extra = f"tau={_fmt(tau)}"

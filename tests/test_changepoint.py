@@ -8,6 +8,7 @@ from driftrec.changepoint import (
     cusum_detect,
     displacement_error,
     hmcd_detect,
+    hmcd_detect_all,
     partition,
     random_partition,
     sliding_window_detect,
@@ -117,6 +118,27 @@ class TestHmcdDetect:
                 assert result.predicted == want
                 assert result.score_per_point == [score[t] for t in want]
                 assert all(0.0 <= v <= 1.0 for v in result.score_per_point)
+
+
+    @pytest.mark.parametrize("k", [1, 2, 99])
+    def test_batch_matches_per_sequence(self, k):
+        rng = np.random.default_rng(29)
+        model = random_model(rng, h=3, m=5)
+        corpus = [
+            seq(rng.integers(0, 5, size=int(rng.integers(1, 25))), user=f"u{i}")
+            for i in range(40)
+        ]
+        assert hmcd_detect_all(model, corpus, k=k) == [hmcd_detect(model, s, k=k) for s in corpus]
+
+    def test_batch_rejects_bad_k_before_decoding(self):
+        # the sequence is impossible under the model, so decoding would fail
+        model = HmmModel(pi=[1.0, 0.0], trans=np.eye(2), emit=np.eye(2))
+        with pytest.raises(ValueError, match="k must be"):
+            hmcd_detect_all(model, [seq([0, 1])], k=0)
+
+    def test_batch_of_nothing(self):
+        model = HmmModel(pi=[1.0], trans=[[1.0]], emit=[[1.0]])
+        assert hmcd_detect_all(model, [], k=1) == []
 
 
 class TestPartition:

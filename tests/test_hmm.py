@@ -15,6 +15,7 @@ from driftrec.hmm import (
     save_model,
     total_log_likelihood,
     viterbi_decode,
+    viterbi_decode_all,
 )
 
 from conftest import (
@@ -162,6 +163,101 @@ def test_oracle_equivalence_randomized():
         path = viterbi_decode(model, seq(items))
         _, best = brute_force_best_path(model, items)
         assert path.log_joint == pytest.approx(math.log(best), rel=1e-10)
+
+
+
+def _scalar_viterbi(model, items):
+    """The per-sequence log-space recursion, kept as the batched decoder's oracle."""
+    T, h = len(items), model.num_states
+    with np.errstate(divide="ignore"):
+        log_pi, log_trans, log_emit = np.log(model.pi), np.log(model.trans), np.log(model.emit)
+    delta = log_pi + log_emit[:, items[0]]
+    back = np.zeros((T, h), dtype=np.int64)
+    for t in range(1, T):
+        scores = delta[:, None] + log_trans
+        back[t] = np.argmax(scores, axis=0)
+        delta = scores[back[t], np.arange(h)] + log_emit[:, items[t]]
+    states = np.zeros(T, dtype=np.int64)
+    states[T - 1] = np.argmax(delta)
+    for t in range(T - 1, 0, -1):
+        states[t - 1] = back[t, states[t]]
+    return states, float(delta[states[T - 1]])
+
+
+class TestViterbiBatch:
+    def _ragged(self, rng, m):
+        # a length-1 sequence and three tied at the maximum length
+        return [
+            seq(rng.integers(0, m, size=n), user=f"u{i}")
+            for i, n in enumerate((3, 1, 6, 2, 6, 4, 6, 5))
+        ]
+
+    @pytest.mark.parametrize("h", [1, 3])
+    def test_matches_exhaustive_argmax_on_ragged_corpus(self, h):
+        rng = np.random.default_rng(59 + h)
+        for _ in range(3):
+            model = random_model(rng, h, 4)
+            corpus = self._ragged(rng, 4)
+            paths = viterbi_decode_all(model, corpus)
+            assert len(paths) == len(corpus)
+            for s, path in zip(corpus, paths):
+                best_path, best_p = brute_force_best_path(model, s.items)
+                assert path.states.tolist() == list(best_path)
+                assert path.states.dtype == np.int64
+                assert path.log_joint == pytest.approx(math.log(best_p), rel=1e-10)
+
+    def test_corpus_order_does_not_change_paths(self):
+        rng = np.random.default_rng(61)
+        model = random_model(rng, 4, 7)
+        corpus = [
+            seq(rng.integers(0, 7, size=int(rng.integers(1, 40))), user=f"u{i}")
+            for i in range(50)
+        ]
+        shuffled = [corpus[i] for i in rng.permutation(len(corpus))]
+        want = {s.user_id: p for s, p in zip(corpus, viterbi_decode_all(model, corpus))}
+        for s, p in zip(shuffled, viterbi_decode_all(model, shuffled)):
+            assert p.states.tolist() == want[s.user_id].states.tolist()
+            assert p.log_joint == want[s.user_id].log_joint
+
+    def test_all_tied_model_decodes_to_state_zero(self):
+        h, m = 3, 2
+        model = HmmModel(
+            pi=np.full(h, 1 / h), trans=np.full((h, h), 1 / h), emit=np.full((h, m), 1 / m)
+        )
+        corpus = [seq([0, 1, 0], user="a"), seq([1], user="b"), seq([1, 1, 0, 0, 1], user="c")]
+        for s, path in zip(corpus, viterbi_decode_all(model, corpus)):
+            assert path.states.tolist() == [0] * len(s)
+
+    def test_many_states_match_scalar_recursion(self):
+        # 300 states need two-byte backpointers, and 90000 scores per cell
+        # split each step's cells into blocks
+        rng = np.random.default_rng(67)
+        model = random_model(rng, 300, 6)
+        corpus = [
+            seq(rng.integers(0, 6, size=int(rng.integers(1, 9))), user=f"u{i}")
+            for i in range(16)
+        ]
+        for s, path in zip(corpus, viterbi_decode_all(model, corpus)):
+            states, log_joint = _scalar_viterbi(model, s.items)
+            assert path.states.tolist() == states.tolist()
+            assert path.log_joint == log_joint
+
+    def test_impossible_sequence_is_named(self):
+        model = HmmModel(pi=[1.0, 0.0], trans=np.eye(2), emit=np.eye(2))
+        # the first impossible sequence in corpus order is named, although
+        # the longer one after it comes first in the packed corpus
+        corpus = [
+            seq([0, 0], user="fine"),
+            seq([0, 1, 0], user="broken"),
+            seq([0], user="ok"),
+            seq([0, 0, 0, 1, 0], user="also_broken"),
+        ]
+        with pytest.raises(ValueError, match="'broken' inconsistent"):
+            viterbi_decode_all(model, corpus)
+
+    def test_empty_corpus(self):
+        model = HmmModel(pi=[1.0], trans=[[1.0]], emit=[[1.0]])
+        assert viterbi_decode_all(model, []) == []
 
 
 class TestBaumWelch:
