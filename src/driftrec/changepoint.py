@@ -122,6 +122,24 @@ def partition(seq: InteractionSequence, points: list[int]) -> list[np.ndarray]:
     return [seq.items[a:b].copy() for a, b in zip(bounds, bounds[1:])]
 
 
+def incidence_matrix(item_lists, m: int, labels) -> np.ndarray:
+    """Binary incidence rows, one per item list: row r marks item_lists[r].
+
+    Repeated items mark their cell once and an empty list gives an
+    all-zero row.  labels[r] names row r in the ValueError raised for an
+    item outside [0, m).
+    """
+    arrays = [np.asarray(items, dtype=np.int64) for items in item_lists]
+    rows = np.repeat(np.arange(len(arrays)), [a.size for a in arrays])
+    cols = np.concatenate(arrays) if arrays else rows
+    bad = np.flatnonzero((cols < 0) | (cols >= m))
+    if bad.size:
+        raise ValueError(f"{labels[rows[bad[0]]]} has item index outside [0, {m})")
+    matrix = np.zeros((len(arrays), m))
+    matrix[rows, cols] = 1.0
+    return matrix
+
+
 def build_segmented_matrix(
     segments_by_user: dict[str, list], m: int
 ) -> SegmentedMatrix:
@@ -139,17 +157,13 @@ def build_segmented_matrix(
     per_user = counts.pop()
     if per_user < 1:
         raise ValueError("each user needs at least one segment")
-    rows = np.zeros((len(segments_by_user) * per_user, m))
-    row_index: dict[tuple[str, int], int] = {}
-    r = 0
-    for user, segs in segments_by_user.items():
-        for ordinal, segment in enumerate(segs):
-            items = np.asarray(segment, dtype=np.int64)
-            if items.size and (items.min() < 0 or items.max() >= m):
-                raise ValueError(f"user {user!r} segment {ordinal} has item index outside [0, {m})")
-            rows[r, items] = 1.0
-            row_index[(user, ordinal)] = r
-            r += 1
+    keys = [(user, ordinal) for user in segments_by_user for ordinal in range(per_user)]
+    rows = incidence_matrix(
+        [segment for segs in segments_by_user.values() for segment in segs],
+        m,
+        [f"user {user!r} segment {ordinal}" for user, ordinal in keys],
+    )
+    row_index = {key: r for r, key in enumerate(keys)}
     return SegmentedMatrix(rows=rows, row_index=row_index, segment_count_per_user=per_user)
 
 
@@ -274,11 +288,9 @@ def cooccurrence_item_vectors(
     L2-normalized, so items sharing an audience sit close together.  Items
     no one consumed keep a zero vector.
     """
-    incidence = np.zeros((len(corpus), m))
-    for u, seq in enumerate(corpus):
-        if int(seq.items.max()) >= m:
-            raise ValueError(f"sequence {seq.user_id!r} has item index >= {m}")
-        incidence[u, seq.items] = 1.0
+    incidence = incidence_matrix(
+        [seq.items for seq in corpus], m, [f"user {seq.user_id!r}" for seq in corpus]
+    )
     vectors = incidence.T.copy()
     norms = np.linalg.norm(vectors, axis=1)
     np.divide(vectors, norms[:, None], out=vectors, where=norms[:, None] > 0)

@@ -40,7 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True, help="experiment config file (key-value document)")
     common.add_argument("--out", help="override the configured output directory")
     common.add_argument("--seed", type=int, help="override the configured seed")
-    common.add_argument("--threads", type=int, help="worker threads for the sliding-window (SW) detector")
     parser = argparse.ArgumentParser(prog="driftrec", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _STAGES:
@@ -55,8 +54,6 @@ def main(argv=None) -> int:
         overrides["out_dir"] = args.out
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     try:
         cfg = ExperimentConfig.from_yaml(args.config)
         if overrides:

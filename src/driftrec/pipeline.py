@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from driftrec.changepoint import (
     cusum_detect,
     build_segmented_matrix,
     hmcd_detect_all,
+    incidence_matrix,
     partition,
     random_partition,
     sliding_window_detect,
@@ -37,14 +37,13 @@ from driftrec.dataset import (
     synthesize_mixed,
     to_interaction_sequences,
 )
-from driftrec.evaluation import EvalReport, MethodMetrics, aggregate_cpd, ndcg_time_aware, pr_curve, precision_recall_at
+from driftrec.evaluation import EvalReport, MethodMetrics, aggregate_cpd, ndcg_time_aware, precision_recall_at
 from driftrec.factorization import FactorizationConfig, bpr_fit, load_factors, nmf_fit, save_factors
 from driftrec.hmm import TrainConfig, baum_welch_train, load_model, save_model, total_log_likelihood
 from driftrec.recommend import (
     factors_from_pair,
     hmmr_recommend,
     item_popularity,
-    pop_rank,
     rank_by_scores,
     smf_recommend,
 )
@@ -100,8 +99,8 @@ class ExperimentConfig:
     A config file is a plain-text key-value document (YAML mapping) whose
     keys match these field names exactly; unknown keys are rejected with
     the offending names.  methods defaults to every label derivable from
-    hidden_state_counts, and min_len to min_window + holdout so any kept
-    playlist can serve either role in a mixed pair.
+    hidden_state_counts, and min_len to min_window + HOLDOUT_SIZE so any
+    kept playlist can serve either role in a mixed pair.
     """
 
     corpus: str
@@ -116,7 +115,6 @@ class ExperimentConfig:
     k: int = 1
     d: int = 40
     l: int = 10
-    holdout: int = HOLDOUT_SIZE
     n_grid: list[int] = field(default_factory=lambda: list(range(1, 11)))
     methods: list[str] | None = None
     hmm_max_iters: int = 100
@@ -124,7 +122,6 @@ class ExperimentConfig:
     hmm_tol: float = 1e-5
     nmf_max_iters: int = 200
     bpr_epochs: int = 100
-    threads: int = 1
 
     def __post_init__(self):
         for name in ("corpus", "out_dir"):
@@ -132,7 +129,7 @@ class ExperimentConfig:
             if not isinstance(value, str) or not value:
                 raise ValueError(f"{name}: expected a nonempty path string, got {value!r}")
         _check_int("seed", self.seed, 0)
-        for name in ("k", "d", "l", "mixed_count", "min_window", "hmm_max_iters", "hmm_restarts", "nmf_max_iters", "bpr_epochs", "threads"):
+        for name in ("k", "d", "l", "mixed_count", "min_window", "hmm_max_iters", "hmm_restarts", "nmf_max_iters", "bpr_epochs"):
             _check_int(name, getattr(self, name), 1)
         if isinstance(self.hmm_tol, int) and not isinstance(self.hmm_tol, bool):
             self.hmm_tol = float(self.hmm_tol)
@@ -141,8 +138,6 @@ class ExperimentConfig:
         for name in ("sample_size", "min_len", "pool_split"):
             if getattr(self, name) is not None:
                 _check_int(name, getattr(self, name), 1)
-        if self.holdout != HOLDOUT_SIZE:
-            raise ValueError(f"holdout: the benchmark protocol fixes the holdout length at {HOLDOUT_SIZE}")
         self.hidden_state_counts = _check_ascending_ints("hidden_state_counts", self.hidden_state_counts)
         self.n_grid = _check_ascending_ints("n_grid", self.n_grid)
         universe = method_universe(self.hidden_state_counts)
@@ -181,14 +176,13 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
     def config_hash(self) -> str:
-        """Short digest of the scientific fields; execution context excluded.
+        """Short digest of every field but out_dir.
 
-        out_dir and threads change where and how fast a run happens, not
-        what it computes, so two runs differing only in them share a hash.
+        out_dir changes where a run happens, not what it computes, so two
+        runs differing only in it share a hash.
         """
         payload = self.to_mapping()
         del payload["out_dir"]
-        del payload["threads"]
         return hashlib.sha256(yaml.safe_dump(payload, sort_keys=True).encode()).hexdigest()[:12]
 
     def detector_labels(self) -> list[str]:
@@ -239,33 +233,30 @@ def _data_lines(path: Path) -> list[list[str]]:
     ]
 
 
-def _pmap(fn, items, threads: int) -> list:
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_sequences(out: Path):
     mixed, meta = load_benchmark(_require(out / "benchmark.tsv"))
     seqs, holdout = to_interaction_sequences(mixed)
     return seqs, holdout, int(meta["num_items"])
 
 
-def _incidence(seqs, m: int) -> np.ndarray:
-    rows = np.zeros((len(seqs), m))
-    for r, seq in enumerate(seqs):
-        rows[r, seq.items] = 1.0
-    return rows
+def _check_users(path: Path, users, seqs) -> None:
+    """Reject an artifact whose users differ from benchmark.tsv's, naming the first."""
+    expected = {seq.user_id for seq in seqs}
+    missing = [seq.user_id for seq in seqs if seq.user_id not in users]
+    extra = [u for u in users if u not in expected]
+    if missing or extra:
+        what = f"lacks user {missing[0]!r} of" if missing else f"has user {extra[0]!r} not in"
+        raise ValueError(f"{path.name} {what} benchmark.tsv (stale artifact?)")
 
 
-def _read_changepoints(path: Path) -> dict[str, tuple[int, int, list[int]]]:
+def _read_changepoints(path: Path, seqs) -> dict[str, tuple[int, int, list[int]]]:
     """user_id -> (T, truth, predicted indices); '-' marks an empty prediction."""
     out = {}
     for cells in _data_lines(path):
         user_id, T, truth, predicted = cells[0], int(cells[1]), int(cells[2]), cells[3]
         points = [] if predicted == "-" else [int(p) for p in predicted.split(",")]
         out[user_id] = (T, truth, points)
+    _check_users(path, out, seqs)
     return out
 
 
@@ -388,8 +379,7 @@ def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
             per_seq = [([cusum_detect(seq, tau)[0]], []) for seq in seqs]
         elif label == "SW":
             vectors = cooccurrence_item_vectors(seqs, m)
-            found = _pmap(lambda seq: sliding_window_detect(seq, vectors), seqs, cfg.threads)
-            per_seq = [([t], []) for t, _ in found]
+            per_seq = [([sliding_window_detect(seq, vectors)[0]], []) for seq in seqs]
         else:
             per_seq = [
                 ([random_partition(seq, stable_seed(cfg.seed, f"rp:{seq.user_id}"))], [])
@@ -410,22 +400,23 @@ def cmd_fit(cfg: ExperimentConfig) -> list[Path]:
     for h in cfg.hidden_state_counts:
         if f"SMF-S{h}" not in cfg.methods:
             continue
-        changepoints = _read_changepoints(_require(out / f"changepoints_HMCD-S{h}.tsv"))
+        changepoints = _read_changepoints(_require(out / f"changepoints_HMCD-S{h}.tsv"), seqs)
         segmented = build_segmented_matrix(_segments_by_user(seqs, changepoints, cfg.k), m)
         fc = FactorizationConfig(d=cfg.d, max_iters=cfg.nmf_max_iters, seed=stable_seed(cfg.seed, f"nmf:smf-s{h}"))
         pair = nmf_fit(segmented, fc)
         path = out / f"factors_smf_s{h}.json"
         save_factors(path, pair, meta=dict(provenance, model=f"SMF-S{h}"))
         paths.append(path)
+    raw = incidence_matrix([seq.items for seq in seqs], m, [f"user {seq.user_id!r}" for seq in seqs])
     if "NMF" in cfg.methods:
         fc = FactorizationConfig(d=cfg.d, max_iters=cfg.nmf_max_iters, seed=stable_seed(cfg.seed, "nmf:raw"))
-        pair = nmf_fit(_incidence(seqs, m), fc)
+        pair = nmf_fit(raw, fc)
         path = out / "factors_nmf.json"
         save_factors(path, pair, meta=dict(provenance, model="NMF"))
         paths.append(path)
     if "BPR-MF" in cfg.methods:
         fc = FactorizationConfig(d=cfg.d, max_iters=cfg.bpr_epochs, seed=stable_seed(cfg.seed, "bpr"))
-        pair = bpr_fit(_incidence(seqs, m), fc)
+        pair = bpr_fit(raw, fc)
         path = out / "factors_bpr.json"
         save_factors(path, pair, meta=dict(provenance, model="BPR-MF"))
         paths.append(path)
@@ -436,15 +427,16 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     """Produce a ranked list per user for every configured recommender."""
     out = _out(cfg)
     seqs, _, m = _load_sequences(out)
-    raw = _incidence(seqs, m)
-    popularity = item_popularity(raw)
+    popularity = item_popularity(
+        incidence_matrix([seq.items for seq in seqs], m, [f"user {seq.user_id!r}" for seq in seqs])
+    )
     N = max(cfg.n_grid)
     columns = ("user_id", "rank", "item", "score")
     segments_cache: dict[int, dict] = {}
 
     def segments_for(h: int) -> dict:
         if h not in segments_cache:
-            changepoints = _read_changepoints(_require(out / f"changepoints_HMCD-S{h}.tsv"))
+            changepoints = _read_changepoints(_require(out / f"changepoints_HMCD-S{h}.tsv"), seqs)
             segments_cache[h] = _segments_by_user(seqs, changepoints, cfg.k)
         return segments_cache[h]
 
@@ -468,7 +460,7 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
                 for seq in seqs
             ]
         elif label == "PopRank":
-            recs = [pop_rank(raw, seq.items, N, user_id=seq.user_id) for seq in seqs]
+            recs = [rank_by_scores(popularity, popularity, seq.items, N, user_id=seq.user_id) for seq in seqs]
         else:
             name = "factors_nmf.json" if label == "NMF" else "factors_bpr.json"
             pair, _ = load_factors(_require(out / name))
@@ -487,10 +479,11 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     return paths
 
 
-def _read_recommendations(path: Path) -> dict[str, list[int]]:
+def _read_recommendations(path: Path, seqs) -> dict[str, list[int]]:
     ranked: dict[str, list[int]] = {}
     for user_id, _, item, _ in _data_lines(path):
         ranked.setdefault(user_id, []).append(int(item))
+    _check_users(path, ranked, seqs)
     return ranked
 
 
@@ -503,7 +496,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
     # displacement: an empty prediction falls back to the last index
     cpd_inputs = {}
     for label in cfg.detector_labels():
-        records = _read_changepoints(_require(out / f"changepoints_{label}.tsv"))
+        records = _read_changepoints(_require(out / f"changepoints_{label}.tsv"), seqs)
         cpd_inputs[label] = {
             user: (truth, points[0] if points else T - 1)
             for user, (T, truth, points) in records.items()
@@ -534,20 +527,17 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
     _write_rows(out / "state_count_trend.tsv", cfg, ("h", "mean_delta", "non_decreasing"), trend_rows)
 
     # ranking quality against the held-out tail
-    truth_by_user = {seq.user_id: holdout[seq.user_id] for seq in seqs}
+    users = sorted(holdout)
     pr_rows, metric_rows, text_blocks = [], [], []
     for label in cfg.ranker_labels():
-        ranked = _read_recommendations(_require(out / f"recommendations_{label}.tsv"))
-        missing = [seq.user_id for seq in seqs if seq.user_id not in ranked]
-        if missing:
-            raise ValueError(f"recommendations_{label}.tsv lacks users: {missing[:3]}")
+        ranked = _read_recommendations(_require(out / f"recommendations_{label}.tsv"), seqs)
         precision_at, recall_at, ndcg_at = {}, {}, {}
         for N in cfg.n_grid:
-            pr = [precision_recall_at(ranked[u], truth_by_user[u], N) for u in sorted(ranked)]
+            pr = [precision_recall_at(ranked[u], holdout[u], N) for u in users]
             precision_at[N] = float(np.mean([p for p, _ in pr]))
             recall_at[N] = float(np.mean([r for _, r in pr]))
-            ndcg_at[N] = float(np.mean([ndcg_time_aware(ranked[u], truth_by_user[u], N) for u in sorted(ranked)]))
-        points = pr_curve(ranked, truth_by_user, cfg.n_grid)
+            ndcg_at[N] = float(np.mean([ndcg_time_aware(ranked[u], holdout[u], N) for u in users]))
+        points = [(precision_at[N], recall_at[N]) for N in cfg.n_grid]
         per_method[label] = MethodMetrics(
             precision_at=precision_at, recall_at=recall_at, ndcg_at=ndcg_at, pr_points=points
         )
@@ -555,8 +545,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
             metric_rows.append((label, "precision", str(N), _fmt(precision_at[N])))
             metric_rows.append((label, "recall", str(N), _fmt(recall_at[N])))
             metric_rows.append((label, "ndcg", str(N), _fmt(ndcg_at[N])))
-        for N, (p, r) in zip(cfg.n_grid, points):
-            pr_rows.append((label, str(N), _fmt(p), _fmt(r)))
+            pr_rows.append((label, str(N), _fmt(precision_at[N]), _fmt(recall_at[N])))
         lines = [f"{label:<10}{'precision':<11}" + "".join(f"{precision_at[N]:>10.6f}" for N in cfg.n_grid)]
         lines.append(f"{label:<10}{'recall':<11}" + "".join(f"{recall_at[N]:>10.6f}" for N in cfg.n_grid))
         lines.append(f"{label:<10}{'ndcg':<11}" + "".join(f"{ndcg_at[N]:>10.6f}" for N in cfg.n_grid))

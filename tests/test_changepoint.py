@@ -9,6 +9,7 @@ from driftrec.changepoint import (
     displacement_error,
     hmcd_detect,
     hmcd_detect_all,
+    incidence_matrix,
     partition,
     random_partition,
     sliding_window_detect,
@@ -212,6 +213,72 @@ class TestSegmentedMatrix:
     def test_rejects_out_of_range_items(self):
         with pytest.raises(ValueError):
             build_segmented_matrix({"a": [[5]]}, m=3)
+
+
+def loop_incidence(item_lists, m):
+    """The row-at-a-time fill the shared builder replaced; the oracle."""
+    rows = np.zeros((len(item_lists), m))
+    for r, items in enumerate(item_lists):
+        rows[r, np.asarray(items, dtype=np.int64)] = 1.0
+    return rows
+
+
+class TestIncidenceMatrix:
+    def ragged_segments(self):
+        """Users with repeated items, every segment count padded to 3, and
+        empty segments both inside and at the end of a user's rows."""
+        rng = np.random.default_rng(41)
+        by_user = {}
+        for u in range(9):
+            items = rng.integers(0, 7, size=int(rng.integers(2, 30)))
+            points = sorted(rng.choice(np.arange(1, len(items)), size=min(2, len(items) - 1), replace=False))
+            segs = partition(seq(items, user=f"u{u}"), [int(p) for p in points])
+            segs += [np.array([], dtype=np.int64)] * (3 - len(segs))
+            by_user[f"u{u}"] = segs
+        by_user["u2"][1] = np.array([], dtype=np.int64)
+        by_user["u5"] = [np.array([3, 3, 3]), np.array([], dtype=np.int64), np.array([], dtype=np.int64)]
+        return by_user
+
+    def test_matches_row_loop_on_ragged_corpus(self):
+        by_user = self.ragged_segments()
+        flat = [segment for segs in by_user.values() for segment in segs]
+        assert any(len(s) == 0 for s in flat)
+        assert any(len(np.unique(s)) < len(s) for s in flat)
+        labels = [f"row {r}" for r in range(len(flat))]
+        np.testing.assert_array_equal(incidence_matrix(flat, 9, labels), loop_incidence(flat, 9))
+        sm = build_segmented_matrix(by_user, m=9)
+        np.testing.assert_array_equal(sm.rows, loop_incidence(flat, 9))
+        assert list(sm.row_index) == [(u, o) for u in by_user for o in range(3)]
+        assert list(sm.row_index.values()) == list(range(len(flat)))
+
+    def test_whole_sequences_match_row_loop(self):
+        rng = np.random.default_rng(43)
+        corpus = [seq(rng.integers(0, 25, size=int(rng.integers(1, 40))), user=f"u{i}") for i in range(30)]
+        items = [s.items for s in corpus]
+        got = incidence_matrix(items, 25, [s.user_id for s in corpus])
+        np.testing.assert_array_equal(got, loop_incidence(items, 25))
+        assert got.dtype == np.float64
+
+    def test_no_rows(self):
+        assert incidence_matrix([], 4, []).shape == (0, 4)
+
+    def test_error_names_the_first_bad_row(self):
+        with pytest.raises(ValueError, match=r"^row b has item index outside \[0, 3\)$"):
+            incidence_matrix([[0], [2, 3], [-1]], 3, ["row a", "row b", "row c"])
+        with pytest.raises(ValueError, match=r"^row c has item index outside"):
+            incidence_matrix([[0], [], [-1]], 3, ["row a", "row b", "row c"])
+
+    def test_segmented_error_names_user_and_segment(self):
+        by_user = {"a": [[0], [1]], "b": [[2], [5]]}
+        with pytest.raises(ValueError, match=r"user 'b' segment 1 has item index outside \[0, 3\)"):
+            build_segmented_matrix(by_user, m=3)
+        with pytest.raises(ValueError, match=r"user 'a' segment 0 has item index outside"):
+            build_segmented_matrix({"a": [[-2], []]}, m=3)
+
+    def test_cooccurrence_error_names_user(self):
+        corpus = [seq([0, 1], user="a"), seq([1, 9], user="b")]
+        with pytest.raises(ValueError, match=r"user 'b' has item index outside \[0, 5\)"):
+            cooccurrence_item_vectors(corpus, m=5)
 
 
 class TestCusum:

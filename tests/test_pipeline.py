@@ -1,6 +1,7 @@
 """Configuration handling, staged artifacts, and CLI behavior."""
 
 import dataclasses
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 import yaml
 
 from driftrec.cli import main
-from driftrec.dataset import load_benchmark
+from driftrec.dataset import load_benchmark, to_interaction_sequences
+from driftrec.evaluation import pr_curve
 from driftrec.pipeline import (
     ExperimentConfig,
     cmd_detect,
@@ -21,8 +23,13 @@ from driftrec.pipeline import (
     method_universe,
     stable_seed,
 )
+from driftrec.recommend import pop_rank
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "playlists_200.txt")
+
+
+def data_rows(path):
+    return [line.split("\t") for line in Path(path).read_text().splitlines() if line and not line.startswith("#")]
 
 
 def small_config(out_dir, **overrides):
@@ -67,8 +74,9 @@ class TestExperimentConfig:
             ExperimentConfig(corpus="c", out_dir="o", k=0)
         with pytest.raises(ValueError, match="hidden_state_counts.*ascending"):
             ExperimentConfig(corpus="c", out_dir="o", hidden_state_counts=[3, 2])
-        with pytest.raises(ValueError, match="holdout.*fixes"):
-            ExperimentConfig(corpus="c", out_dir="o", holdout=5)
+        for removed in ("holdout", "threads"):
+            with pytest.raises(ValueError, match=f"unknown config field.*{removed}"):
+                ExperimentConfig.from_mapping({"corpus": "c", "out_dir": "o", removed: 1})
         with pytest.raises(ValueError, match="methods: unknown label 'SVD'"):
             ExperimentConfig(corpus="c", out_dir="o", methods=["SVD"])
         with pytest.raises(ValueError, match="hmm_tol"):
@@ -92,8 +100,8 @@ class TestExperimentConfig:
         assert again == cfg
 
     def test_hash_ignores_execution_context(self):
-        a = ExperimentConfig(corpus="c", out_dir="x", threads=1)
-        b = ExperimentConfig(corpus="c", out_dir="y", threads=8)
+        a = ExperimentConfig(corpus="c", out_dir="x")
+        b = ExperimentConfig(corpus="c", out_dir="y")
         c = ExperimentConfig(corpus="c", out_dir="x", seed=1)
         assert a.config_hash() == b.config_hash()
         assert a.config_hash() != c.config_hash()
@@ -226,6 +234,35 @@ class TestPipelineRun:
             assert len(metrics.pr_points) == len(cfg.n_grid)
         assert report.parameters["config_hash"] == cfg.config_hash()
 
+    def test_pr_curves_match_recomputation_from_recommendations(self, pipeline_run):
+        cfg, out, report = pipeline_run
+        _, truth = to_interaction_sequences(load_benchmark(out / "benchmark.tsv")[0])
+        rows = data_rows(out / "pr_curves.tsv")
+        for label in cfg.ranker_labels():
+            ranked = {}
+            for user_id, _, item, _ in data_rows(out / f"recommendations_{label}.tsv"):
+                ranked.setdefault(user_id, []).append(int(item))
+            written = [(int(n), float(p), float(r)) for method, n, p, r in rows if method == label]
+            expected = pr_curve(ranked, truth, cfg.n_grid)
+            assert written == [(n, p, r) for n, (p, r) in zip(cfg.n_grid, expected)], label
+            assert report.per_method[label].pr_points == expected, label
+
+    def test_poprank_matches_pop_rank_per_user(self, pipeline_run):
+        cfg, out, _ = pipeline_run
+        mixed, meta = load_benchmark(out / "benchmark.tsv")
+        seqs, _ = to_interaction_sequences(mixed)
+        raw = np.zeros((len(seqs), int(meta["num_items"])))
+        for r, seq in enumerate(seqs):
+            raw[r, seq.items] = 1.0
+        expected = []
+        for seq in seqs:
+            rec = pop_rank(raw, seq.items, max(cfg.n_grid), user_id=seq.user_id)
+            expected += [
+                [seq.user_id, str(rank), str(item), repr(score)]
+                for rank, (item, score) in enumerate(zip(rec.ranked_items, rec.scores), start=1)
+            ]
+        assert data_rows(out / "recommendations_PopRank.tsv") == expected
+
     def test_trend_file_has_verdict_line(self, pipeline_run):
         _, out, _ = pipeline_run
         text = (out / "state_count_trend.tsv").read_text()
@@ -240,15 +277,6 @@ def test_rerun_is_byte_identical(tmp_path):
     cmd_run_all(cfg)
     after = {p.name: p.read_bytes() for p in out.iterdir()}
     assert before == after
-
-
-def test_thread_count_does_not_change_outputs(tmp_path):
-    cfg1 = small_config(tmp_path / "t1", mixed_count=15, bpr_epochs=2)
-    cmd_run_all(cfg1)
-    cfg2 = small_config(tmp_path / "t2", mixed_count=15, bpr_epochs=2, threads=3)
-    cmd_run_all(cfg2)
-    for name in ("changepoints_HMCD-S2.tsv", "changepoints_SW.tsv", "cpd_table.tsv", "ranking_metrics.tsv"):
-        assert (Path(cfg1.out_dir) / name).read_bytes() == (Path(cfg2.out_dir) / name).read_bytes()
 
 
 def test_single_state_run_completes_with_flagged_detections(tmp_path):
@@ -333,3 +361,54 @@ class TestCli:
         with pytest.raises(SystemExit) as err:
             main(["run-all"])
         assert err.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def cli_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli")
+    config = root / "exp.yaml"
+    config.write_text(yaml.safe_dump(small_config(root / "out", mixed_count=12, bpr_epochs=2).to_mapping()))
+    assert main(["run-all", "--config", str(config)]) == 0
+    return config, root / "out"
+
+
+class TestStaleArtifacts:
+    """A hand-edited artifact whose users differ from benchmark.tsv's is
+    refused by name, with exit code 2, by every stage that reads it."""
+
+    def run_edited(self, cli_run, tmp_path, stage, name, edit):
+        config, out = cli_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        lines = (copy / name).read_text().splitlines()
+        header, rows = lines[:2], lines[2:]
+        (copy / name).write_text("\n".join(header + edit(rows)) + "\n")
+        return main([stage, "--config", str(config), "--out", str(copy)])
+
+    def test_fit_names_a_missing_user(self, cli_run, tmp_path, capsys):
+        name = "changepoints_HMCD-S2.tsv"
+        dropped = data_rows(cli_run[1] / name)[4][0]
+        assert self.run_edited(cli_run, tmp_path, "fit", name, lambda rows: rows[:4] + rows[5:]) == 2
+        err = capsys.readouterr().err
+        assert f"{name} lacks user {dropped!r} of benchmark.tsv" in err
+
+    def test_recommend_names_an_extra_user(self, cli_run, tmp_path, capsys):
+        name = "changepoints_HMCD-S2.tsv"
+        extra = lambda rows: rows + ["ghost\t40\t20\t-\t-\tHMCD-S2"]  # noqa: E731
+        assert self.run_edited(cli_run, tmp_path, "recommend", name, extra) == 2
+        assert f"{name} has user 'ghost' not in benchmark.tsv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            # a ranked list for a user the benchmark does not have
+            ("recommendations_NMF.tsv", lambda rows: rows + ["ghost\t1\t0\t0.5"], "has user 'ghost' not in"),
+            # the first user's detection dropped
+            ("changepoints_RP.tsv", lambda rows: rows[1:], "lacks user {first!r} of"),
+        ],
+        ids=["extra-ranked-user", "missing-detection"],
+    )
+    def test_evaluate_names_the_user(self, cli_run, tmp_path, capsys, name, edit, message):
+        first = data_rows(cli_run[1] / name)[0][0]
+        assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
+        assert f"{name} {message.format(first=first)} benchmark.tsv" in capsys.readouterr().err

@@ -1,0 +1,27 @@
+"""The benchmark tracer in perfbench/spans.py wraps driftrec functions by
+name; a deleted or renamed one would break `perfbench/run.py --trace 1`."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_exists_in_its_module():
+    traced = load_spans().TRACED
+    missing = [
+        f"driftrec.{layer}.{name}"
+        for layer, names in traced.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"driftrec.{layer}"), name, None))
+    ]
+    assert missing == []
+
