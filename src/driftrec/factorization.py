@@ -5,6 +5,16 @@ nonnegative matrix factorization, and pairwise-ranking matrix
 factorization trained by stochastic gradient descent on sampled
 (user, positive, negative) triples.  Both are deterministic for a fixed
 seed and run single-threaded.
+
+Neither inner loop runs per entry or per triple in Python.  The NMF
+objective uses the Gram identity
+||M - PQ^T||^2 = ||M||^2 - 2<P, MQ> + <P^T P, Q^T Q>, whose products the
+next sweep's updates reuse, so no sweep forms an n x m array.  Pairwise
+training cuts each epoch's triples into maximal consecutive chunks in
+which no two triples share a user row or an item row; inside such a
+chunk every triple reads and writes only its own rows, so applying the
+chunk at once, with the same float operations, gives bit for bit the
+factors of the sequential per-triple loop.
 """
 
 from __future__ import annotations
@@ -78,10 +88,31 @@ def _as_matrix(M) -> np.ndarray:
     return M
 
 
+def _check_entries(M: np.ndarray, nonnegative: bool) -> None:
+    """Reject NaN and infinite entries (and negative ones when asked),
+    naming the first bad (row, column) in row-major order."""
+    lo, hi = M.min(), M.max()
+    if np.isfinite(lo) and np.isfinite(hi) and (lo >= 0 or not nonnegative):
+        return
+    bad = ~np.isfinite(M)
+    if nonnegative:
+        bad |= M < 0
+    r, c = (int(v) for v in np.argwhere(bad)[0])
+    need = "finite and nonnegative" if nonnegative else "finite"
+    raise ValueError(f"matrix entry ({r}, {c}) is {M[r, c]}; entries must be {need}")
+
+
 def frobenius_objective(M: np.ndarray, pair: FactorPair) -> float:
-    """Squared reconstruction error of the factor pair."""
+    """Squared reconstruction error of the factor pair (the reference that
+    nmf_fit's Gram-identity objective is tested against)."""
     diff = M - pair.p @ pair.q.T
     return float(np.sum(diff * diff))
+
+
+def _gram_objective(norm_sq: float, p, Mq, ptp, qtq) -> float:
+    """||M - p q^T||^2 as ||M||^2 - 2<p, M q> + <p^T p, q^T q>, from
+    products that cost O((n + m) d^2) instead of an n x m reconstruction."""
+    return norm_sq - 2.0 * float(np.vdot(p, Mq)) + float(np.vdot(ptp, qtq))
 
 
 def nmf_fit(M, cfg: FactorizationConfig | None = None, return_history: bool = False):
@@ -90,13 +121,15 @@ def nmf_fit(M, cfg: FactorizationConfig | None = None, return_history: bool = Fa
     Each sweep rescales p then q by the ratio of the reconstruction
     gradient terms, which keeps every entry exactly nonnegative and never
     increases the squared error.  Stops after max_iters sweeps or when the
-    relative objective improvement drops below convergence_tol.
+    relative objective improvement drops below convergence_tol.  Entries
+    must be finite and nonnegative.
 
     With return_history=True, returns (pair, objective per sweep) where
     the first entry is the starting objective.
     """
     cfg = cfg or FactorizationConfig()
     M = _as_matrix(M)
+    _check_entries(M, nonnegative=True)
     if not np.any(M):
         raise ValueError("matrix is all zeros")
     n, m = M.shape
@@ -105,11 +138,18 @@ def nmf_fit(M, cfg: FactorizationConfig | None = None, return_history: bool = Fa
     p = rng.uniform(0.0, 1.0, size=(n, cfg.d)) * scale
     q = rng.uniform(0.0, 1.0, size=(m, cfg.d)) * scale
 
-    history = [frobenius_objective(M, FactorPair(p=p, q=q, d=cfg.d))]
+    # M @ q and q.T @ q enter both the objective after a sweep and the
+    # next sweep's p update, which reuses them: the same products of the
+    # same operands, so the factors are those of computing them in place.
+    norm_sq = float(np.vdot(M, M))
+    Mq, qtq = M @ q, q.T @ q
+    history = [_gram_objective(norm_sq, p, Mq, p.T @ p, qtq)]
     for _ in range(cfg.max_iters):
-        p *= (M @ q) / (p @ (q.T @ q) + _EPS)
-        q *= (M.T @ p) / (q @ (p.T @ p) + _EPS)
-        obj = frobenius_objective(M, FactorPair(p=p, q=q, d=cfg.d))
+        p *= Mq / (p @ qtq + _EPS)
+        ptp = p.T @ p
+        q *= (M.T @ p) / (q @ ptp + _EPS)
+        Mq, qtq = M @ q, q.T @ q
+        obj = _gram_objective(norm_sq, p, Mq, ptp, qtq)
         history.append(obj)
         prev = history[-2]
         if prev - obj < cfg.convergence_tol * max(1.0, prev):
@@ -143,6 +183,51 @@ def bpr_triple_grad(p_u, q_i, q_j, regularization: float):
     return g_p, g_i, g_j
 
 
+def _previous_occurrence(keys: np.ndarray) -> np.ndarray:
+    """For each position, the last earlier position holding the same key,
+    or -1."""
+    # sorting key * T + position orders ties by position without a stable sort
+    T = len(keys)
+    ordered, order = np.divmod(np.sort(keys * T + np.arange(T)), T)
+    same = ordered[1:] == ordered[:-1]
+    prev = np.full(T, -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
+
+
+def _conflict_free_chunks(users, items, negs) -> list[int]:
+    """Start offsets (plus the end) of the maximal consecutive runs of
+    triples in which no user row and no item row occurs twice.
+
+    A run ends before the first triple that shares its user, or either of
+    its items, with a triple already in the run.
+    """
+    slots = _previous_occurrence(np.stack([items, negs], axis=1).ravel()) // 2
+    last = np.maximum(_previous_occurrence(users), np.maximum(slots[0::2], slots[1::2]))
+    bounds = [0]
+    for t, conflict in enumerate(last.tolist()):
+        if conflict >= bounds[-1]:
+            bounds.append(t)
+    bounds.append(len(users))
+    return bounds
+
+
+def _bpr_chunk(p, q, u, i, j, lr: float, reg: float) -> None:
+    """One SGD step for triples that share no row, applied at once.
+
+    Per triple this is bpr_triple_grad and its update, operation for
+    operation: the margin is a dot product and sigmoid(-x) is
+    exp(-logaddexp(0, x)).
+    """
+    p_u, q_i, q_j = p[u], q[i], q[j]
+    diff = q_i - q_j
+    x = np.matmul(p_u[:, None, :], diff[:, :, None])[:, :, 0]
+    s = np.exp(-np.logaddexp(0.0, x))
+    p[u] = p_u - lr * (-s * diff + reg * p_u)
+    q[i] = q_i - lr * (-s * p_u + reg * q_i)
+    q[j] = q_j - lr * (s * p_u + reg * q_j)
+
+
 def bpr_fit(M, cfg: FactorizationConfig | None = None) -> FactorPair:
     """Pairwise-ranking factorization trained by stochastic gradient descent.
 
@@ -150,46 +235,43 @@ def bpr_fit(M, cfg: FactorizationConfig | None = None) -> FactorPair:
     user, one of their positives, and a uniformly resampled item outside
     their positive set.  Users lacking either a positive or a negative
     item cannot form a triple and are skipped, with one warning giving the
-    count.  Sampling and update order are fixed by cfg.seed.
+    count.  Sampling and update order are fixed by cfg.seed; the updates
+    equal those of a per-triple loop over bpr_triple_grad, bit for bit.
+    Entries must be finite; those > 0 are the positives.
     """
     cfg = cfg or FactorizationConfig()
     M = _as_matrix(M)
+    _check_entries(M, nonnegative=False)
     n, m = M.shape
-    positives = [np.flatnonzero(M[u] > 0) for u in range(n)]
-    eligible = np.array(
-        [u for u in range(n) if 0 < len(positives[u]) < m], dtype=np.int64
-    )
+    positive = M > 0
+    # row-major nonzeros: each user's positives, ascending, as CSR arrays
+    rows, cols = np.nonzero(positive)
+    counts = np.bincount(rows, minlength=n)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    eligible = np.flatnonzero((counts > 0) & (counts < m))
     skipped = n - len(eligible)
     if skipped:
         warnings.warn(f"skipped {skipped} users lacking a positive/negative item pair")
     if len(eligible) == 0:
         raise ValueError("no user has both a positive and a negative item")
-    pos_sets = {u: set(positives[u].tolist()) for u in eligible.tolist()}
 
     rng = np.random.default_rng(cfg.seed)
     p = rng.normal(0.0, 0.1, size=(n, cfg.d))
     q = rng.normal(0.0, 0.1, size=(m, cfg.d))
-    triples_per_epoch = int(sum(len(positives[u]) for u in eligible))
+    triples_per_epoch = int(counts[eligible].sum())
 
     for _ in range(cfg.max_iters):
         users = eligible[rng.integers(0, len(eligible), size=triples_per_epoch)]
         pos_pick = rng.random(triples_per_epoch)
-        items = np.array(
-            [positives[u][int(r * len(positives[u]))] for u, r in zip(users, pos_pick)],
-            dtype=np.int64,
-        )
+        items = cols[indptr[users] + (pos_pick * counts[users]).astype(np.int64)]
         negs = rng.integers(0, m, size=triples_per_epoch)
-        bad = np.array([int(j) in pos_sets[int(u)] for u, j in zip(users, negs)])
+        bad = positive[users, negs]
         while bad.any():
             negs[bad] = rng.integers(0, m, size=int(bad.sum()))
-            bad[bad] = np.array(
-                [int(j) in pos_sets[int(u)] for u, j in zip(users[bad], negs[bad])]
-            )
-        for u, i, j in zip(users, items, negs):
-            g_p, g_i, g_j = bpr_triple_grad(p[u], q[i], q[j], cfg.regularization)
-            p[u] -= cfg.learning_rate * g_p
-            q[i] -= cfg.learning_rate * g_i
-            q[j] -= cfg.learning_rate * g_j
+            bad[bad] = positive[users[bad], negs[bad]]
+        bounds = _conflict_free_chunks(users, items, negs)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            _bpr_chunk(p, q, users[a:b], items[a:b], negs[a:b], cfg.learning_rate, cfg.regularization)
 
     return FactorPair(p=p, q=q, d=cfg.d)
 

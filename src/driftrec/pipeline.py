@@ -42,10 +42,10 @@ from driftrec.factorization import FactorizationConfig, bpr_fit, load_factors, n
 from driftrec.hmm import TrainConfig, baum_welch_train, load_model, save_model, total_log_likelihood
 from driftrec.recommend import (
     factors_from_pair,
-    hmmr_recommend,
+    hmm_item_factors,
     item_popularity,
     rank_by_scores,
-    smf_recommend,
+    recommend_from_segments,
 )
 
 _BASELINE_DETECTORS = ("CUSUM", "SW", "RP")
@@ -170,7 +170,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_mapping(yaml.safe_load(Path(path).read_text()) or {})
+        # libyaml's loader when installed: the same mapping, parsed several times faster
+        loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+        return cls.from_mapping(yaml.load(Path(path).read_text(), Loader=loader) or {})
 
     def to_mapping(self) -> dict:
         return dataclasses.asdict(self)
@@ -442,21 +444,19 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
 
     paths = []
     for label in cfg.ranker_labels():
-        if label.startswith("SMF-S"):
-            h = int(label[5:])
-            pair, _ = load_factors(_require(out / f"factors_smf_s{h}.json"))
-            factors = factors_from_pair(pair, "nmf")
+        if label.startswith(("SMF-S", "HMMR-S")):
+            h = int(label.partition("-S")[2])
+            if label.startswith("SMF-S"):
+                pair, _ = load_factors(_require(out / f"factors_smf_s{h}.json"))
+                factors = factors_from_pair(pair, "nmf")
+            else:
+                model, _ = load_model(_require(out / f"hmm_s{h}.json"))
+                factors = hmm_item_factors(model)
             segments = segments_for(h)
             recs = [
-                smf_recommend(factors, segments[seq.user_id], seq.items, popularity, l=cfg.l, N=N, user_id=seq.user_id)
-                for seq in seqs
-            ]
-        elif label.startswith("HMMR-S"):
-            h = int(label[6:])
-            model, _ = load_model(_require(out / f"hmm_s{h}.json"))
-            segments = segments_for(h)
-            recs = [
-                hmmr_recommend(model, segments[seq.user_id], seq.items, popularity, l=cfg.l, N=N, user_id=seq.user_id)
+                recommend_from_segments(
+                    factors, segments[seq.user_id], seq.items, popularity, l=cfg.l, N=N, user_id=seq.user_id
+                )
                 for seq in seqs
             ]
         elif label == "PopRank":

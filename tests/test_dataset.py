@@ -53,6 +53,14 @@ class TestLoadCorpus:
         assert corpus.stats.sparsity == pytest.approx(1.0 - 8 / 12)
         assert corpus.stats.mean_length == pytest.approx(8 / 3)
 
+    def test_pair_count_ignores_repeated_items(self, tmp_path):
+        path = write_lines(tmp_path, ["a b a c", "b b", "c a c a b c"])
+        corpus = load_corpus(path)
+        assert corpus.stats.pair_count == 3 + 1 + 3
+        assert corpus.stats.sparsity == pytest.approx(1.0 - 7 / 9)
+        assert [pl.tolist() for pl in corpus.playlists] == [[0, 1, 0, 2], [1, 1], [2, 0, 2, 0, 1, 2]]
+        assert corpus.item_keys == ["a", "b", "c"]
+
     def test_min_len_filters_short_playlists(self, tmp_path):
         path = write_lines(tmp_path, ["a b c d e", "a b c d"])
         corpus = load_corpus(path, min_len=5)

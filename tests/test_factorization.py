@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,58 @@ def training_auc(M, pair):
         wins = scores[u][pos][:, None] > scores[u][neg][None, :]
         per_user.append(wins.mean())
     return float(np.mean(per_user))
+
+
+def reference_nmf_fit(M, cfg):
+    """The sweep loop with the objective taken as the dense reconstruction
+    error, recomputed after every sweep."""
+    n, m = M.shape
+    rng = np.random.default_rng(cfg.seed)
+    scale = np.sqrt(M.mean() / cfg.d)
+    p = rng.uniform(0.0, 1.0, size=(n, cfg.d)) * scale
+    q = rng.uniform(0.0, 1.0, size=(m, cfg.d)) * scale
+    history = [frobenius_objective(M, FactorPair(p=p, q=q, d=cfg.d))]
+    for _ in range(cfg.max_iters):
+        p *= (M @ q) / (p @ (q.T @ q) + 1e-12)
+        q *= (M.T @ p) / (q @ (p.T @ p) + 1e-12)
+        obj = frobenius_objective(M, FactorPair(p=p, q=q, d=cfg.d))
+        history.append(obj)
+        if history[-2] - obj < cfg.convergence_tol * max(1.0, history[-2]):
+            break
+    return FactorPair(p=p, q=q, d=cfg.d), history
+
+
+def reference_bpr_fit(M, cfg):
+    """The per-triple SGD loop over bpr_triple_grad, with set-based
+    negative sampling, drawing from the RNG in the fitter's order."""
+    n, m = M.shape
+    positives = [np.flatnonzero(M[u] > 0) for u in range(n)]
+    eligible = np.array([u for u in range(n) if 0 < len(positives[u]) < m], dtype=np.int64)
+    pos_sets = {u: set(positives[u].tolist()) for u in eligible.tolist()}
+    rng = np.random.default_rng(cfg.seed)
+    p = rng.normal(0.0, 0.1, size=(n, cfg.d))
+    q = rng.normal(0.0, 0.1, size=(m, cfg.d))
+    triples = int(sum(len(positives[u]) for u in eligible))
+    for _ in range(cfg.max_iters):
+        users = eligible[rng.integers(0, len(eligible), size=triples)]
+        pos_pick = rng.random(triples)
+        items = [positives[u][int(r * len(positives[u]))] for u, r in zip(users, pos_pick)]
+        negs = rng.integers(0, m, size=triples)
+        bad = np.array([int(j) in pos_sets[int(u)] for u, j in zip(users, negs)])
+        while bad.any():
+            negs[bad] = rng.integers(0, m, size=int(bad.sum()))
+            bad[bad] = np.array([int(j) in pos_sets[int(u)] for u, j in zip(users[bad], negs[bad])])
+        for u, i, j in zip(users, items, negs):
+            g_p, g_i, g_j = bpr_triple_grad(p[u], q[i], q[j], cfg.regularization)
+            p[u] -= cfg.learning_rate * g_p
+            q[i] -= cfg.learning_rate * g_i
+            q[j] -= cfg.learning_rate * g_j
+    return FactorPair(p=p, q=q, d=cfg.d)
+
+
+def ragged_binary(rng, n, m):
+    """Binary rows whose densities range from empty-ish to dense."""
+    return (rng.random((n, m)) < rng.random((n, 1)) * 0.6).astype(float)
 
 
 class TestConfig:
@@ -91,6 +146,37 @@ class TestNmf:
         b = nmf_fit(M, cfg)
         assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
 
+    @pytest.mark.parametrize("tol, stops_early", [(0.0, False), (1e-3, True)])
+    def test_matches_dense_objective_loop(self, tol, stops_early):
+        M = ragged_binary(np.random.default_rng(29), 30, 40)
+        cfg = FactorizationConfig(d=5, max_iters=60, seed=3, convergence_tol=tol)
+        want, want_history = reference_nmf_fit(M, cfg)
+        got, history = nmf_fit(M, cfg, return_history=True)
+        assert (len(want_history) < 61) == stops_early
+        assert len(history) == len(want_history)
+        assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
+        np.testing.assert_allclose(history, want_history, rtol=1e-12, atol=0.0)
+
+    def test_allocates_no_dense_reconstruction(self):
+        M = (np.random.default_rng(31).random((400, 1500)) < 0.1).astype(float)
+        cfg = FactorizationConfig(d=10, max_iters=3, seed=0, convergence_tol=0.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            nmf_fit(M, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < M.nbytes
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_bad_entries_naming_the_first(self, value):
+        M = np.ones((4, 5))
+        M[2, 3] = value
+        M[3, 0] = value
+        with pytest.raises(ValueError, match=r"matrix entry \(2, 3\).*finite and nonnegative"):
+            nmf_fit(M, FactorizationConfig(d=2, max_iters=3))
+
     def test_accepts_segmented_matrix(self):
         sm = build_segmented_matrix({"a": [[0, 1], [2]], "b": [[1], [0, 2]]}, m=3)
         pair = nmf_fit(sm, FactorizationConfig(d=2, max_iters=40, seed=0))
@@ -145,6 +231,38 @@ class TestBpr:
         with pytest.raises(ValueError):
             with pytest.warns(UserWarning):
                 bpr_fit(np.ones((2, 3)), FactorizationConfig(d=2, max_iters=3))
+
+    @pytest.mark.parametrize(
+        "name, n, m, epochs",
+        [("ragged", 40, 30, 3), ("three items", 12, 3, 4), ("full and empty rows", 15, 8, 3)],
+    )
+    def test_matches_per_triple_loop(self, name, n, m, epochs):
+        rng = np.random.default_rng(37)
+        M = ragged_binary(rng, n, m)
+        M[M.sum(axis=1) == 0, 0] = 1.0
+        if name == "full and empty rows":
+            M[2] = 1.0
+            M[5] = 0.0
+        cfg = FactorizationConfig(d=6, max_iters=epochs, seed=8)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = bpr_fit(M, cfg)
+        skipped = int(np.sum((M.sum(axis=1) == 0) | (M.sum(axis=1) == m)))
+        if name == "full and empty rows":
+            assert skipped >= 2
+        assert [str(w.message) for w in caught] == (
+            [f"skipped {skipped} users lacking a positive/negative item pair"] if skipped else []
+        )
+        want = reference_bpr_fit(M, cfg)
+        assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entries_naming_the_first(self, value):
+        M = np.zeros((3, 4))
+        M[:, 0] = 1.0
+        M[1, 2] = value
+        with pytest.raises(ValueError, match=r"matrix entry \(1, 2\).*must be finite"):
+            bpr_fit(M, FactorizationConfig(d=2, max_iters=1))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(19)

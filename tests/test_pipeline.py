@@ -99,6 +99,17 @@ class TestExperimentConfig:
         again = ExperimentConfig.from_yaml(path)
         assert again == cfg
 
+    def test_libyaml_and_python_loaders_agree(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(
+            "corpus: playlists.txt   # one playlist per line\n"
+            "out_dir: out\nseed: 39\nhidden_state_counts: [2, 5, 10]\nmethods: [HMCD-S2, SMF-S10, NMF]\n"
+            "hmm_tol: 1.0e-12\nk: 1\nn_grid:\n- 1\n- 10\n"
+        )
+        cfg = ExperimentConfig.from_yaml(path)
+        assert cfg == ExperimentConfig.from_mapping(yaml.load(path.read_text(), Loader=yaml.SafeLoader))
+        assert cfg.hmm_tol == 1e-12 and cfg.methods == ["HMCD-S2", "SMF-S10", "NMF"]
+
     def test_hash_ignores_execution_context(self):
         a = ExperimentConfig(corpus="c", out_dir="x")
         b = ExperimentConfig(corpus="c", out_dir="y")
