@@ -7,7 +7,8 @@ benchmark: synthesize mixed sequences, train models, detect change
 points, factorize, recommend, evaluate.  Each stage writes its artifacts
 to the output directory and later stages read them back, so stages can
 also be re-run individually.  This script prepares a corpus and a config
-file in a scratch directory and drives the CLI in process.
+file in a scratch directory, drives the CLI in process, and removes the
+directory at the end.
 """
 
 import tempfile
@@ -17,7 +18,8 @@ import numpy as np
 
 from driftrec.cli import main
 
-scratch = Path(tempfile.mkdtemp(prefix="driftrec_demo_"))
+workspace = tempfile.TemporaryDirectory(prefix="driftrec_demo_")
+scratch = Path(workspace.name)
 rng = np.random.default_rng(3)
 
 # ------------------------------------------------------------------
@@ -75,3 +77,4 @@ for p in sorted(out.iterdir()):
     print(f"  {p.name}")
 
 print("\n" + (out / "summary.txt").read_text())
+workspace.cleanup()

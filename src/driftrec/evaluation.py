@@ -8,21 +8,38 @@ L - j + 1, discounted by log2(rank + 1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 
-def _dedupe_keep_order(truth) -> list[int]:
-    seen = set()
-    out = []
-    for item in truth:
-        item = int(item)
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
+@functools.lru_cache(maxsize=None)
+def _ideal_dcg(L: int, K: int) -> float:
+    """Ideal gain of K of L truth items, by sum(): from 3.12 it rounds unlike a running total."""
+    return sum((L - j) / math.log2(j + 2) for j in range(K))
+
+
+def _walk(recommended, truth, n_grid) -> list[tuple[float, float, float]]:
+    """(precision, recall, NDCG) at each N of the ascending n_grid, from one walk.  A truth
+    item counts once; a repeated recommendation is one hit but gains at each of its ranks."""
+    if n_grid[0] < 1:
+        raise ValueError("N must be >= 1")
+    distinct = dict.fromkeys(int(item) for item in truth)
+    L = len(distinct)
+    if not L:
+        raise ValueError("truth must not be empty")
+    relevance = {item: L - j for j, item in enumerate(distinct)}
+    found, hits, dcg, gain = set(), [0], [0.0], 0.0
+    for rank, item in enumerate(map(int, recommended[: n_grid[-1]]), start=1):
+        if item in relevance:
+            found.add(item)
+            gain += relevance[item] / math.log2(rank + 1)
+        hits.append(len(found))
+        dcg.append(gain)
+    at = [min(N, len(hits) - 1) for N in n_grid]
+    return [(hits[k] / N, hits[k] / L, dcg[k] / _ideal_dcg(L, min(N, L))) for N, k in zip(n_grid, at)]
 
 
 def precision_recall_at(recommended, truth, N: int) -> tuple[float, float]:
@@ -31,13 +48,7 @@ def precision_recall_at(recommended, truth, N: int) -> tuple[float, float]:
     Repeated truth items count once (first occurrence wins), so both
     metrics count the same intersection.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    truth = _dedupe_keep_order(truth)
-    if not truth:
-        raise ValueError("truth must not be empty")
-    hits = len(set(int(i) for i in recommended[:N]) & set(truth))
-    return hits / N, hits / len(truth)
+    return _walk(recommended, truth, [N])[0][:2]
 
 
 def ndcg_time_aware(recommended, truth, N: int) -> float:
@@ -46,22 +57,13 @@ def ndcg_time_aware(recommended, truth, N: int) -> float:
     Relevance of the j-th of L truth items is L - j + 1 and zero for
     everything else; both the achieved and the ideal gain truncate at N.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    truth = _dedupe_keep_order(truth)
-    if not truth:
-        raise ValueError("truth must not be empty")
-    L = len(truth)
-    relevance = {item: L - j for j, item in enumerate(truth)}
-    dcg = 0.0
-    for rank, item in enumerate(recommended[:N], start=1):
-        dcg += relevance.get(int(item), 0) / math.log2(rank + 1)
-    ideal = sum((L - j) / math.log2(j + 2) for j in range(min(N, L)))
-    return dcg / ideal
+    return _walk(recommended, truth, [N])[0][2]
 
 
-def pr_curve(ranked_by_user: dict, truth_by_user: dict, n_grid) -> list[tuple[float, float]]:
-    """Mean (precision, recall) across users at each list length in n_grid."""
+def ranking_metrics(ranked_by_user: dict, truth_by_user: dict, n_grid) -> tuple[dict, dict, dict]:
+    """Mean precision, recall and NDCG across users, each as {N: mean} over
+    n_grid, from one walk per user.  Each mean is np.mean over a contiguous
+    row in sorted user order, so it equals the scalar metrics' mean bit for bit."""
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
         raise ValueError("n_grid must be non-empty and strictly ascending")
@@ -71,11 +73,15 @@ def pr_curve(ranked_by_user: dict, truth_by_user: dict, n_grid) -> list[tuple[fl
     users = sorted(truth_by_user)
     if not users:
         raise ValueError("no users to evaluate")
-    points = []
-    for n in n_grid:
-        pr = [precision_recall_at(ranked_by_user[u], truth_by_user[u], n) for u in users]
-        points.append((float(np.mean([p for p, _ in pr])), float(np.mean([r for _, r in pr]))))
-    return points
+    per_user = np.array([_walk(ranked_by_user[u], truth_by_user[u], n_grid) for u in users])
+    rows = np.ascontiguousarray(per_user.transpose(2, 1, 0))  # (metric, N, user)
+    return tuple({N: float(np.mean(row)) for N, row in zip(n_grid, at_n)} for at_n in rows)
+
+
+def pr_curve(ranked_by_user: dict, truth_by_user: dict, n_grid) -> list[tuple[float, float]]:
+    """Mean (precision, recall) across users at each list length in n_grid."""
+    precision, recall, _ = ranking_metrics(ranked_by_user, truth_by_user, n_grid)
+    return list(zip(precision.values(), recall.values()))
 
 
 def aggregate_cpd(per_method: dict[str, dict[str, tuple[int, int]]]) -> dict[str, float]:

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .changepoint import SegmentedMatrix
+from .hmm import _check_entries
 
 _EPS = 1e-12
 
@@ -77,6 +78,8 @@ class FactorPair:
             raise ValueError(f"p must have shape (n, {self.d})")
         if self.q.ndim != 2 or self.q.shape[1] != self.d:
             raise ValueError(f"q must have shape (m, {self.d})")
+        _check_entries(self.p, nonnegative=False, name="p")
+        _check_entries(self.q, nonnegative=False, name="q")
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -86,20 +89,6 @@ def _as_matrix(M) -> np.ndarray:
     if M.ndim != 2 or M.size == 0:
         raise ValueError("matrix must be 2-D and non-empty")
     return M
-
-
-def _check_entries(M: np.ndarray, nonnegative: bool) -> None:
-    """Reject NaN and infinite entries (and negative ones when asked),
-    naming the first bad (row, column) in row-major order."""
-    lo, hi = M.min(), M.max()
-    if np.isfinite(lo) and np.isfinite(hi) and (lo >= 0 or not nonnegative):
-        return
-    bad = ~np.isfinite(M)
-    if nonnegative:
-        bad |= M < 0
-    r, c = (int(v) for v in np.argwhere(bad)[0])
-    need = "finite and nonnegative" if nonnegative else "finite"
-    raise ValueError(f"matrix entry ({r}, {c}) is {M[r, c]}; entries must be {need}")
 
 
 def frobenius_objective(M: np.ndarray, pair: FactorPair) -> float:
@@ -285,7 +274,7 @@ def save_factors(path: str | Path, pair: FactorPair, meta: dict | None = None) -
         "q": pair.q.tolist(),
         "meta": meta or {},
     }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    Path(path).write_text(json.dumps(payload))
 
 
 def load_factors(path: str | Path) -> tuple[FactorPair, dict]:

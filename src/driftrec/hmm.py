@@ -19,6 +19,22 @@ import numpy as np
 _ROW_SUM_TOL = 1e-9
 
 
+def _check_entries(arr: np.ndarray, nonnegative: bool, name: str = "matrix") -> None:
+    """Reject NaN and infinite entries (and negative ones when asked),
+    naming the array and its first bad index in row-major order."""
+    if not arr.size:
+        return
+    lo, hi = arr.min(), arr.max()
+    if np.isfinite(lo) and np.isfinite(hi) and (lo >= 0 or not nonnegative):
+        return
+    bad = ~np.isfinite(arr)
+    if nonnegative:
+        bad |= arr < 0
+    index = tuple(int(v) for v in np.argwhere(bad)[0])
+    need = "finite and nonnegative" if nonnegative else "finite"
+    raise ValueError(f"{name} entry ({', '.join(map(str, index))}) is {arr[index]}; entries must be {need}")
+
+
 @dataclass
 class HmmModel:
     """Model parameters: initial distribution, state transitions, emissions.
@@ -45,8 +61,7 @@ class HmmModel:
         if self.emit.ndim != 2 or self.emit.shape[0] != h or self.emit.shape[1] < 1:
             raise ValueError(f"emit must have shape ({h}, m), got {self.emit.shape}")
         for name, arr in (("pi", self.pi), ("trans", self.trans), ("emit", self.emit)):
-            if np.any(arr < 0):
-                raise ValueError(f"{name} has negative entries")
+            _check_entries(arr, nonnegative=True, name=name)
         if abs(self.pi.sum() - 1.0) > _ROW_SUM_TOL:
             raise ValueError("pi does not sum to 1")
         for name, arr in (("trans", self.trans), ("emit", self.emit)):
@@ -414,7 +429,7 @@ def save_model(
         },
         "meta": meta or {},
     }
-    Path(path).write_text(json.dumps(payload, indent=1))
+    Path(path).write_text(json.dumps(payload))
 
 
 def load_model(path: str | Path) -> tuple[HmmModel, TrainConfig | None]:

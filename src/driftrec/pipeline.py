@@ -37,7 +37,7 @@ from driftrec.dataset import (
     synthesize_mixed,
     to_interaction_sequences,
 )
-from driftrec.evaluation import EvalReport, MethodMetrics, aggregate_cpd, ndcg_time_aware, precision_recall_at
+from driftrec.evaluation import EvalReport, MethodMetrics, aggregate_cpd, ranking_metrics
 from driftrec.factorization import FactorizationConfig, bpr_fit, load_factors, nmf_fit, save_factors
 from driftrec.hmm import TrainConfig, baum_welch_train, load_model, save_model, total_log_likelihood
 from driftrec.recommend import (
@@ -527,35 +527,28 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
     _write_rows(out / "state_count_trend.tsv", cfg, ("h", "mean_delta", "non_decreasing"), trend_rows)
 
     # ranking quality against the held-out tail
-    users = sorted(holdout)
-    pr_rows, metric_rows, text_blocks = [], [], []
+    pr_rows, metric_rows, text_lines = [], [], []
     for label in cfg.ranker_labels():
         ranked = _read_recommendations(_require(out / f"recommendations_{label}.tsv"), seqs)
-        precision_at, recall_at, ndcg_at = {}, {}, {}
-        for N in cfg.n_grid:
-            pr = [precision_recall_at(ranked[u], holdout[u], N) for u in users]
-            precision_at[N] = float(np.mean([p for p, _ in pr]))
-            recall_at[N] = float(np.mean([r for _, r in pr]))
-            ndcg_at[N] = float(np.mean([ndcg_time_aware(ranked[u], holdout[u], N) for u in users]))
+        precision_at, recall_at, ndcg_at = ranking_metrics(ranked, holdout, cfg.n_grid)
         points = [(precision_at[N], recall_at[N]) for N in cfg.n_grid]
         per_method[label] = MethodMetrics(
             precision_at=precision_at, recall_at=recall_at, ndcg_at=ndcg_at, pr_points=points
         )
+        tables = {"precision": precision_at, "recall": recall_at, "ndcg": ndcg_at}
         for N in cfg.n_grid:
-            metric_rows.append((label, "precision", str(N), _fmt(precision_at[N])))
-            metric_rows.append((label, "recall", str(N), _fmt(recall_at[N])))
-            metric_rows.append((label, "ndcg", str(N), _fmt(ndcg_at[N])))
+            metric_rows += [(label, name, str(N), _fmt(table[N])) for name, table in tables.items()]
             pr_rows.append((label, str(N), _fmt(precision_at[N]), _fmt(recall_at[N])))
-        lines = [f"{label:<10}{'precision':<11}" + "".join(f"{precision_at[N]:>10.6f}" for N in cfg.n_grid)]
-        lines.append(f"{label:<10}{'recall':<11}" + "".join(f"{recall_at[N]:>10.6f}" for N in cfg.n_grid))
-        lines.append(f"{label:<10}{'ndcg':<11}" + "".join(f"{ndcg_at[N]:>10.6f}" for N in cfg.n_grid))
-        text_blocks.append("\n".join(lines))
+        text_lines += [
+            f"{label:<10}{name:<11}" + "".join(f"{table[N]:>10.6f}" for N in cfg.n_grid)
+            for name, table in tables.items()
+        ]
     _write_rows(out / "ranking_metrics.tsv", cfg, ("method", "metric", "N", "value"), metric_rows)
     _write_rows(out / "pr_curves.tsv", cfg, ("method", "N", "precision", "recall"), pr_rows)
-    if text_blocks:
+    if text_lines:
         head = f"{'method':<10}{'metric':<11}" + "".join(f"{'N=' + str(N):>10}" for N in cfg.n_grid)
         (out / "ranking_metrics.txt").write_text(
-            "\n".join([_header(cfg), head] + text_blocks) + "\n"
+            "\n".join([_header(cfg), head] + text_lines) + "\n"
         )
 
     report = EvalReport(

@@ -10,7 +10,44 @@ from driftrec.evaluation import (
     ndcg_time_aware,
     pr_curve,
     precision_recall_at,
+    ranking_metrics,
 )
+
+
+# The per-call definitions the one-walk metrics replaced, kept as the oracle.
+def reference_dedupe(truth):
+    seen, out = set(), []
+    for item in truth:
+        item = int(item)
+        if item not in seen:
+            seen.add(item)
+            out.append(item)
+    return out
+
+
+def reference_precision_recall(recommended, truth, N):
+    truth = reference_dedupe(truth)
+    hits = len(set(int(i) for i in recommended[:N]) & set(truth))
+    return hits / N, hits / len(truth)
+
+
+def reference_ndcg(recommended, truth, N):
+    truth = reference_dedupe(truth)
+    L = len(truth)
+    relevance = {item: L - j for j, item in enumerate(truth)}
+    dcg = 0.0
+    for rank, item in enumerate(recommended[:N], start=1):
+        dcg += relevance.get(int(item), 0) / math.log2(rank + 1)
+    ideal = sum((L - j) / math.log2(j + 2) for j in range(min(N, L)))
+    return dcg / ideal
+
+
+def reference_metrics(recommended, truth, N):
+    return (*reference_precision_recall(recommended, truth, N), reference_ndcg(recommended, truth, N))
+
+
+def bits(values):
+    return [float(v).hex() for v in values]
 
 
 class TestPrecisionRecall:
@@ -137,6 +174,55 @@ class TestPrCurve:
             pr_curve({"u": [1]}, {"u": [1]}, [3, 2])
         with pytest.raises(ValueError):
             pr_curve({"u": [1]}, {"u": [1]}, [])
+
+
+class TestOneWalk:
+    GRID = [1, 2, 3, 5, 8, 13]
+    CASES = {
+        "repeated truth": ([5, 6, 7, 8, 9, 1], [5, 5, 9, 6, 9]),
+        "repeated recommended": ([4, 4, 2, 4, 7, 3], [4, 7, 3]),
+        "shorter than N": ([3, 1], [1, 2, 3, 4]),
+        "N beyond L": (list(range(20)), [2, 11]),
+        "no hits": ([10, 11, 12, 13], [1, 2]),
+        "numpy inputs": (np.array([9, 3, 9, 0, 5, 8, 1]), np.array([3, 8, 3, 6, 0, 2, 7, 5])),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_scalar_metrics_bit_equal_to_reference(self, case):
+        ranked, truth = self.CASES[case]
+        for N in self.GRID:
+            got = (*precision_recall_at(ranked, truth, N), ndcg_time_aware(ranked, truth, N))
+            assert bits(got) == bits(reference_metrics(ranked, truth, N)), (case, N)
+
+    def test_repeated_recommended_item_is_one_hit_but_gains_twice(self):
+        p, r = precision_recall_at([4, 4], [4, 7], 2)
+        assert (p, r) == (0.5, 0.5)
+        dcg = 2 / math.log2(2) + 2 / math.log2(3)
+        assert ndcg_time_aware([4, 4], [4, 7], 2) == pytest.approx(dcg / (2 / math.log2(2) + 1 / math.log2(3)))
+
+    def test_ranking_metrics_bit_equal_to_mean_of_reference(self):
+        rng = np.random.default_rng(5)
+        ranked = {case: ranked for case, (ranked, _) in self.CASES.items()}
+        truth = {case: truth for case, (_, truth) in self.CASES.items()}
+        for u in range(300):
+            ranked[f"r{u}"] = rng.integers(0, 40, size=int(rng.integers(1, 16))).tolist()
+            truth[f"r{u}"] = rng.integers(0, 40, size=int(rng.integers(1, 12)))
+        users = sorted(truth)
+        precision, recall, ndcg = ranking_metrics(ranked, truth, self.GRID)
+        assert list(precision) == list(recall) == list(ndcg) == self.GRID
+        for N in self.GRID:
+            per_user = np.array([reference_metrics(ranked[u], truth[u], N) for u in users])
+            expected = [float(np.mean(per_user[:, k].tolist())) for k in range(3)]
+            assert bits([precision[N], recall[N], ndcg[N]]) == bits(expected), N
+        assert pr_curve(ranked, truth, self.GRID) == [(precision[N], recall[N]) for N in self.GRID]
+
+    def test_ranking_metrics_rejects_bad_input(self):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            ranking_metrics({"u": [1]}, {"u": [1]}, [0, 1])
+        with pytest.raises(ValueError, match="truth must not be empty"):
+            ranking_metrics({"u": [1]}, {"u": []}, [1])
+        with pytest.raises(ValueError, match="no users"):
+            ranking_metrics({}, {}, [1])
 
 
 class TestAggregateCpd:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import warnings
 
@@ -308,6 +309,28 @@ class TestSerialization:
         assert np.array_equal(loaded.q, pair.q)
         assert loaded.d == 3
         assert meta == {"source": "bpr"}
+
+    def test_rejects_nan_factors_in_file(self, tmp_path):
+        path = tmp_path / "factors.json"
+        save_factors(path, FactorPair(p=np.ones((2, 2)), q=np.ones((3, 2)), d=2))
+        payload = json.loads(path.read_text())
+        payload["q"][2][1] = float("nan")
+        path.write_text(json.dumps(payload))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match=r"q entry \(2, 1\) is nan; entries must be finite"):
+            load_factors(path)
+
+    @pytest.mark.parametrize(
+        "p, q, match",
+        [
+            ([[np.nan]], [[np.inf]], r"p entry \(0, 0\) is nan"),
+            ([[1.0], [2.0]], [[0.5], [-np.inf]], r"q entry \(1, 0\) is -inf"),
+        ],
+        ids=["p", "q"],
+    )
+    def test_pair_rejects_non_finite_entries(self, p, q, match):
+        with pytest.raises(ValueError, match=match):
+            FactorPair(p=p, q=q, d=1)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -45,6 +46,21 @@ class TestModelInvariants:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             HmmModel(pi=[1.0], trans=np.eye(2), emit=np.eye(2))
+
+    @pytest.mark.parametrize(
+        "name, value, match",
+        [
+            ("pi", [np.nan, 1.0], r"pi entry \(0\) is nan"),
+            ("trans", [[1.0, 0.0], [np.inf, 0.0]], r"trans entry \(1, 0\) is inf"),
+            ("emit", [[1.0, 0.0], [0.0, -np.inf]], r"emit entry \(1, 1\) is -inf"),
+        ],
+        ids=["pi", "trans", "emit"],
+    )
+    def test_rejects_non_finite_entries_naming_the_first(self, name, value, match):
+        params = dict(pi=[0.5, 0.5], trans=np.eye(2), emit=np.eye(2))
+        params[name] = value
+        with pytest.raises(ValueError, match=match + "; entries must be finite and nonnegative"):
+            HmmModel(**params)
 
     def test_sequence_bounds(self):
         with pytest.raises(ValueError):
@@ -486,6 +502,16 @@ class TestSerialization:
         after = viterbi_decode(loaded, seq(items))
         assert np.array_equal(before.states, after.states)
         assert before.log_joint == after.log_joint
+
+    def test_rejects_nan_parameters_in_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, random_model(np.random.default_rng(5), h=2, m=3))
+        payload = json.loads(path.read_text())
+        payload["emit"][1][2] = float("nan")
+        path.write_text(json.dumps(payload))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match=r"emit entry \(1, 2\) is nan"):
+            load_model(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "other.json"

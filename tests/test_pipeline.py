@@ -10,7 +10,7 @@ import yaml
 
 from driftrec.cli import main
 from driftrec.dataset import load_benchmark, to_interaction_sequences
-from driftrec.evaluation import pr_curve
+from driftrec.evaluation import ndcg_time_aware, pr_curve, precision_recall_at
 from driftrec.pipeline import (
     ExperimentConfig,
     cmd_detect,
@@ -257,6 +257,25 @@ class TestPipelineRun:
             expected = pr_curve(ranked, truth, cfg.n_grid)
             assert written == [(n, p, r) for n, (p, r) in zip(cfg.n_grid, expected)], label
             assert report.per_method[label].pr_points == expected, label
+
+    def test_ranking_metrics_match_scalar_means_from_recommendations(self, pipeline_run):
+        cfg, out, _ = pipeline_run
+        _, truth = to_interaction_sequences(load_benchmark(out / "benchmark.tsv")[0])
+        users = sorted(truth)
+        expected = []
+        for label in cfg.ranker_labels():
+            ranked = {}
+            for user_id, _, item, _ in data_rows(out / f"recommendations_{label}.tsv"):
+                ranked.setdefault(user_id, []).append(int(item))
+            for N in cfg.n_grid:
+                pr = [precision_recall_at(ranked[u], truth[u], N) for u in users]
+                ndcg = [ndcg_time_aware(ranked[u], truth[u], N) for u in users]
+                expected += [
+                    [label, "precision", str(N), repr(float(np.mean([p for p, _ in pr])))],
+                    [label, "recall", str(N), repr(float(np.mean([r for _, r in pr])))],
+                    [label, "ndcg", str(N), repr(float(np.mean(ndcg)))],
+                ]
+        assert data_rows(out / "ranking_metrics.tsv") == expected
 
     def test_poprank_matches_pop_rank_per_user(self, pipeline_run):
         cfg, out, _ = pipeline_run
