@@ -67,15 +67,15 @@ for seq in corpus:
         segs.append(np.array([], dtype=np.int64))
     segments_by_user[seq.user_id] = segs
 segmented = build_segmented_matrix(segments_by_user, M_ITEMS)
-print(f"segmented matrix: {segmented.rows.shape[0]} rows "
-      f"({len(corpus)} users x {segmented.segment_count_per_user} segments)")
+print(f"segmented matrix: {segmented.shape[0]} rows "
+      f"({len(corpus)} users x {segmented.shape[0] // len(corpus)} segments)")
 
 # ------------------------------------------------------------------
 # 3. Factorize and recommend.  The segment-aware ranker scores items by
 #    similarity to the user's most recent segment only; the raw
 #    factorization sees the whole history at once.
 # ------------------------------------------------------------------
-pair_seg = nmf_fit(segmented.rows, FactorizationConfig(d=16, max_iters=150, seed=2))
+pair_seg = nmf_fit(segmented, FactorizationConfig(d=16, max_iters=150, seed=2))
 factors = factors_from_pair(pair_seg, "nmf")
 
 whole = np.zeros((len(corpus), M_ITEMS))

@@ -40,20 +40,6 @@ class ChangePointResult:
             raise ValueError("change indices must be strictly ascending")
 
 
-@dataclass
-class SegmentedMatrix:
-    """Binary incidence rows, one per (user, segment), in deterministic order.
-
-    Users appear in input order and each contributes segment_count rows,
-    one per segment in sequence order; row_index maps (user_id, ordinal)
-    to the row number.
-    """
-
-    rows: np.ndarray
-    row_index: dict[tuple[str, int], int]
-    segment_count_per_user: int
-
-
 def hmcd_detect(model: HmmModel, seq: InteractionSequence, k: int = 1) -> ChangePointResult:
     """Change points from the decoded state path, strongest switches first.
 
@@ -140,14 +126,12 @@ def incidence_matrix(item_lists, m: int, labels) -> np.ndarray:
     return matrix
 
 
-def build_segmented_matrix(
-    segments_by_user: dict[str, list], m: int
-) -> SegmentedMatrix:
+def build_segmented_matrix(segments_by_user: dict[str, list], m: int) -> np.ndarray:
     """Stack per-segment binary item-incidence rows for all users.
 
     Every user must contribute the same number of segments; empty segments
     produce all-zero rows.  Row order is users in mapping order, segments
-    in sequence order.
+    in sequence order, so user u's segment j is row u * segments + j.
     """
     if not segments_by_user:
         raise ValueError("segments_by_user must not be empty")
@@ -157,14 +141,11 @@ def build_segmented_matrix(
     per_user = counts.pop()
     if per_user < 1:
         raise ValueError("each user needs at least one segment")
-    keys = [(user, ordinal) for user in segments_by_user for ordinal in range(per_user)]
-    rows = incidence_matrix(
+    return incidence_matrix(
         [segment for segs in segments_by_user.values() for segment in segs],
         m,
-        [f"user {user!r} segment {ordinal}" for user, ordinal in keys],
+        [f"user {user!r} segment {ordinal}" for user in segments_by_user for ordinal in range(per_user)],
     )
-    row_index = {key: r for r, key in enumerate(keys)}
-    return SegmentedMatrix(rows=rows, row_index=row_index, segment_count_per_user=per_user)
 
 
 def cusum_detect(
@@ -176,18 +157,23 @@ def cusum_detect(
     itself is used.  If the cumulative sum never exceeds tau the last
     index is returned with the flag set.
     """
-    values = _step_values(seq, stat)
-    running = np.cumsum(values)
-    above = running > tau
-    if above.any():
-        return int(np.argmax(above)), False
-    return len(seq) - 1, True
+    j = int(_first_crossings(np.cumsum(_step_values(seq, stat)), tau))
+    return min(j, len(seq) - 1), j == len(seq)
 
 
 def _step_values(seq: InteractionSequence, stat) -> np.ndarray:
     if stat is None:
         return seq.items.astype(float)
-    return np.array([stat(int(i)) for i in seq.items], dtype=float)
+    values = np.array([stat(int(i)) for i in seq.items], dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"stat gave a non-finite value on sequence {seq.user_id!r}")
+    return values
+
+
+def _first_crossings(running: np.ndarray, taus):
+    """Per tau, the first index whose running total exceeds it, or len(running): the sorted
+    running maximum first exceeds tau there, so a binary search finds it."""
+    return np.searchsorted(np.maximum.accumulate(running), taus, side="right")
 
 
 def tune_cusum_threshold(
@@ -211,9 +197,7 @@ def tune_cusum_threshold(
     grid = np.linspace(0.0, upper, grid_size)
     total = np.zeros(grid_size)
     for seq, running in zip(corpus, sums):
-        above = running[None, :] > grid[:, None]
-        crossed = above.any(axis=1)
-        j = np.where(crossed, above.argmax(axis=1), len(seq) - 1)
+        j = np.minimum(_first_crossings(running, grid), len(seq) - 1)
         total += np.abs(j - seq.truth_change)
     return float(grid[np.argmin(total)])
 

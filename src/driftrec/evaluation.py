@@ -23,7 +23,7 @@ def _ideal_dcg(L: int, K: int) -> float:
 
 def _walk(recommended, truth, n_grid) -> list[tuple[float, float, float]]:
     """(precision, recall, NDCG) at each N of the ascending n_grid, from one walk.  A truth
-    item counts once; a repeated recommendation is one hit but gains at each of its ranks."""
+    item counts once; a repeated recommendation is one hit and gains only at its first rank."""
     if n_grid[0] < 1:
         raise ValueError("N must be >= 1")
     distinct = dict.fromkeys(int(item) for item in truth)
@@ -33,7 +33,7 @@ def _walk(recommended, truth, n_grid) -> list[tuple[float, float, float]]:
     relevance = {item: L - j for j, item in enumerate(distinct)}
     found, hits, dcg, gain = set(), [0], [0.0], 0.0
     for rank, item in enumerate(map(int, recommended[: n_grid[-1]]), start=1):
-        if item in relevance:
+        if item in relevance and item not in found:
             found.add(item)
             gain += relevance[item] / math.log2(rank + 1)
         hits.append(len(found))
@@ -55,7 +55,8 @@ def ndcg_time_aware(recommended, truth, N: int) -> float:
     """Discounted gain against the time-ordered held-out list, normalized.
 
     Relevance of the j-th of L truth items is L - j + 1 and zero for
-    everything else; both the achieved and the ideal gain truncate at N.
+    everything else; a repeated recommendation gains only at its first
+    rank, and both the achieved and the ideal gain truncate at N.
     """
     return _walk(recommended, truth, [N])[0][2]
 

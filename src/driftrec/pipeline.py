@@ -493,12 +493,12 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
     seqs, holdout, m = _load_sequences(out)
     per_method: dict[str, MethodMetrics] = {}
 
-    # displacement: an empty prediction falls back to the last index
+    # displacement of the point nearest the truth (earlier on a tie); none counts as the last index
     cpd_inputs = {}
     for label in cfg.detector_labels():
         records = _read_changepoints(_require(out / f"changepoints_{label}.tsv"), seqs)
         cpd_inputs[label] = {
-            user: (truth, points[0] if points else T - 1)
+            user: (truth, min(points, key=lambda t: abs(t - truth)) if points else T - 1)
             for user, (T, truth, points) in records.items()
         }
     mean_delta = aggregate_cpd(cpd_inputs)

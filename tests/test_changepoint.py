@@ -180,28 +180,29 @@ class TestPartition:
 class TestSegmentedMatrix:
     def test_single_user_incidence(self):
         sm = build_segmented_matrix({"u": [[0], [1]]}, m=2)
-        np.testing.assert_array_equal(sm.rows, [[1, 0], [0, 1]])
-        assert sm.row_index == {("u", 0): 0, ("u", 1): 1}
-        assert sm.segment_count_per_user == 2
+        assert isinstance(sm, np.ndarray) and sm.dtype == np.float64
+        # one row per segment, in sequence order
+        np.testing.assert_array_equal(sm, [[1, 0], [0, 1]])
 
     def test_repeats_collapse_to_incidence(self):
         sm = build_segmented_matrix({"u": [[1, 1, 1, 0]]}, m=3)
-        np.testing.assert_array_equal(sm.rows, [[1, 1, 0]])
+        np.testing.assert_array_equal(sm, [[1, 1, 0]])
 
     def test_row_count_is_users_times_segments(self):
         sm = build_segmented_matrix(
             {"a": [[0], [1]], "b": [[2], []]}, m=3
         )
-        assert sm.rows.shape == (4, 3)
-        np.testing.assert_array_equal(sm.rows[3], [0, 0, 0])
-        assert sm.row_index[("b", 0)] == 2
+        assert sm.shape == (4, 3)
+        np.testing.assert_array_equal(sm[3], [0, 0, 0])
+        # user b's first segment follows both of user a's
+        np.testing.assert_array_equal(sm[2], [0, 0, 1])
 
     def test_union_of_rows_is_user_item_set(self):
         rng = np.random.default_rng(11)
         items = rng.integers(0, 12, size=20)
         segs = partition(seq(items), [7, 13])
         sm = build_segmented_matrix({"u": [s.tolist() for s in segs]}, m=12)
-        union = sm.rows.max(axis=0)
+        union = sm.max(axis=0)
         expected = np.zeros(12)
         expected[items] = 1.0
         np.testing.assert_array_equal(union, expected)
@@ -247,9 +248,10 @@ class TestIncidenceMatrix:
         labels = [f"row {r}" for r in range(len(flat))]
         np.testing.assert_array_equal(incidence_matrix(flat, 9, labels), loop_incidence(flat, 9))
         sm = build_segmented_matrix(by_user, m=9)
-        np.testing.assert_array_equal(sm.rows, loop_incidence(flat, 9))
-        assert list(sm.row_index) == [(u, o) for u in by_user for o in range(3)]
-        assert list(sm.row_index.values()) == list(range(len(flat)))
+        np.testing.assert_array_equal(sm, loop_incidence(flat, 9))
+        # users in mapping order, each user's segments in sequence order
+        for r, (u, o) in enumerate((u, o) for u in by_user for o in range(3)):
+            np.testing.assert_array_equal(sm[r], loop_incidence([by_user[u][o]], 9)[0])
 
     def test_whole_sequences_match_row_loop(self):
         rng = np.random.default_rng(43)
@@ -281,7 +283,71 @@ class TestIncidenceMatrix:
             cooccurrence_item_vectors(corpus, m=5)
 
 
+def loop_cusum_detect(values, tau):
+    """The boolean-mask crossing rule the shared helper replaced; the oracle."""
+    above = np.cumsum(values) > tau
+    if above.any():
+        return int(np.argmax(above)), False
+    return len(values) - 1, True
+
+
+def loop_tune_cusum_threshold(corpus, values_of, grid_size):
+    """The grid x T boolean-matrix tuner the shared helper replaced; the oracle."""
+    sums = [np.cumsum(values_of(s)) for s in corpus]
+    grid = np.linspace(0.0, float(np.mean([r[-1] for r in sums])), grid_size)
+    total = np.zeros(grid_size)
+    for s, running in zip(corpus, sums):
+        above = running[None, :] > grid[:, None]
+        j = np.where(above.any(axis=1), above.argmax(axis=1), len(s) - 1)
+        total += np.abs(j - s.truth_change)
+    return float(grid[np.argmin(total)])
+
+
 class TestCusum:
+    def test_matches_mask_loop_with_negative_steps_and_ties(self):
+        rng = np.random.default_rng(47)
+        table = np.round(rng.normal(0.5, 3.0, size=15))
+        assert table.min() < 0
+
+        def stat(i):
+            return float(table[i])
+
+        def values_of(s):
+            return table[s.items]
+
+        corpus = []
+        for u in range(40):
+            T = int(rng.integers(2, 30))
+            corpus.append(seq(rng.integers(0, 15, size=T), user=f"u{u}", truth=int(rng.integers(1, T))))
+        assert any(np.any(np.diff(np.cumsum(values_of(s))) < 0) for s in corpus)
+        for s in corpus:
+            running = np.cumsum(values_of(s))
+            # every running total as tau is a total exactly equal to tau
+            for tau in [-np.inf, -1.5, 0.0, 2.5, np.inf, *running.tolist()]:
+                assert cusum_detect(s, tau, stat) == loop_cusum_detect(values_of(s), tau), (s.user_id, tau)
+        for grid_size in (1, 2, 50):
+            assert tune_cusum_threshold(corpus, stat, grid_size) == loop_tune_cusum_threshold(
+                corpus, values_of, grid_size
+            )
+
+    def test_total_equal_to_tau_is_not_a_crossing(self):
+        assert cusum_detect(seq([1, 1, 1, 1]), tau=2.0) == (2, False)
+        # running totals 3, 1, 2: the only crossing of 2.5 is the first step
+        assert cusum_detect(seq([0, 1, 2]), tau=2.5, stat=lambda i: [3.0, -2.0, 1.0][i]) == (0, False)
+        assert cusum_detect(seq([0, 1, 2]), tau=3.0, stat=lambda i: [3.0, -2.0, 1.0][i]) == (2, True)
+        # final sums 10 and 14 make the 13-point grid the integers 0..12,
+        # so every grid point equals some running total
+        corpus = [seq([1, 2, 3, 4], user="a", truth=3), seq([5, 5, 4], user="b", truth=1)]
+        for grid_size in (13, 25):
+            want = loop_tune_cusum_threshold(corpus, lambda s: s.items.astype(float), grid_size)
+            assert tune_cusum_threshold(corpus, grid_size=grid_size) == want
+
+    def test_rejects_non_finite_statistic(self):
+        with pytest.raises(ValueError, match="stat gave a non-finite value on sequence 'u'"):
+            cusum_detect(seq([0, 1]), tau=1.0, stat=lambda i: [1.0, np.nan][i])
+        with pytest.raises(ValueError, match="non-finite"):
+            tune_cusum_threshold([seq([0, 1], truth=1)], stat=lambda i: np.inf)
+
     def test_first_crossing(self):
         assert cusum_detect(seq([1, 1, 1, 1]), tau=2.5) == (2, False)
 

@@ -35,9 +35,11 @@ def reference_ndcg(recommended, truth, N):
     truth = reference_dedupe(truth)
     L = len(truth)
     relevance = {item: L - j for j, item in enumerate(truth)}
-    dcg = 0.0
+    dcg, seen = 0.0, set()
     for rank, item in enumerate(recommended[:N], start=1):
-        dcg += relevance.get(int(item), 0) / math.log2(rank + 1)
+        if int(item) not in seen:
+            dcg += relevance.get(int(item), 0) / math.log2(rank + 1)
+        seen.add(int(item))
     ideal = sum((L - j) / math.log2(j + 2) for j in range(min(N, L)))
     return dcg / ideal
 
@@ -194,10 +196,10 @@ class TestOneWalk:
             got = (*precision_recall_at(ranked, truth, N), ndcg_time_aware(ranked, truth, N))
             assert bits(got) == bits(reference_metrics(ranked, truth, N)), (case, N)
 
-    def test_repeated_recommended_item_is_one_hit_but_gains_twice(self):
+    def test_repeated_recommended_item_is_one_hit_and_gains_once(self):
         p, r = precision_recall_at([4, 4], [4, 7], 2)
         assert (p, r) == (0.5, 0.5)
-        dcg = 2 / math.log2(2) + 2 / math.log2(3)
+        dcg = 2 / math.log2(2)
         assert ndcg_time_aware([4, 4], [4, 7], 2) == pytest.approx(dcg / (2 / math.log2(2) + 1 / math.log2(3)))
 
     def test_ranking_metrics_bit_equal_to_mean_of_reference(self):
@@ -212,6 +214,7 @@ class TestOneWalk:
         assert list(precision) == list(recall) == list(ndcg) == self.GRID
         for N in self.GRID:
             per_user = np.array([reference_metrics(ranked[u], truth[u], N) for u in users])
+            assert per_user.max() <= 1.0, N
             expected = [float(np.mean(per_user[:, k].tolist())) for k in range(3)]
             assert bits([precision[N], recall[N], ndcg[N]]) == bits(expected), N
         assert pr_curve(ranked, truth, self.GRID) == [(precision[N], recall[N]) for N in self.GRID]

@@ -5,10 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+from driftrec import factorization
 from driftrec.changepoint import build_segmented_matrix
 from driftrec.factorization import (
     FactorizationConfig,
     FactorPair,
+    _triple_levels,
     bpr_fit,
     bpr_triple_grad,
     bpr_triple_loss,
@@ -233,21 +235,50 @@ class TestBpr:
             with pytest.warns(UserWarning):
                 bpr_fit(np.ones((2, 3)), FactorizationConfig(d=2, max_iters=3))
 
+    def test_level_pass_on_hand_built_epoch(self):
+        users, items, negs = (np.array(a) for a in ([0, 1, 0, 2], [0, 2, 2, 5], [1, 3, 4, 6]))
+        # the third triple shares user 0 with the first and item 2 with the second
+        assert _triple_levels(users, items, negs, n=3, m=7).tolist() == [1, 1, 2, 1]
+        # an item row links a positive to a later negative
+        users, items, negs = (np.array(a) for a in ([0, 1, 2, 3], [0, 1, 2, 4], [1, 2, 3, 5]))
+        assert _triple_levels(users, items, negs, n=4, m=6).tolist() == [1, 2, 3, 1]
+
     @pytest.mark.parametrize(
         "name, n, m, epochs",
-        [("ragged", 40, 30, 3), ("three items", 12, 3, 4), ("full and empty rows", 15, 8, 3)],
+        [
+            ("ragged", 40, 30, 3),
+            ("three items", 12, 3, 4),
+            ("full and empty rows", 15, 8, 3),
+            ("popular item", 40, 30, 3),
+        ],
     )
-    def test_matches_per_triple_loop(self, name, n, m, epochs):
+    def test_matches_per_triple_loop(self, name, n, m, epochs, monkeypatch):
         rng = np.random.default_rng(37)
         M = ragged_binary(rng, n, m)
+        if name == "popular item":
+            # short rows that nearly all hold item 7 draw it as the positive
+            # of most triples, chaining their levels
+            M[rng.random((n, m)) < 0.85] = 0.0
+            M[np.arange(n) % 8 != 0, 7] = 1.0
         M[M.sum(axis=1) == 0, 0] = 1.0
         if name == "full and empty rows":
             M[2] = 1.0
             M[5] = 0.0
         cfg = FactorizationConfig(d=6, max_iters=epochs, seed=8)
+        levels = []
+
+        def recording_levels(*args):
+            levels.append(_triple_levels(*args))
+            return levels[-1]
+
+        monkeypatch.setattr(factorization, "_triple_levels", recording_levels)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = bpr_fit(M, cfg)
+        # with three items any two triples share a row, so nothing may move;
+        # otherwise some triple must run before an earlier one
+        reordered = any(np.any(np.diff(epoch) < 0) for epoch in levels)
+        assert len(levels) == epochs and reordered == (m > 3)
         skipped = int(np.sum((M.sum(axis=1) == 0) | (M.sum(axis=1) == m)))
         if name == "full and empty rows":
             assert skipped >= 2

@@ -309,6 +309,23 @@ def test_rerun_is_byte_identical(tmp_path):
     assert before == after
 
 
+def test_two_points_score_the_one_nearest_the_truth(tmp_path):
+    cfg = small_config(tmp_path / "k2", k=2, hidden_state_counts=[2, 5], bpr_epochs=2)
+    cmd_run_all(cfg)
+    out = Path(cfg.out_dir)
+    written = {row[0]: float(row[1]) for row in data_rows(out / "cpd_table.tsv")}
+    not_earliest = 0
+    for h in cfg.hidden_state_counts:
+        deltas = []
+        for _, T, truth, predicted, _, _ in data_rows(out / f"changepoints_HMCD-S{h}.tsv"):
+            points = [int(t) for t in predicted.split(",")] if predicted != "-" else [int(T) - 1]
+            nearest = min(points, key=lambda t: abs(t - int(truth)))
+            not_earliest += nearest != points[0]
+            deltas.append(abs(nearest - int(truth)))
+        assert written[f"HMCD-S{h}"] == float(np.mean(deltas))
+    assert not_earliest > 0
+
+
 def test_single_state_run_completes_with_flagged_detections(tmp_path):
     cfg = small_config(tmp_path / "s1", mixed_count=12, hidden_state_counts=[1], bpr_epochs=2)
     report = cmd_run_all(cfg)

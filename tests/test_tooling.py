@@ -1,5 +1,7 @@
-"""The benchmark tracer in perfbench/spans.py wraps driftrec functions by
-name; a deleted or renamed one would break `perfbench/run.py --trace 1`."""
+"""Names looked up as strings.  The benchmark tracer in perfbench/spans.py
+wraps driftrec functions by name, so a deleted or renamed one would break
+`perfbench/run.py --trace 1`; a stale entry in `driftrec.__all__` would
+break `from driftrec import *`."""
 
 import importlib
 import importlib.util
@@ -25,3 +27,9 @@ def test_every_traced_name_exists_in_its_module():
     ]
     assert missing == []
 
+
+
+def test_every_exported_name_resolves_on_the_package():
+    package = importlib.import_module("driftrec")
+    assert [name for name in package.__all__ if not hasattr(package, name)] == []
+    assert len(set(package.__all__)) == len(package.__all__)
