@@ -82,13 +82,10 @@ def _switch_points(
         path[switches], seq.items[switches]
     ]
     # primary key: score descending; secondary: step ascending
-    order = np.lexsort((switches, -scores))[:k]
-    keep = np.sort(switches[order])
-    pos = {int(t): float(s) for t, s in zip(switches, scores)}
+    # switches ascend, so ascending positions keep the points in step order
+    keep = np.sort(np.lexsort((switches, -scores))[:k])
     return ChangePointResult(
-        user_id=seq.user_id,
-        predicted=[int(t) for t in keep],
-        score_per_point=[pos[int(t)] for t in keep],
+        user_id=seq.user_id, predicted=switches[keep].tolist(), score_per_point=scores[keep].tolist()
     )
 
 

@@ -121,23 +121,10 @@ def load_corpus(
     sample = [kept[i] for i in chosen]
 
     vocab: dict[str, int] = {}
-    keys_in_order: list[str] = []
-    playlists = []
-    for pl in sample:
-        row = np.empty(len(pl), dtype=np.int64)
-        for pos, key in enumerate(pl):
-            if key not in vocab:
-                vocab[key] = len(vocab)
-                keys_in_order.append(key)
-            row[pos] = vocab[key]
-        playlists.append(row)
-
+    playlists = [np.array([vocab.setdefault(key, len(vocab)) for key in pl], dtype=np.int64) for pl in sample]
     n, m = len(playlists), len(vocab)
     lengths = [len(pl) for pl in playlists]
-    # distinct (playlist, item) pairs, as the distinct values among the
-    # sorted row * m + item keys (a sort: np.unique hashes, several times slower)
-    keys = np.sort(np.repeat(np.arange(n, dtype=np.int64), lengths) * m + np.concatenate(playlists))
-    pair_count = int(np.count_nonzero(keys[1:] != keys[:-1])) + 1
+    pair_count = sum(len(set(pl)) for pl in sample)  # distinct (playlist, item) pairs
     stats = CorpusStats(
         num_playlists=n,
         num_items=m,
@@ -145,9 +132,8 @@ def load_corpus(
         sparsity=1.0 - pair_count / (n * m),
         mean_length=float(np.mean(lengths)),
     )
-    return PlaylistCorpus(
-        playlists=playlists, item_vocab=vocab, item_keys=keys_in_order, stats=stats
-    )
+    # a dict keeps insertion order, so its keys are the items in index order
+    return PlaylistCorpus(playlists=playlists, item_vocab=vocab, item_keys=list(vocab), stats=stats)
 
 
 def synthesize_mixed(

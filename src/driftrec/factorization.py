@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hmm import _check_entries
+from .hmm import _check_entries, _reading
 
 _EPS = 1e-12
 
@@ -263,12 +263,10 @@ def save_factors(path: str | Path, pair: FactorPair, meta: dict | None = None) -
 
 
 def load_factors(path: str | Path) -> tuple[FactorPair, dict]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "driftrec-factors-v1":
-        raise ValueError(f"{path}: not a driftrec factor file")
-    pair = FactorPair(
-        p=np.array(payload["p"], dtype=float),
-        q=np.array(payload["q"], dtype=float),
-        d=int(payload["d"]),
-    )
-    return pair, payload.get("meta", {})
+    with _reading(path, "driftrec-factors-v1") as payload:
+        pair = FactorPair(
+            p=np.array(payload["p"], dtype=float),
+            q=np.array(payload["q"], dtype=float),
+            d=int(payload["d"]),
+        )
+        return pair, payload.get("meta", {})

@@ -9,6 +9,8 @@ underflow.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -67,8 +69,6 @@ class HmmModel:
         for name, arr in (("trans", self.trans), ("emit", self.emit)):
             if np.any(np.abs(arr.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
                 raise ValueError(f"{name} has a row that does not sum to 1")
-        if np.any(self.emit.sum(axis=1) == 0):
-            raise ValueError("emit has an identically zero row")
 
     @property
     def num_states(self) -> int:
@@ -419,28 +419,33 @@ def save_model(
         "pi": model.pi.tolist(),
         "trans": model.trans.tolist(),
         "emit": model.emit.tolist(),
-        "train_config": None
-        if train_config is None
-        else {
-            "max_iters": train_config.max_iters,
-            "log_lik_tol": train_config.log_lik_tol,
-            "seed": train_config.seed,
-            "emission_floor": train_config.emission_floor,
-        },
+        "train_config": None if train_config is None else dataclasses.asdict(train_config),
         "meta": meta or {},
     }
     Path(path).write_text(json.dumps(payload))
 
 
+@contextlib.contextmanager
+def _reading(path, fmt: str):
+    """The JSON payload of a fmt file.  A defect met while reading it raises
+    a ValueError naming the file, and the field when one is missing."""
+    try:
+        payload = json.loads(Path(path).read_text())
+        if not isinstance(payload, dict) or payload.get("format") != fmt:
+            raise ValueError(f"not a {fmt} file")
+        yield payload
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from exc
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_model(path: str | Path) -> tuple[HmmModel, TrainConfig | None]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "driftrec-hmm-v1":
-        raise ValueError(f"{path}: not a driftrec HMM file")
-    model = HmmModel(
-        pi=np.array(payload["pi"], dtype=float),
-        trans=np.array(payload["trans"], dtype=float),
-        emit=np.array(payload["emit"], dtype=float),
-    )
-    cfg = payload.get("train_config")
-    train_config = None if cfg is None else TrainConfig(**cfg)
-    return model, train_config
+    with _reading(path, "driftrec-hmm-v1") as payload:
+        model = HmmModel(
+            pi=np.array(payload["pi"], dtype=float),
+            trans=np.array(payload["trans"], dtype=float),
+            emit=np.array(payload["emit"], dtype=float),
+        )
+        cfg = payload.get("train_config")
+        return model, None if cfg is None else TrainConfig(**cfg)

@@ -227,16 +227,23 @@ def _write_rows(path: Path, cfg: ExperimentConfig, columns, rows, extra: str = "
     path.write_text("\n".join(lines) + "\n")
 
 
-def _data_lines(path: Path) -> list[list[str]]:
-    return [
-        line.split("\t")
-        for line in path.read_text().splitlines()
-        if line.strip() and not line.startswith("#")
-    ]
+def _parse_rows(path: Path, what: str, parse) -> list:
+    """parse(*cells) of every data row; a malformed row names the file and line."""
+    out = []
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if line.strip() and not line.startswith("#"):
+            try:
+                out.append(parse(*line.split("\t")))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed {what} row ({exc})") from exc
+    return out
 
 
 def _load_sequences(out: Path):
-    mixed, meta = load_benchmark(_require(out / "benchmark.tsv"))
+    path = _require(out / "benchmark.tsv")
+    mixed, meta = load_benchmark(path)
+    if not meta.get("num_items", "").isdigit():
+        raise ValueError(f"{path}: header lacks an integer num_items")
     seqs, holdout = to_interaction_sequences(mixed)
     return seqs, holdout, int(meta["num_items"])
 
@@ -251,13 +258,19 @@ def _check_users(path: Path, users, seqs) -> None:
         raise ValueError(f"{path.name} {what} benchmark.tsv (stale artifact?)")
 
 
-def _read_changepoints(path: Path, seqs) -> dict[str, tuple[int, int, list[int]]]:
-    """user_id -> (T, truth, predicted indices); '-' marks an empty prediction."""
+def _changepoint_row(user_id, T, truth, predicted, *_):
+    return user_id, (int(T), int(truth)), [] if predicted == "-" else [int(p) for p in predicted.split(",")]
+
+
+def _read_changepoints(path: Path, seqs) -> dict[str, list[int]]:
+    """user_id -> predicted indices ('-' marks none).  Each row's T and truth
+    must be benchmark.tsv's, so a table detected on another benchmark is refused."""
+    expected = {seq.user_id: (len(seq), seq.truth_change) for seq in seqs}
     out = {}
-    for cells in _data_lines(path):
-        user_id, T, truth, predicted = cells[0], int(cells[1]), int(cells[2]), cells[3]
-        points = [] if predicted == "-" else [int(p) for p in predicted.split(",")]
-        out[user_id] = (T, truth, points)
+    for user_id, facts, points in _parse_rows(path, "change-point", _changepoint_row):
+        if expected.get(user_id, facts) != facts:
+            raise ValueError(f"{path.name}: user {user_id!r} has T, truth {facts}; benchmark.tsv has {expected[user_id]}")
+        out[user_id] = points
     _check_users(path, out, seqs)
     return out
 
@@ -270,10 +283,8 @@ def _segments_by_user(seqs, changepoints, k: int) -> dict[str, list[np.ndarray]]
     """
     out = {}
     for seq in seqs:
-        segs = partition(seq, changepoints[seq.user_id][2])
-        while len(segs) < k + 1:
-            segs.append(np.array([], dtype=np.int64))
-        out[seq.user_id] = segs
+        segs = partition(seq, changepoints[seq.user_id])
+        out[seq.user_id] = segs + [np.array([], dtype=np.int64)] * (k + 1 - len(segs))
     return out
 
 
@@ -481,8 +492,8 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
 
 def _read_recommendations(path: Path, seqs) -> dict[str, list[int]]:
     ranked: dict[str, list[int]] = {}
-    for user_id, _, item, _ in _data_lines(path):
-        ranked.setdefault(user_id, []).append(int(item))
+    for user_id, item in _parse_rows(path, "recommendation", lambda user, rank, item, score: (user, int(item))):
+        ranked.setdefault(user_id, []).append(item)
     _check_users(path, ranked, seqs)
     return ranked
 
@@ -496,11 +507,11 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
     # displacement of the point nearest the truth (earlier on a tie); none counts as the last index
     cpd_inputs = {}
     for label in cfg.detector_labels():
-        records = _read_changepoints(_require(out / f"changepoints_{label}.tsv"), seqs)
-        cpd_inputs[label] = {
-            user: (truth, min(points, key=lambda t: abs(t - truth)) if points else T - 1)
-            for user, (T, truth, points) in records.items()
-        }
+        points = _read_changepoints(_require(out / f"changepoints_{label}.tsv"), seqs)
+        cpd_inputs[label] = {}
+        for seq in seqs:
+            pts, truth = points[seq.user_id], seq.truth_change
+            cpd_inputs[label][seq.user_id] = (truth, min(pts, key=lambda t: abs(t - truth)) if pts else len(seq) - 1)
     mean_delta = aggregate_cpd(cpd_inputs)
     for label, delta in mean_delta.items():
         per_method[label] = MethodMetrics(mean_delta=delta)

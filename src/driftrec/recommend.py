@@ -131,14 +131,10 @@ def item_popularity(matrix) -> np.ndarray:
 
 
 def _last_usable_segment(segments) -> tuple:
-    usable = None
     for ordinal in range(len(segments) - 1, -1, -1):
         if len(segments[ordinal]) > 0:
-            usable = ordinal
-            break
-    if usable is None:
-        raise ValueError("every segment is empty")
-    return segments[usable], usable < len(segments) - 1
+            return segments[ordinal], ordinal < len(segments) - 1
+    raise ValueError("every segment is empty")
 
 
 def _rank(scores, popularity, exclude, N, user_id, used_fallback) -> Recommendation:
@@ -199,19 +195,8 @@ def recommend_from_segments(
     return _rank(scores, popularity, training_items, N, user_id, used_fallback)
 
 
-def smf_recommend(
-    factors: ItemFactors,
-    segments,
-    training_items,
-    popularity: np.ndarray,
-    l: int = 10,
-    N: int = 10,
-    user_id: str = "",
-) -> Recommendation:
-    """Segment-based ranking over factorization item vectors."""
-    return recommend_from_segments(
-        factors, segments, training_items, popularity, l=l, N=N, user_id=user_id
-    )
+# segment-based ranking over factorization item vectors is the shared rule itself
+smf_recommend = recommend_from_segments
 
 
 def hmmr_recommend(
@@ -225,13 +210,7 @@ def hmmr_recommend(
 ) -> Recommendation:
     """Segment-based ranking over the model's item-state posteriors."""
     return recommend_from_segments(
-        hmm_item_factors(model),
-        segments,
-        training_items,
-        popularity,
-        l=l,
-        N=N,
-        user_id=user_id,
+        hmm_item_factors(model), segments, training_items, popularity, l=l, N=N, user_id=user_id
     )
 
 

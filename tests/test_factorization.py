@@ -341,6 +341,15 @@ class TestSerialization:
         assert loaded.d == 3
         assert meta == {"source": "bpr"}
 
+    def test_file_format(self, tmp_path):
+        path = tmp_path / "factors.json"
+        pair = FactorPair(p=[[1.0, -0.5], [0.25, 2.0]], q=[[0.0, 1.5], [3.0, -1.0]], d=2)
+        save_factors(path, pair, meta={"model": "NMF"})
+        assert path.read_text() == (
+            '{"format": "driftrec-factors-v1", "d": 2, "p": [[1.0, -0.5], [0.25, 2.0]], '
+            '"q": [[0.0, 1.5], [3.0, -1.0]], "meta": {"model": "NMF"}}'
+        )
+
     def test_rejects_nan_factors_in_file(self, tmp_path):
         path = tmp_path / "factors.json"
         save_factors(path, FactorPair(p=np.ones((2, 2)), q=np.ones((3, 2)), d=2))

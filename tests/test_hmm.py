@@ -518,3 +518,25 @@ class TestSerialization:
         path.write_text('{"format": "something-else"}')
         with pytest.raises(ValueError):
             load_model(path)
+
+    GOLDEN_MODEL = HmmModel(
+        pi=[0.5, 0.5], trans=[[0.75, 0.25], [0.5, 0.5]], emit=[[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]]
+    )
+    GOLDEN_HEAD = (
+        '{"format": "driftrec-hmm-v1", "num_states": 2, "num_items": 3, "pi": [0.5, 0.5], '
+        '"trans": [[0.75, 0.25], [0.5, 0.5]], "emit": [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]], '
+    )
+
+    def test_file_format_with_train_config(self, tmp_path):
+        path = tmp_path / "model.json"
+        cfg = TrainConfig(max_iters=7, log_lik_tol=1e-6, seed=3, emission_floor=1e-7)
+        save_model(path, self.GOLDEN_MODEL, cfg, meta={"h": 2})
+        assert path.read_text() == self.GOLDEN_HEAD + (
+            '"train_config": {"max_iters": 7, "log_lik_tol": 1e-06, "seed": 3, "emission_floor": 1e-07}, '
+            '"meta": {"h": 2}}'
+        )
+
+    def test_file_format_without_train_config(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, self.GOLDEN_MODEL)
+        assert path.read_text() == self.GOLDEN_HEAD + '"train_config": null, "meta": {}}'

@@ -1,6 +1,8 @@
 """Configuration handling, staged artifacts, and CLI behavior."""
 
 import dataclasses
+import json
+import re
 import shutil
 from pathlib import Path
 
@@ -459,3 +461,61 @@ class TestStaleArtifacts:
         first = data_rows(cli_run[1] / name)[0][0]
         assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
         assert f"{name} {message.format(first=first)} benchmark.tsv" in capsys.readouterr().err
+
+    def test_changepoints_of_another_benchmark_are_refused(self, cli_run, tmp_path):
+        """Re-synthesizing at another seed keeps the positional user ids but
+        not each user's length and true change point."""
+        config, out = cli_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        cfg = dataclasses.replace(ExperimentConfig.from_yaml(config), out_dir=str(copy), seed=40)
+        cmd_synthesize(cfg)
+        seqs = to_interaction_sequences(load_benchmark(copy / "benchmark.tsv")[0])[0]
+        name = "changepoints_HMCD-S2.tsv"
+        table = {row[0]: (int(row[1]), int(row[2])) for row in data_rows(out / name)}
+        first = next(seq.user_id for seq in seqs if table[seq.user_id] != (len(seq), seq.truth_change))
+        for stage in (cmd_fit, cmd_recommend, cmd_evaluate):
+            with pytest.raises(ValueError, match=f"{re.escape(name)}: user {first!r} has T, truth"):
+                stage(cfg)
+
+
+def edit_line(index, change):
+    def edit(text):
+        lines = text.splitlines()
+        lines[index] = change(lines[index])
+        return "\n".join(lines) + "\n"
+
+    return edit
+
+
+def drop_field(field):
+    def edit(text):
+        payload = json.loads(text)
+        del payload[field]
+        return json.dumps(payload)
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "stage, name, edit, detail",
+    [
+        ("recommend", "changepoints_HMCD-S2.tsv", edit_line(2, lambda row: row.split("\t")[0]), ":3: malformed"),
+        ("fit", "changepoints_HMCD-S2.tsv", edit_line(3, lambda row: row.replace("\t", "\tx", 1)), ":4: malformed"),
+        ("evaluate", "recommendations_NMF.tsv", edit_line(2, lambda row: row.rpartition("\t")[0]), ":3: malformed"),
+        ("detect", "hmm_s2.json", drop_field("emit"), "missing field 'emit'"),
+        ("detect", "hmm_s2.json", lambda text: text[:40], "hmm_s2.json: "),
+        ("recommend", "factors_smf_s2.json", drop_field("q"), "missing field 'q'"),
+        ("train", "benchmark.tsv", lambda text: re.sub(r"num_items=\d+ ", "", text, count=1), "num_items"),
+    ],
+    ids=["short-cpd-row", "non-integer-T", "short-ranked-row", "model-lacks-emit", "truncated-model",
+         "factors-lack-q", "header-lacks-num-items"],
+)
+def test_malformed_artifact_exits_2_naming_the_file(cli_run, tmp_path, capsys, stage, name, edit, detail):
+    config, out = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    (copy / name).write_text(edit((copy / name).read_text()))
+    assert main([stage, "--config", str(config), "--out", str(copy)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and name in err and detail in err

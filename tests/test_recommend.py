@@ -239,6 +239,9 @@ class TestSegmentRecommenders:
         )
         assert rec.ranked_items == [4, 1, 2, 3, 5]
 
+    def test_smf_recommend_is_the_shared_rule(self):
+        assert smf_recommend is recommend_from_segments
+
     def test_empty_last_segment_falls_back_flagged(self):
         factors = self._cluster_factors()
         rec = smf_recommend(
