@@ -37,14 +37,16 @@ def _check_entries(arr: np.ndarray, nonnegative: bool, name: str = "matrix") -> 
     raise ValueError(f"{name} entry ({', '.join(map(str, index))}) is {arr[index]}; entries must be {need}")
 
 
-@dataclass
+@dataclass(eq=False)
 class HmmModel:
     """Model parameters: initial distribution, state transitions, emissions.
 
     pi has shape (h,), trans has shape (h, h) with trans[z, z'] the
     probability of moving from state z to z', and emit has shape (h, m)
     with emit[z, i] the probability of observing item i in state z.
-    Instances are treated as immutable once constructed.
+    The arrays are read-only copies of the inputs, so values derived from
+    a model (its item-state posteriors, say) may be cached per instance;
+    instances compare and hash by identity.
     """
 
     pi: np.ndarray
@@ -52,9 +54,9 @@ class HmmModel:
     emit: np.ndarray
 
     def __post_init__(self):
-        self.pi = np.asarray(self.pi, dtype=float)
-        self.trans = np.asarray(self.trans, dtype=float)
-        self.emit = np.asarray(self.emit, dtype=float)
+        self.pi = np.array(self.pi, dtype=float)
+        self.trans = np.array(self.trans, dtype=float)
+        self.emit = np.array(self.emit, dtype=float)
         h = self.pi.shape[0]
         if self.pi.ndim != 1 or h < 1:
             raise ValueError("pi must be a non-empty 1-D probability vector")
@@ -69,6 +71,8 @@ class HmmModel:
         for name, arr in (("trans", self.trans), ("emit", self.emit)):
             if np.any(np.abs(arr.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
                 raise ValueError(f"{name} has a row that does not sum to 1")
+        for arr in (self.pi, self.trans, self.emit):
+            arr.setflags(write=False)
 
     @property
     def num_states(self) -> int:
@@ -442,10 +446,6 @@ def _reading(path, fmt: str):
 
 def load_model(path: str | Path) -> tuple[HmmModel, TrainConfig | None]:
     with _reading(path, "driftrec-hmm-v1") as payload:
-        model = HmmModel(
-            pi=np.array(payload["pi"], dtype=float),
-            trans=np.array(payload["trans"], dtype=float),
-            emit=np.array(payload["emit"], dtype=float),
-        )
+        model = HmmModel(pi=payload["pi"], trans=payload["trans"], emit=payload["emit"])
         cfg = payload.get("train_config")
         return model, None if cfg is None else TrainConfig(**cfg)

@@ -262,14 +262,22 @@ def _changepoint_row(user_id, T, truth, predicted, *_):
     return user_id, (int(T), int(truth)), [] if predicted == "-" else [int(p) for p in predicted.split(",")]
 
 
-def _read_changepoints(path: Path, seqs) -> dict[str, list[int]]:
+def _read_changepoints(path: Path, seqs, interior: bool = True) -> dict[str, list[int]]:
     """user_id -> predicted indices ('-' marks none).  Each row's T and truth
-    must be benchmark.tsv's, so a table detected on another benchmark is refused."""
+    must be benchmark.tsv's, so a table detected on another benchmark is refused.
+    Points must ascend strictly within [1, T), where partition can split at
+    them, or within [0, T] when not interior: the RP baseline draws its split
+    from [0, T], and displacement scores any of them."""
     expected = {seq.user_id: (len(seq), seq.truth_change) for seq in seqs}
     out = {}
     for user_id, facts, points in _parse_rows(path, "change-point", _changepoint_row):
         if expected.get(user_id, facts) != facts:
             raise ValueError(f"{path.name}: user {user_id!r} has T, truth {facts}; benchmark.tsv has {expected[user_id]}")
+        lo, hi = (1, facts[0] - 1) if interior else (0, facts[0])
+        if any(not lo <= p <= hi for p in points) or any(b <= a for a, b in zip(points, points[1:])):
+            raise ValueError(
+                f"{path.name}: user {user_id!r} has points {points}; they must ascend strictly within [{lo}, {hi}]"
+            )
         out[user_id] = points
     _check_users(path, out, seqs)
     return out
@@ -464,6 +472,7 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
                 model, _ = load_model(_require(out / f"hmm_s{h}.json"))
                 factors = hmm_item_factors(model)
             segments = segments_for(h)
+            factors.reserve(cfg.l, segments.values())
             recs = [
                 recommend_from_segments(
                     factors, segments[seq.user_id], seq.items, popularity, l=cfg.l, N=N, user_id=seq.user_id
@@ -490,9 +499,12 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     return paths
 
 
-def _read_recommendations(path: Path, seqs) -> dict[str, list[int]]:
+def _read_recommendations(path: Path, seqs, m: int) -> dict[str, list[int]]:
+    """user_id -> ranked items, each an index in [0, m)."""
     ranked: dict[str, list[int]] = {}
     for user_id, item in _parse_rows(path, "recommendation", lambda user, rank, item, score: (user, int(item))):
+        if not 0 <= item < m:
+            raise ValueError(f"{path.name}: user {user_id!r} has item {item}; items must lie in [0, {m})")
         ranked.setdefault(user_id, []).append(item)
     _check_users(path, ranked, seqs)
     return ranked
@@ -507,7 +519,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
     # displacement of the point nearest the truth (earlier on a tie); none counts as the last index
     cpd_inputs = {}
     for label in cfg.detector_labels():
-        points = _read_changepoints(_require(out / f"changepoints_{label}.tsv"), seqs)
+        points = _read_changepoints(_require(out / f"changepoints_{label}.tsv"), seqs, interior=False)
         cpd_inputs[label] = {}
         for seq in seqs:
             pts, truth = points[seq.user_id], seq.truth_change
@@ -540,7 +552,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
     # ranking quality against the held-out tail
     pr_rows, metric_rows, text_lines = [], [], []
     for label in cfg.ranker_labels():
-        ranked = _read_recommendations(_require(out / f"recommendations_{label}.tsv"), seqs)
+        ranked = _read_recommendations(_require(out / f"recommendations_{label}.tsv"), seqs, m)
         precision_at, recall_at, ndcg_at = ranking_metrics(ranked, holdout, cfg.n_grid)
         points = [(precision_at[N], recall_at[N]) for N in cfg.n_grid]
         per_method[label] = MethodMetrics(

@@ -462,6 +462,33 @@ class TestStaleArtifacts:
         assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
         assert f"{name} {message.format(first=first)} benchmark.tsv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["recommend", "evaluate"])
+    @pytest.mark.parametrize("points", ["999", "5,3"], ids=["beyond-T", "descending"])
+    def test_points_outside_the_sequence_are_refused(self, cli_run, tmp_path, capsys, stage, points):
+        name = "changepoints_HMCD-S2.tsv"
+        user = data_rows(cli_run[1] / name)[0][0]
+
+        def edit(rows):
+            cells = rows[0].split("\t")
+            cells[3] = points
+            return ["\t".join(cells)] + rows[1:]
+
+        assert self.run_edited(cli_run, tmp_path, stage, name, edit) == 2
+        listed = points.replace(",", ", ")
+        assert f"{name}: user {user!r} has points [{listed}]; they must ascend strictly within [" in capsys.readouterr().err
+
+    def test_items_outside_the_vocabulary_are_refused(self, cli_run, tmp_path, capsys):
+        name = "recommendations_NMF.tsv"
+        user = data_rows(cli_run[1] / name)[0][0]
+
+        def edit(rows):
+            cells = rows[0].split("\t")
+            cells[2] = "99999"
+            return ["\t".join(cells)] + rows[1:]
+
+        assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
+        assert f"{name}: user {user!r} has item 99999; items must lie in [0, " in capsys.readouterr().err
+
     def test_changepoints_of_another_benchmark_are_refused(self, cli_run, tmp_path):
         """Re-synthesizing at another seed keeps the positional user ids but
         not each user's length and true change point."""

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import driftrec.recommend
 from driftrec.factorization import FactorPair
 from driftrec.hmm import HmmModel
 from driftrec.recommend import (
@@ -10,6 +13,7 @@ from driftrec.recommend import (
     hmm_item_factors,
     hmmr_recommend,
     item_popularity,
+    neighbor_order,
     pop_rank,
     recommend_from_segments,
     score_by_segment,
@@ -36,21 +40,43 @@ def posterior_oracle(model):
     return np.array(rows)
 
 
-def score_oracle(vectors, segment, l):
-    """Per-item neighbor voting via explicit enumeration and python sort."""
-    m = len(vectors)
-    seg_set = set(int(i) for i in segment)
-    votes = [0.0] * m
-    for i_prime in segment:
-        sims = [
-            (float(np.dot(vectors[i_prime], vectors[j])), j)
-            for j in range(m)
-            if j not in seg_set
-        ]
-        sims.sort(key=lambda t: (-t[0], t[1]))
-        for _, j in sims[:l]:
-            votes[j] += 1.0
-    return np.array(votes) / len(segment)
+def lexsort_oracle(vectors, segment, l):
+    """The per-occurrence scorer the neighbor-order table replaced: one BLAS
+    product of the segment against every item, then a lexsort per occurrence."""
+    vectors = np.asarray(vectors, dtype=float)
+    seg = np.asarray(segment, dtype=np.int64)
+    m = vectors.shape[0]
+    sims = vectors[seg] @ vectors.T
+    sims[:, np.unique(seg)] = -np.inf
+    idx = np.arange(m)
+    votes = np.zeros(m)
+    for row in sims:
+        top = np.lexsort((idx, -row))[:l]
+        top = top[np.isfinite(row[top])]
+        votes[top] += 1.0
+    return votes / len(seg)
+
+
+def tie_heavy_vectors(rng, m, d):
+    """Small-integer vectors with duplicated and all-zero rows, so that many
+    similarities tie exactly."""
+    vectors = rng.integers(-2, 3, size=(m, d)).astype(float)
+    vectors[rng.choice(m, m // 4, replace=False)] = vectors[rng.choice(m, m // 4, replace=False)]
+    vectors[rng.choice(m, m // 10, replace=False)] = 0.0
+    return vectors
+
+
+def counting(monkeypatch, name):
+    """Replace driftrec.recommend.<name> by a wrapper; returns its call list."""
+    calls = []
+    original = getattr(driftrec.recommend, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(driftrec.recommend, name, wrapper)
+    return calls
 
 
 class TestItemFactorsType:
@@ -141,14 +167,39 @@ class TestScoreBySegment:
         scores = score_by_segment(factors, [0, 1], l=10)
         np.testing.assert_array_equal(scores, [0.0, 0.0, 1.0, 1.0])
 
-    def test_matches_brute_force(self):
+    def test_matches_brute_force(self, monkeypatch):
+        """Votes bit-equal to the per-occurrence lexsort scorer.  One
+        ItemFactors serves segments of growing width, so its cached table
+        prefix widens; the 600-item cases span three build blocks."""
+        builds = counting(monkeypatch, "neighbor_order")
         rng = np.random.default_rng(41)
-        for _ in range(25):
-            vectors = rng.normal(size=(8, 4))
+        cases = [
+            (rng.normal(size=(8, 4)), 2),
+            (tie_heavy_vectors(rng, 12, 2), 5),
+            (rng.normal(size=(600, 6)), 10),
+            (tie_heavy_vectors(rng, 600, 3), 20),
+        ]
+        for vectors, l in cases:
+            m = len(vectors)
             factors = ItemFactors(vectors=vectors, source="bpr")
-            segment = rng.choice(8, size=3, replace=False).tolist()
-            got = score_by_segment(factors, segment, l=2)
-            np.testing.assert_allclose(got, score_oracle(vectors, segment, 2))
+            segments = [rng.choice(m, size=size) for size in (1, 2, 3, 5, 9, 40, m // 2) for _ in range(4)]
+            # every item but one, and every item: fewer than l candidates remain
+            segments += [np.arange(1, m), np.arange(m)]
+            del builds[:]
+            for segment in segments:
+                got = score_by_segment(factors, segment, l)
+                np.testing.assert_array_equal(got, lexsort_oracle(vectors, segment, l))
+            assert len(builds) > 1
+            assert builds[-1][1] == m
+
+    def test_blocked_table_matches_whole_product(self):
+        rng = np.random.default_rng(42)
+        for vectors in (rng.normal(size=(600, 5)), tie_heavy_vectors(rng, 600, 2)):
+            whole = np.argsort(-(vectors @ vectors.T), axis=1, kind="stable")
+            table = neighbor_order(vectors, 600)
+            assert table.dtype == np.int16
+            np.testing.assert_array_equal(table, whole)
+            np.testing.assert_array_equal(neighbor_order(vectors, 37), whole[:, :37])
 
     def test_segment_order_irrelevant(self):
         rng = np.random.default_rng(43)
@@ -187,6 +238,55 @@ class TestScoreBySegment:
         factors = ItemFactors(vectors=vectors, source="bpr")
         scores = score_by_segment(factors, [0, 3, 3, 9], l=4)
         assert scores.min() >= 0.0 and scores.max() <= 1.0
+
+
+class TestCachedState:
+    def _request(self, model):
+        return hmmr_recommend(
+            model, [[0, 1, 2], [5, 6, 6]], [0, 1, 2, 5, 6], np.zeros(30), l=4, N=5
+        )
+
+    def test_hmmr_inverts_and_builds_once_per_model(self, monkeypatch):
+        inversions = counting(monkeypatch, "hmm_item_factors")
+        builds = counting(monkeypatch, "neighbor_order")
+        model = random_model(np.random.default_rng(61), h=3, m=30)
+        first = self._request(model)
+        for _ in range(4):
+            assert self._request(model) == first
+        assert (len(inversions), len(builds)) == (1, 1)
+        # a second instance with the same parameters gets its own
+        twin = HmmModel(pi=model.pi, trans=model.trans, emit=model.emit)
+        assert self._request(twin) == first
+        assert (len(inversions), len(builds)) == (2, 2)
+
+    def test_replacing_model_arrays_inverts_again(self, monkeypatch):
+        inversions = counting(monkeypatch, "hmm_item_factors")
+        model = random_model(np.random.default_rng(67), h=3, m=30)
+        self._request(model)
+        model.emit = random_model(np.random.default_rng(71), h=3, m=30).emit
+        self._request(model)
+        assert len(inversions) == 2
+
+    def test_cached_inputs_cannot_be_mutated(self):
+        source = np.random.default_rng(73).normal(size=(6, 2))
+        factors = ItemFactors(vectors=source, source="bpr")
+        with pytest.raises(ValueError, match="read-only"):
+            factors.vectors[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            factors.vectors = np.zeros((6, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            factors.neighbors(3)[0, 0] = 1
+        # the factors own a copy, so the caller's array stays writable and apart
+        source[0, 0] = 99.0
+        assert factors.vectors[0, 0] != 99.0
+        model = random_model(np.random.default_rng(79), h=2, m=6)
+        for arr in (model.pi, model.trans, model.emit):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
+
+    def test_non_finite_vectors_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            ItemFactors(vectors=[[1.0, np.nan]], source="bpr")
 
 
 class TestSegmentRecommenders:
