@@ -17,6 +17,12 @@ built lazily, 256 rows at a time, and cached on the ItemFactors, whose
 vectors are a read-only copy so the table cannot go stale.  hmmr_recommend
 inverts a model's emissions and builds its table once per HmmModel
 instance, however many requests it serves.
+
+Both orders are selected rather than sorted, with the ties of a full
+stable sort.  A table row keeps the items above its width-th similarity
+plus the lowest-index items tied with it, then sorts only those.  A top-N
+list keeps the unseen items scoring at least the N-th best, all of its
+ties included, then sorts only those by score, popularity and index.
 """
 
 from __future__ import annotations
@@ -33,6 +39,27 @@ _ROW_SUM_TOL = 1e-9
 _BLOCK_ROWS = 256
 
 
+def _stable_prefix(key: np.ndarray, width: int) -> np.ndarray:
+    """np.argsort(key, axis=1, kind="stable")[:, :width], selected rather
+    than sorted: each row keeps the entries below its width-th smallest key
+    plus the lowest-index entries tied with it, and sorts only those."""
+    thr = np.partition(key, width - 1, axis=1)[:, width - 1 : width] if 0 < width < key.shape[1] else None
+    # NaN sorts last, so a NaN threshold marks a row with fewer than width
+    # comparable keys; such a block is sorted in full
+    if thr is None or np.isnan(thr).any():
+        return np.argsort(key, axis=1, kind="stable")[:, :width]
+    sel = key <= thr
+    # a row tied at its threshold past the width keeps only its lowest-index ties
+    surplus = np.count_nonzero(sel, axis=1) - width
+    over = np.flatnonzero(surplus)
+    tied = key[over] == thr[over]
+    sel[over] &= ~tied | (np.cumsum(tied, axis=1) <= tied.sum(axis=1, keepdims=True) - surplus[over, None])
+    # np.nonzero yields each row's width columns in ascending order
+    cols = np.nonzero(sel)[1].reshape(-1, width)
+    order = np.argsort(np.take_along_axis(key, cols, axis=1), axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1)
+
+
 def neighbor_order(vectors: np.ndarray, width: int) -> np.ndarray:
     """The first `width` entries of every item's neighbor order.
 
@@ -43,8 +70,7 @@ def neighbor_order(vectors: np.ndarray, width: int) -> np.ndarray:
     m = len(vectors)
     table = np.empty((m, width), dtype=np.int16 if m < 2**15 else np.int32)
     for lo in range(0, m, _BLOCK_ROWS):
-        sims = vectors[lo : lo + _BLOCK_ROWS] @ vectors.T
-        table[lo : lo + _BLOCK_ROWS] = np.argsort(-sims, axis=1, kind="stable")[:, :width]
+        table[lo : lo + _BLOCK_ROWS] = _stable_prefix(-(vectors[lo : lo + _BLOCK_ROWS] @ vectors.T), width)
     return table
 
 
@@ -195,18 +221,30 @@ def _last_usable_segment(segments) -> tuple:
 
 def _rank(scores, popularity, exclude, N, user_id, used_fallback) -> Recommendation:
     m = len(scores)
-    mask = np.ones(m, dtype=bool)
+    popularity = np.asarray(popularity, dtype=float)
+    if popularity.shape != (m,):
+        raise ValueError(f"popularity must have shape ({m},)")
+    if not np.isfinite(popularity).all():
+        raise ValueError("popularity must be finite")
     exclude = np.asarray(exclude, dtype=np.int64)
+    mask = np.ones(m, dtype=bool)
     if exclude.size:
+        if exclude.min() < 0 or exclude.max() >= m:
+            raise ValueError(f"training_items must lie in [0, {m})")
         mask[exclude] = False
     cand = np.flatnonzero(mask)
+    s = scores[cand]
+    if len(cand) > N:
+        # only scores at or above the N-th largest can reach the top N; all
+        # of its ties stay, so the popularity and index tie-breaks see them
+        keep = s >= np.partition(s, s.size - N)[s.size - N]
+        cand, s = cand[keep], s[keep]
     # primary: score desc; then popularity desc; then index asc
-    order = np.lexsort((cand, -popularity[cand], -scores[cand]))
-    top = cand[order[:N]]
+    top = cand[np.lexsort((cand, -popularity[cand], -s))[:N]]
     return Recommendation(
         user_id=user_id,
-        ranked_items=[int(i) for i in top],
-        scores=[float(scores[i]) for i in top],
+        ranked_items=top.tolist(),
+        scores=scores[top].tolist(),
         used_fallback=used_fallback,
     )
 
@@ -223,8 +261,10 @@ def rank_by_scores(
     if N < 1:
         raise ValueError("N must be >= 1")
     scores = np.asarray(scores, dtype=float)
-    if scores.shape != popularity.shape:
-        raise ValueError("scores and popularity must have the same length")
+    if scores.ndim != 1:
+        raise ValueError("scores must be a vector")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite")
     return _rank(scores, popularity, training_items, N, user_id, False)
 
 

@@ -15,6 +15,7 @@ from driftrec.recommend import (
     item_popularity,
     neighbor_order,
     pop_rank,
+    rank_by_scores,
     recommend_from_segments,
     score_by_segment,
     smf_recommend,
@@ -55,6 +56,26 @@ def lexsort_oracle(vectors, segment, l):
         top = top[np.isfinite(row[top])]
         votes[top] += 1.0
     return votes / len(seg)
+
+
+def full_lexsort_rank(scores, popularity, exclude, N):
+    """The ranker before top-N selection: a lexsort of every unseen item by
+    score desc, popularity desc, index asc; returns (items, scores)."""
+    m = len(scores)
+    mask = np.ones(m, dtype=bool)
+    exclude = np.asarray(exclude, dtype=np.int64)
+    if exclude.size:
+        mask[exclude] = False
+    cand = np.flatnonzero(mask)
+    top = cand[np.lexsort((cand, -popularity[cand], -scores[cand]))[:N]]
+    return top, scores[top]
+
+
+def assert_bits_equal(got, want):
+    """Equal values and equal signs, so -0.0 and 0.0 count as different."""
+    got, want = np.asarray(got), np.asarray(want)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 def tie_heavy_vectors(rng, m, d):
@@ -200,6 +221,31 @@ class TestScoreBySegment:
             assert table.dtype == np.int16
             np.testing.assert_array_equal(table, whole)
             np.testing.assert_array_equal(neighbor_order(vectors, 37), whole[:, :37])
+
+    def test_selected_table_matches_stable_argsort(self):
+        """Bit-equal to the prefix of a full stable argsort at widths 1,
+        m - 1, m and at widths that cut through a tie, on tie-heavy vectors
+        with duplicate and all-zero rows; 600 items span three blocks."""
+        rng = np.random.default_rng(44)
+        for vectors in (tie_heavy_vectors(rng, 600, 2), tie_heavy_vectors(rng, 600, 3)):
+            m = len(vectors)
+            key = -(vectors @ vectors.T)
+            whole = np.argsort(key, axis=1, kind="stable")
+            ranked = np.take_along_axis(key, whole, axis=1)
+            # widths at which some row's last kept entry ties with the next one
+            cuts = np.flatnonzero((ranked[:, :-1] == ranked[:, 1:]).any(axis=0)) + 1
+            assert cuts.size > 100
+            for width in [1, 2, m - 1, m, *rng.choice(cuts, 4, replace=False)]:
+                np.testing.assert_array_equal(neighbor_order(vectors, width), whole[:, :width])
+
+    def test_table_with_incomparable_similarities_sorts_in_full(self):
+        # a stable sort puts NaN similarities last; rows of the first block are
+        # all NaN, later rows hold NaN columns among comparable ones
+        vectors = np.random.default_rng(45).normal(size=(300, 2))
+        vectors[:256:7] = np.nan
+        whole = np.argsort(-(vectors @ vectors.T), axis=1, kind="stable")
+        for width in (1, 20, 299):
+            np.testing.assert_array_equal(neighbor_order(vectors, width), whole[:, :width])
 
     def test_segment_order_irrelevant(self):
         rng = np.random.default_rng(43)
@@ -410,6 +456,57 @@ class TestSegmentRecommenders:
             N=4,
         )
         assert rec.ranked_items == [3, 1, 4, 2]
+
+
+class TestRankSelection:
+    def test_matches_full_lexsort(self):
+        """Items and scores bit-equal to a full lexsort of every unseen item."""
+        rng = np.random.default_rng(83)
+        m = 300
+        cases = [
+            # integer scores: many ties at the N-th value, broken by popularity, then index
+            (rng.integers(0, 4, m).astype(float), rng.integers(0, 3, m).astype(float), 10),
+            (np.zeros(m), rng.integers(0, 2, m).astype(float), 10),
+            (np.zeros(m), np.zeros(m), 25),
+            (rng.choice([-0.0, 0.0, 1.0], m), rng.integers(0, 2, m).astype(float), 10),
+            (rng.choice([-0.0, 0.0], m), np.zeros(m), 7),
+            (rng.normal(size=m), rng.random(m), 10),
+            (rng.normal(size=m), rng.random(m), m),
+            (rng.integers(0, 3, m).astype(float), rng.integers(0, 2, m).astype(float), m + 5),
+        ]
+        # no training items, some, all but four (fewer than N remain), all
+        excludes = [[], rng.choice(m, 40, replace=False), rng.choice(m, m - 4, replace=False), np.arange(m)]
+        for scores, popularity, N in cases:
+            for exclude in excludes:
+                got = driftrec.recommend._rank(scores, popularity, exclude, N, "u", False)
+                items, want = full_lexsort_rank(scores, popularity, exclude, N)
+                np.testing.assert_array_equal(got.ranked_items, items)
+                assert_bits_equal(got.scores, want)
+
+    def test_negative_training_item_rejected(self):
+        # an index of -1 would silently hide the last item
+        scores = np.array([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="training_items"):
+            rank_by_scores(scores, np.zeros(3), training_items=[-1], N=2)
+
+    def test_training_item_past_the_last_rejected(self):
+        with pytest.raises(ValueError, match="training_items"):
+            rank_by_scores(np.zeros(3), np.zeros(3), training_items=[3], N=2)
+
+    def test_short_popularity_rejected(self):
+        factors = ItemFactors(vectors=np.eye(4), source="nmf")
+        with pytest.raises(ValueError, match="popularity"):
+            recommend_from_segments(factors, [[0]], [0], popularity=np.zeros(3), N=2)
+
+    def test_non_finite_popularity_rejected(self):
+        factors = ItemFactors(vectors=np.eye(4), source="nmf")
+        with pytest.raises(ValueError, match="popularity"):
+            recommend_from_segments(factors, [[0]], [0], popularity=np.array([0.0, np.nan, 1.0, 2.0]), N=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="scores"):
+            rank_by_scores(np.array([1.0, bad, 0.0]), np.zeros(3), training_items=[], N=2)
 
 
 class TestPopRank:
