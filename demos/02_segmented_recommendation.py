@@ -23,10 +23,9 @@ from driftrec import (
     item_popularity,
     nmf_fit,
     partition,
-    pop_rank,
     precision_recall_at,
     rank_by_scores,
-    smf_recommend,
+    recommend_from_segments,
 )
 
 rng = np.random.default_rng(21)
@@ -88,7 +87,7 @@ N = 10
 precisions = {"segment-aware": [], "whole-history": [], "popularity": []}
 for r, seq in enumerate(corpus):
     segments = segments_by_user[seq.user_id]
-    rec = smf_recommend(factors, segments, seq.items, popularity, l=8, N=N, user_id=seq.user_id)
+    rec = recommend_from_segments(factors, segments, seq.items, popularity, l=8, N=N, user_id=seq.user_id)
     truth = holdouts[seq.user_id]
     precisions["segment-aware"].append(precision_recall_at(rec.ranked_items, truth, N)[0])
 
@@ -96,7 +95,7 @@ for r, seq in enumerate(corpus):
     rec = rank_by_scores(scores, popularity, seq.items, N, user_id=seq.user_id)
     precisions["whole-history"].append(precision_recall_at(rec.ranked_items, truth, N)[0])
 
-    rec = pop_rank(whole, seq.items, N, user_id=seq.user_id)
+    rec = rank_by_scores(popularity, popularity, seq.items, N, user_id=seq.user_id)
     precisions["popularity"].append(precision_recall_at(rec.ranked_items, truth, N)[0])
 
 print(f"\nmean precision@{N} against the held-out future plays:")

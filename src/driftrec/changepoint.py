@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hmm import HmmModel, InteractionSequence, viterbi_decode, viterbi_decode_all
+from .hmm import HmmModel, InteractionSequence, viterbi_decode_all
 
 
 @dataclass
@@ -46,8 +46,7 @@ def hmcd_detect(model: HmmModel, seq: InteractionSequence, k: int = 1) -> Change
     The result hmcd_detect_all gives for a corpus of one; see there for
     how candidates are found, scored and selected.
     """
-    _check_k(k)
-    return _switch_points(model, seq, viterbi_decode(model, seq).states, k)
+    return hmcd_detect_all(model, [seq], k)[0]
 
 
 def hmcd_detect_all(
@@ -62,14 +61,10 @@ def hmcd_detect_all(
     order; score ties prefer the earliest step.  A switchless path yields
     an empty result flagged no_change.
     """
-    _check_k(k)
-    paths = viterbi_decode_all(model, corpus)
-    return [_switch_points(model, seq, path.states, k) for seq, path in zip(corpus, paths)]
-
-
-def _check_k(k: int) -> None:
     if k < 1:
         raise ValueError("k must be >= 1")
+    paths = viterbi_decode_all(model, corpus)
+    return [_switch_points(model, seq, path.states, k) for seq, path in zip(corpus, paths)]
 
 
 def _switch_points(

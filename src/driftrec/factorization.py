@@ -147,28 +147,6 @@ def nmf_fit(M, cfg: FactorizationConfig | None = None, return_history: bool = Fa
     return pair
 
 
-def sigmoid(x: float) -> float:
-    """Numerically stable logistic function."""
-    return float(np.exp(-np.logaddexp(0.0, -x)))
-
-
-def bpr_triple_loss(p_u, q_i, q_j, regularization: float) -> float:
-    """Pairwise ranking loss of one (user, preferred, other) triple."""
-    x = float(p_u @ (q_i - q_j))
-    penalty = 0.5 * regularization * (p_u @ p_u + q_i @ q_i + q_j @ q_j)
-    return float(np.logaddexp(0.0, -x) + penalty)
-
-
-def bpr_triple_grad(p_u, q_i, q_j, regularization: float):
-    """Gradient of bpr_triple_loss with respect to (p_u, q_i, q_j)."""
-    x = float(p_u @ (q_i - q_j))
-    s = sigmoid(-x)
-    g_p = -s * (q_i - q_j) + regularization * p_u
-    g_i = -s * p_u + regularization * q_i
-    g_j = s * p_u + regularization * q_j
-    return g_p, g_i, g_j
-
-
 def _triple_levels(users, items, negs, n: int, m: int) -> np.ndarray:
     """Each triple's level: 1 + the highest level of any earlier triple that shares its
     user row or one of its item rows.  (Inline comparisons: max() doubles the loop's cost.)"""
@@ -185,9 +163,9 @@ def _triple_levels(users, items, negs, n: int, m: int) -> np.ndarray:
 def _bpr_chunk(p, q, u, i, j, lr: float, reg: float) -> None:
     """One SGD step for triples that share no row, applied at once.
 
-    Per triple this is bpr_triple_grad and its update, operation for
-    operation: the margin is a dot product and sigmoid(-x) is
-    exp(-logaddexp(0, x)).
+    Per triple this is the pairwise-ranking gradient step, operation for
+    operation: the margin x is a dot product and the logistic weight
+    sigmoid(-x) is exp(-logaddexp(0, x)).
     """
     p_u, q_i, q_j = p[u], q[i], q[j]
     diff = q_i - q_j
@@ -206,7 +184,7 @@ def bpr_fit(M, cfg: FactorizationConfig | None = None) -> FactorPair:
     their positive set.  Users lacking either a positive or a negative
     item cannot form a triple and are skipped, with one warning giving the
     count.  Sampling and update order are fixed by cfg.seed; the updates
-    equal those of a per-triple loop over bpr_triple_grad, bit for bit.
+    equal those of a per-triple gradient loop, bit for bit.
     Entries must be finite; those > 0 are the positives.
     """
     cfg = cfg or FactorizationConfig()

@@ -37,6 +37,20 @@ def _check_entries(arr: np.ndarray, nonnegative: bool, name: str = "matrix") -> 
     raise ValueError(f"{name} entry ({', '.join(map(str, index))}) is {arr[index]}; entries must be {need}")
 
 
+def _index_array(values, name: str) -> np.ndarray:
+    """values as a 1-D int64 array.  A ValueError names the field when they
+    are not 1-D or hold a value that is not a whole number, which a plain
+    integer cast would truncate."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D index array")
+    if arr.dtype.kind not in "biu":
+        arr = arr.astype(float)
+        if not (np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
+            raise ValueError(f"{name} must hold integer indices")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(eq=False)
 class HmmModel:
     """Model parameters: initial distribution, state transitions, emissions.
@@ -57,9 +71,9 @@ class HmmModel:
         self.pi = np.array(self.pi, dtype=float)
         self.trans = np.array(self.trans, dtype=float)
         self.emit = np.array(self.emit, dtype=float)
-        h = self.pi.shape[0]
-        if self.pi.ndim != 1 or h < 1:
+        if self.pi.ndim != 1 or len(self.pi) < 1:
             raise ValueError("pi must be a non-empty 1-D probability vector")
+        h = len(self.pi)
         if self.trans.shape != (h, h):
             raise ValueError(f"trans must have shape ({h}, {h}), got {self.trans.shape}")
         if self.emit.ndim != 2 or self.emit.shape[0] != h or self.emit.shape[1] < 1:
@@ -97,8 +111,8 @@ class InteractionSequence:
     truth_change: int | None = None
 
     def __post_init__(self):
-        self.items = np.asarray(self.items, dtype=np.int64)
-        if self.items.ndim != 1 or len(self.items) < 1:
+        self.items = _index_array(self.items, "items")
+        if len(self.items) < 1:
             raise ValueError("items must be a non-empty 1-D index array")
         if np.any(self.items < 0):
             raise ValueError("item indices must be nonnegative")
@@ -148,16 +162,6 @@ def _check_items(seq: InteractionSequence, m: int) -> np.ndarray:
             f">= model item count {m}"
         )
     return items
-
-
-def forward_log_likelihood(model: HmmModel, seq: InteractionSequence) -> float:
-    """Log probability of the observed sequence under the model.
-
-    The scaled forward recursion on a corpus of one; returns -inf if the
-    sequence has zero probability (an impossible observation under the
-    model).
-    """
-    return total_log_likelihood(model, [seq])
 
 
 def viterbi_decode(model: HmmModel, seq: InteractionSequence) -> DecodedPath:

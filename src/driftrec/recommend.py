@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .factorization import FactorPair
-from .hmm import HmmModel
+from .factorization import FactorPair, _as_matrix
+from .hmm import _ROW_SUM_TOL, HmmModel, _check_entries, _index_array
 
-_ROW_SUM_TOL = 1e-9
 _BLOCK_ROWS = 256
 
 
@@ -92,15 +91,11 @@ class ItemFactors:
         vectors = np.array(self.vectors, dtype=float)
         if vectors.ndim != 2:
             raise ValueError("vectors must be an m x d matrix")
-        if not np.all(np.isfinite(vectors)):
-            raise ValueError("vectors must be finite")
         if self.source not in ("nmf", "bpr", "hmm"):
             raise ValueError(f"unknown factor source {self.source!r}")
-        if self.source == "hmm":
-            if np.any(vectors < 0):
-                raise ValueError("state posteriors must be nonnegative")
-            if np.any(np.abs(vectors.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
-                raise ValueError("state posterior rows must sum to 1")
+        _check_entries(vectors, nonnegative=self.source == "hmm", name="vectors")
+        if self.source == "hmm" and np.any(np.abs(vectors.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
+            raise ValueError("state posterior rows must sum to 1")
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_order", np.empty((len(vectors), 0), dtype=np.int16))
@@ -122,8 +117,19 @@ class ItemFactors:
 
     def reserve(self, l: int, segment_lists) -> None:
         """Widen the table once for ranking every one of these users at l,
-        so a run of ever-longer segments does not widen it again and again."""
-        self.neighbors(l + max((len(np.unique(_last_usable_segment(segs)[0])) for segs in segment_lists), default=0))
+        so a run of ever-longer segments does not widen it again and again.
+        The width adds the most distinct items in any user's last usable
+        segment, counted for all users by one np.unique over (user, item) keys."""
+        segments = [_last_usable_segment(segs)[0] for segs in segment_lists]
+        distinct = 0
+        if segments:
+            items = _index_array(np.concatenate(segments), "segment")
+            users = np.repeat(np.arange(len(segments)), [len(seg) for seg in segments])
+            # keys offset by the smallest item stay nonnegative and apart per user
+            # even for items outside [0, m), which score_by_segment refuses
+            span = int(np.ptp(items)) + 1
+            distinct = int(np.bincount(np.unique(users * span + items - items.min()) // span).max())
+        self.neighbors(l + distinct)
 
 
 @dataclass
@@ -188,7 +194,7 @@ def score_by_segment(factors: ItemFactors, segment, l: int) -> np.ndarray:
     """
     if l < 1:
         raise ValueError("l must be >= 1")
-    seg = np.asarray(segment, dtype=np.int64)
+    seg = _index_array(segment, "segment")
     if seg.size == 0:
         raise ValueError("segment must not be empty")
     m = len(factors.vectors)
@@ -206,10 +212,7 @@ def score_by_segment(factors: ItemFactors, segment, l: int) -> np.ndarray:
 
 def item_popularity(matrix) -> np.ndarray:
     """How many rows of the incidence matrix contain each item."""
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.size == 0:
-        raise ValueError("matrix must be 2-D and non-empty")
-    return (M > 0).sum(axis=0).astype(float)
+    return (_as_matrix(matrix) > 0).sum(axis=0).astype(float)
 
 
 def _last_usable_segment(segments) -> tuple:
@@ -220,13 +223,15 @@ def _last_usable_segment(segments) -> tuple:
 
 
 def _rank(scores, popularity, exclude, N, user_id, used_fallback) -> Recommendation:
+    if N < 1:
+        raise ValueError("N must be >= 1")
     m = len(scores)
     popularity = np.asarray(popularity, dtype=float)
     if popularity.shape != (m,):
         raise ValueError(f"popularity must have shape ({m},)")
     if not np.isfinite(popularity).all():
         raise ValueError("popularity must be finite")
-    exclude = np.asarray(exclude, dtype=np.int64)
+    exclude = _index_array(exclude, "training_items")
     mask = np.ones(m, dtype=bool)
     if exclude.size:
         if exclude.min() < 0 or exclude.max() >= m:
@@ -258,8 +263,6 @@ def rank_by_scores(
     scorers (a plain factorization dot product, say) produce directly
     comparable lists.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1:
         raise ValueError("scores must be a vector")
@@ -284,8 +287,6 @@ def recommend_from_segments(
     items are removed before ranking, and score ties fall back to
     popularity, then item index.
     """
-    if N < 1:
-        raise ValueError("N must be >= 1")
     segment, used_fallback = _last_usable_segment(segments)
     scores = score_by_segment(factors, segment, l)
     return _rank(scores, popularity, training_items, N, user_id, used_fallback)
@@ -297,16 +298,6 @@ smf_recommend = recommend_from_segments
 
 # per model instance: the arrays the factors were inverted from, and the factors
 _MODEL_FACTORS: "weakref.WeakKeyDictionary[HmmModel, tuple]" = weakref.WeakKeyDictionary()
-
-
-def _model_factors(model: HmmModel) -> ItemFactors:
-    """hmm_item_factors(model), inverted once per model instance; a model
-    whose parameter arrays were replaced is inverted again."""
-    trans, emit, factors = _MODEL_FACTORS.get(model, (None, None, None))
-    if trans is not model.trans or emit is not model.emit:
-        factors = hmm_item_factors(model)
-        _MODEL_FACTORS[model] = (model.trans, model.emit, factors)
-    return factors
 
 
 def hmmr_recommend(
@@ -321,16 +312,17 @@ def hmmr_recommend(
     """Segment-based ranking over the model's item-state posteriors.
 
     The posteriors and their neighbor-order table are computed on the
-    first call for a model and reused on every later one.
+    first call for a model and reused on every later one; a model whose
+    parameter arrays were replaced is inverted again.
     """
-    return recommend_from_segments(
-        _model_factors(model), segments, training_items, popularity, l=l, N=N, user_id=user_id
-    )
+    trans, emit, factors = _MODEL_FACTORS.get(model, (None, None, None))
+    if trans is not model.trans or emit is not model.emit:
+        factors = hmm_item_factors(model)
+        _MODEL_FACTORS[model] = (model.trans, model.emit, factors)
+    return recommend_from_segments(factors, segments, training_items, popularity, l=l, N=N, user_id=user_id)
 
 
 def pop_rank(matrix, user_items, N: int, user_id: str = "") -> Recommendation:
     """Most popular unseen items, most frequent first; ties by index."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
     popularity = item_popularity(matrix)
     return _rank(popularity, popularity, user_items, N, user_id, False)

@@ -21,7 +21,7 @@ from driftrec.hmm import (
     InteractionSequence,
     TrainConfig,
     baum_welch_train,
-    forward_log_likelihood,
+    total_log_likelihood,
     viterbi_decode,
 )
 from driftrec.pipeline import (
@@ -100,7 +100,7 @@ def test_decoding_matches_exhaustive_enumeration():
         seq = InteractionSequence(user_id="x", items=items)
 
         expected_ll = math.log(brute_force_likelihood(model, items))
-        got_ll = forward_log_likelihood(model, seq)
+        got_ll = total_log_likelihood(model, [seq])
         assert got_ll == pytest.approx(expected_ll, rel=1e-10, abs=0.0)
 
         best_path, best_p = brute_force_best_path(model, items)

@@ -12,14 +12,13 @@ from driftrec.factorization import (
     FactorPair,
     _triple_levels,
     bpr_fit,
-    bpr_triple_grad,
-    bpr_triple_loss,
     frobenius_objective,
     load_factors,
     nmf_fit,
     save_factors,
-    sigmoid,
 )
+
+from oracles import bpr_triple_grad, bpr_triple_loss, sigmoid
 
 
 def training_auc(M, pair):

@@ -11,7 +11,6 @@ from driftrec.hmm import (
     InteractionSequence,
     TrainConfig,
     baum_welch_train,
-    forward_log_likelihood,
     load_model,
     save_model,
     total_log_likelihood,
@@ -47,6 +46,10 @@ class TestModelInvariants:
         with pytest.raises(ValueError):
             HmmModel(pi=[1.0], trans=np.eye(2), emit=np.eye(2))
 
+    def test_zero_dimensional_pi_is_named(self):
+        with pytest.raises(ValueError, match="pi must be a non-empty 1-D"):
+            HmmModel(pi=0.5, trans=[[1.0]], emit=[[1.0]])
+
     @pytest.mark.parametrize(
         "name, value, match",
         [
@@ -71,26 +74,30 @@ class TestModelInvariants:
             seq([0, 1, 2], truth=3)
         assert seq([0, 1, 2], truth=2).truth_change == 2
 
+    def test_fractional_item_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="items must hold integer indices"):
+            InteractionSequence(user_id="u", items=[0.7, 1])
+
 
 class TestForward:
     def test_degenerate_single_state(self):
         model = HmmModel(pi=[1.0], trans=[[1.0]], emit=[[1.0]])
-        assert forward_log_likelihood(model, seq([0, 0, 0])) == 0.0
+        assert total_log_likelihood(model, [seq([0, 0, 0])]) == 0.0
 
     def test_impossible_observation_is_neg_inf(self):
         model = HmmModel(pi=[0.5, 0.5], trans=np.eye(2), emit=np.eye(2))
-        assert forward_log_likelihood(model, seq([0, 1])) == float("-inf")
+        assert total_log_likelihood(model, [seq([0, 1])]) == float("-inf")
 
     def test_out_of_range_item_rejected(self):
         model = HmmModel(pi=[1.0], trans=[[1.0]], emit=[[1.0]])
         with pytest.raises(ValueError):
-            forward_log_likelihood(model, seq([0, 1]))
+            total_log_likelihood(model, [seq([0, 1])])
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(7)
         model = random_model(rng, h=3, m=4)
         items = rng.integers(0, 4, size=5)
-        got = forward_log_likelihood(model, seq(items))
+        got = total_log_likelihood(model, [seq(items)])
         want = math.log(brute_force_likelihood(model, items))
         assert got == pytest.approx(want, rel=1e-10)
 
@@ -104,8 +111,8 @@ class TestForward:
             trans=model.trans[np.ix_(perm, perm)],
             emit=model.emit[perm],
         )
-        a = forward_log_likelihood(model, seq(items))
-        b = forward_log_likelihood(relabeled, seq(items))
+        a = total_log_likelihood(model, [seq(items)])
+        b = total_log_likelihood(relabeled, [seq(items)])
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -126,7 +133,7 @@ class TestViterbi:
         s = seq([1, 0, 1])
         path = viterbi_decode(model, s)
         assert path.states.tolist() == [0, 0, 0]
-        assert path.log_joint == pytest.approx(forward_log_likelihood(model, s), rel=1e-12)
+        assert path.log_joint == pytest.approx(total_log_likelihood(model, [s]), rel=1e-12)
 
     def test_inconsistent_sequence_raises(self):
         model = HmmModel(pi=[1.0, 0.0], trans=np.eye(2), emit=np.eye(2))
@@ -173,7 +180,7 @@ def test_oracle_equivalence_randomized():
         t = int(rng.integers(1, 7))
         model = random_model(rng, h, m)
         items = rng.integers(0, m, size=t)
-        ll = forward_log_likelihood(model, seq(items))
+        ll = total_log_likelihood(model, [seq(items)])
         want = brute_force_likelihood(model, items)
         assert ll == pytest.approx(math.log(want), rel=1e-10)
         path = viterbi_decode(model, seq(items))
@@ -372,11 +379,11 @@ class TestBaumWelch:
         want = [math.log(brute_force_likelihood(model, s.items)) for s in corpus]
         assert total_log_likelihood(model, corpus) == pytest.approx(sum(want), rel=1e-10)
         for s, w in zip(corpus, want):
-            assert forward_log_likelihood(model, s) == pytest.approx(w, rel=1e-10)
+            assert total_log_likelihood(model, [s]) == pytest.approx(w, rel=1e-10)
 
         # -inf, not nan: the impossible sequence leaves its neighbours intact
         impossible = seq([0, m - 1, 1, 2], user="x")
-        assert forward_log_likelihood(model, impossible) == float("-inf")
+        assert total_log_likelihood(model, [impossible]) == float("-inf")
         assert total_log_likelihood(model, corpus[:4] + [impossible] + corpus[4:]) == float("-inf")
 
     def test_corpus_order_does_not_change_the_model(self, monkeypatch):

@@ -278,6 +278,17 @@ class TestScoreBySegment:
         with pytest.raises(ValueError):
             score_by_segment(factors, [], l=2)
 
+    @pytest.mark.parametrize(
+        "segment, match",
+        [([[0, 1]], "segment must be a 1-D"), ([0, 1.5], "segment must hold integer")],
+        ids=["2-D", "fractional"],
+    )
+    def test_malformed_segment_rejected(self, segment, match):
+        # a 2-D segment used to be flattened while its votes were divided by
+        # its row count, scoring items at 2.0
+        with pytest.raises(ValueError, match=match):
+            score_by_segment(ItemFactors(vectors=np.eye(4), source="nmf"), segment, 2)
+
     def test_scores_live_in_unit_interval(self):
         rng = np.random.default_rng(53)
         vectors = rng.normal(size=(12, 4))
@@ -333,6 +344,31 @@ class TestCachedState:
     def test_non_finite_vectors_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             ItemFactors(vectors=[[1.0, np.nan]], source="bpr")
+
+
+class TestReserve:
+    def test_builds_once_for_the_widest_last_segment(self, monkeypatch):
+        builds = counting(monkeypatch, "neighbor_order")
+        factors = ItemFactors(vectors=np.random.default_rng(83).normal(size=(40, 3)), source="bpr")
+        users = [
+            # an earlier segment's 20 items do not count, only the last one's 3
+            [np.arange(20, 40), np.array([4, 5, 5, 6])],
+            # the last segment is empty, so the fallback's 9 distinct items count
+            [np.arange(10, 19).repeat(2), np.array([], dtype=np.int64)],
+            [np.array([7]), np.array([33, 34, 35, 36, 37])],
+        ]
+        factors.reserve(4, users)
+        # 4 + 9 = 13, rounded up to a power of two
+        assert [width for _, width in builds] == [16]
+        for segments in users:
+            recommend_from_segments(factors, segments, np.concatenate(segments), np.zeros(40), l=4, N=5)
+        assert len(builds) == 1
+
+    def test_no_users_builds_at_l(self, monkeypatch):
+        builds = counting(monkeypatch, "neighbor_order")
+        ItemFactors(vectors=np.eye(12), source="nmf").reserve(5, [])
+        # l = 5, rounded up to a power of two
+        assert [width for _, width in builds] == [8]
 
 
 class TestSegmentRecommenders:
@@ -492,6 +528,10 @@ class TestRankSelection:
     def test_training_item_past_the_last_rejected(self):
         with pytest.raises(ValueError, match="training_items"):
             rank_by_scores(np.zeros(3), np.zeros(3), training_items=[3], N=2)
+
+    def test_fractional_training_item_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="training_items must hold integer"):
+            rank_by_scores(np.array([3.0, 2.0, 1.0]), np.ones(3), [0.5], 2)
 
     def test_short_popularity_rejected(self):
         factors = ItemFactors(vectors=np.eye(4), source="nmf")

@@ -1,13 +1,17 @@
 """Names looked up as strings.  The benchmark tracer in perfbench/spans.py
 wraps driftrec functions by name, so a deleted or renamed one would break
-`perfbench/run.py --trace 1`; a stale entry in `driftrec.__all__` would
-break `from driftrec import *`."""
+`perfbench/run.py --trace 1`; the benchmark's serving path in
+perfbench/run.py calls module attributes that no import checks until it
+runs; a stale entry in `driftrec.__all__` would break `from driftrec import *`."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+RUN = PERFBENCH / "run.py"
 
 
 def load_spans():
@@ -27,6 +31,30 @@ def test_every_traced_name_exists_in_its_module():
     ]
     assert missing == []
 
+
+def test_every_module_attribute_the_benchmark_reads_exists():
+    tree = ast.parse(RUN.read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "driftrec"
+        for alias in node.names
+    }
+    assert {"hmm", "changepoint", "factorization", "recommend", "dataset"} <= modules
+    reads = sorted(
+        {
+            (node.value.id, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules
+        }
+    )
+    assert ("recommend", "item_popularity") in reads
+    missing = [
+        f"driftrec.{module}.{name}"
+        for module, name in reads
+        if not callable(getattr(importlib.import_module(f"driftrec.{module}"), name, None))
+    ]
+    assert missing == []
 
 
 def test_every_exported_name_resolves_on_the_package():
