@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hmm import HmmModel, InteractionSequence, viterbi_decode_all
+from .hmm import HmmModel, InteractionSequence, _check_count, _check_entries, _check_points, _index_array, viterbi_decode_all
 
 
 @dataclass
@@ -34,10 +34,7 @@ class ChangePointResult:
     def __post_init__(self):
         if len(self.predicted) != len(self.score_per_point):
             raise ValueError("predicted and score_per_point must align")
-        if any(t < 1 for t in self.predicted):
-            raise ValueError("change indices must be >= 1")
-        if any(b <= a for a, b in zip(self.predicted, self.predicted[1:])):
-            raise ValueError("change indices must be strictly ascending")
+        self.predicted = _check_points("predicted", self.predicted, 1)
 
 
 def hmcd_detect(model: HmmModel, seq: InteractionSequence, k: int = 1) -> ChangePointResult:
@@ -61,8 +58,7 @@ def hmcd_detect_all(
     order; score ties prefer the earliest step.  A switchless path yields
     an empty result flagged no_change.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _check_count("k", k)
     paths = viterbi_decode_all(model, corpus)
     return [_switch_points(model, seq, path.states, k) for seq, path in zip(corpus, paths)]
 
@@ -91,12 +87,7 @@ def partition(seq: InteractionSequence, points: list[int]) -> list[np.ndarray]:
     segments reproduces the sequence exactly.
     """
     T = len(seq)
-    pts = [int(p) for p in points]
-    if any(not 1 <= p < T for p in pts):
-        raise ValueError(f"partition points must lie in [1, {T})")
-    if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValueError("partition points must be strictly ascending")
-    bounds = [0] + pts + [T]
+    bounds = [0] + _check_points("points", points, 1, T - 1) + [T]
     return [seq.items[a:b].copy() for a, b in zip(bounds, bounds[1:])]
 
 
@@ -105,14 +96,11 @@ def incidence_matrix(item_lists, m: int, labels) -> np.ndarray:
 
     Repeated items mark their cell once and an empty list gives an
     all-zero row.  labels[r] names row r in the ValueError raised for an
-    item outside [0, m).
+    item that is not a whole number in [0, m).
     """
-    arrays = [np.asarray(items, dtype=np.int64) for items in item_lists]
+    arrays = [np.asarray(items) for items in item_lists]
     rows = np.repeat(np.arange(len(arrays)), [a.size for a in arrays])
-    cols = np.concatenate(arrays) if arrays else rows
-    bad = np.flatnonzero((cols < 0) | (cols >= m))
-    if bad.size:
-        raise ValueError(f"{labels[rows[bad[0]]]} has item index outside [0, {m})")
+    cols = _index_array(np.concatenate(arrays) if arrays else rows, lambda i: labels[rows[i]], m)
     matrix = np.zeros((len(arrays), m))
     matrix[rows, cols] = 1.0
     return matrix
@@ -130,9 +118,7 @@ def build_segmented_matrix(segments_by_user: dict[str, list], m: int) -> np.ndar
     counts = {len(segs) for segs in segments_by_user.values()}
     if len(counts) != 1:
         raise ValueError(f"users have inconsistent segment counts: {sorted(counts)}")
-    per_user = counts.pop()
-    if per_user < 1:
-        raise ValueError("each user needs at least one segment")
+    per_user = _check_count("segments per user", counts.pop())
     return incidence_matrix(
         [segment for segs in segments_by_user.values() for segment in segs],
         m,
@@ -182,8 +168,7 @@ def tune_cusum_threshold(
         raise ValueError("corpus must not be empty")
     if any(seq.truth_change is None for seq in corpus):
         raise ValueError("threshold tuning needs truth_change on every sequence")
-    if grid_size < 1:
-        raise ValueError("grid_size must be >= 1")
+    grid_size = _check_count("grid_size", grid_size)
     sums = [np.cumsum(_step_values(seq, stat)) for seq in corpus]
     upper = float(np.mean([s[-1] for s in sums]))
     grid = np.linspace(0.0, upper, grid_size)
@@ -204,19 +189,26 @@ def sliding_window_detect(
     over all within-segment pairs (both segments pooled) minus the mean
     over all between-segment pairs; the earliest maximizer wins ties.  If
     every pairwise distance is zero the objective carries no information
-    and (1, True) is returned.
+    and (1, True) is returned.  item_vectors must be a 2-D matrix whose
+    rows for the sequence's items are finite.
     """
     T = len(seq)
     if T < 2:
         raise ValueError("need at least 2 items to split")
     item_vectors = np.asarray(item_vectors, dtype=float)
-    if int(seq.items.max()) >= item_vectors.shape[0]:
-        raise ValueError("item_vectors has fewer rows than the largest item index")
+    if item_vectors.ndim != 2:
+        raise ValueError(f"item_vectors must be a 2-D matrix, got shape {item_vectors.shape}")
+    _index_array(seq.items, f"sequence {seq.user_id!r}", len(item_vectors))
 
     uniq, inv = np.unique(seq.items, return_inverse=True)
     vecs = item_vectors[uniq]
     gram = vecs @ vecs.T
     sq = np.diag(gram)
+    # a non-finite entry makes its row's squared norm non-finite; only the rows read are checked
+    if not np.isfinite(sq).all():
+        read = np.zeros_like(item_vectors)
+        read[uniq] = vecs
+        _check_entries(read, nonnegative=False, name="item_vectors")
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     np.maximum(d2, 0.0, out=d2)
     dist = np.sqrt(d2)[np.ix_(inv, inv)]

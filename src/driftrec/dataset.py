@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hmm import InteractionSequence
+from .hmm import InteractionSequence, _check_count, _index_array
 
 HOLDOUT_SIZE = 10
 
@@ -48,6 +48,7 @@ class MixedSequence:
     truth_change is the length of the first playlist's window: the index
     of the first item that came from the second playlist.  holdout keeps
     the last ten items of the second window, in order, removed from items.
+    Both hold nonnegative whole-number item indices.
     """
 
     user_id: str
@@ -57,10 +58,9 @@ class MixedSequence:
     holdout: np.ndarray
 
     def __post_init__(self):
-        self.items = np.asarray(self.items, dtype=np.int64)
-        self.holdout = np.asarray(self.holdout, dtype=np.int64)
-        if self.truth_change < 1:
-            raise ValueError("truth_change must be >= 1")
+        self.items = _index_array(self.items, "items")
+        self.holdout = _index_array(self.holdout, "holdout")
+        self.truth_change = _check_count("truth_change", self.truth_change)
         if len(self.holdout) != HOLDOUT_SIZE:
             raise ValueError(f"holdout must hold exactly {HOLDOUT_SIZE} items")
 
@@ -103,8 +103,7 @@ def load_corpus(
     Asking for more playlists than exist keeps them all with a warning.
     """
     path = Path(path)
-    if min_len < 1:
-        raise ValueError("min_len must be >= 1")
+    _check_count("min_len", min_len)
     raw = _read_slice_directory(path) if path.is_dir() else _read_line_format(path)
     kept = [keys for keys in raw if len(keys) >= min_len]
     if not kept:
@@ -155,10 +154,8 @@ def synthesize_mixed(
     [0, pool_split) and the second from [pool_split, end), so a corpus
     laid out as two blocks yields only cross-block pairs.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if min_window < 1:
-        raise ValueError("min_window must be >= 1")
+    _check_count("count", count)
+    _check_count("min_window", min_window)
     lengths = np.array([len(pl) for pl in corpus.playlists])
     first_ok = np.flatnonzero(lengths >= min_window)
     second_ok = np.flatnonzero(lengths >= min_window + HOLDOUT_SIZE)
@@ -233,30 +230,34 @@ def save_benchmark(path: str | Path, mixed: list[MixedSequence], meta: dict) -> 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _parse_rows(path: Path, what: str, parse) -> list:
+    """parse(*cells) of every tab-separated data row, skipping blank and '#'
+    lines; a malformed row names the file and line."""
+    out = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if line.strip() and not line.startswith("#"):
+            try:
+                out.append(parse(*line.split("\t")))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed {what} row ({exc})") from exc
+    return out
+
+
+def _benchmark_row(user_id, truth, sources, observed, holdout) -> MixedSequence:
+    s1, _, s2 = sources.partition(",")
+    return MixedSequence(
+        user_id=user_id,
+        items=np.array(observed.split(), dtype=np.int64),
+        truth_change=int(truth),
+        source_ids=(int(s1), int(s2)),
+        holdout=np.array(holdout.split(), dtype=np.int64),
+    )
+
+
 def load_benchmark(path: str | Path) -> tuple[list[MixedSequence], dict]:
-    lines = Path(path).read_text().splitlines()
-    if not lines or not lines[0].startswith("# driftrec-benchmark-v1"):
+    with open(path) as fh:
+        header = fh.readline()
+    if not header.startswith("# driftrec-benchmark-v1"):
         raise ValueError(f"{path}: not a driftrec benchmark file")
-    meta = {}
-    for token in lines[0].split()[2:]:
-        key, _, value = token.partition("=")
-        meta[key] = value
-    mixed = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            user_id, truth, sources, observed, holdout = line.split("\t")
-            s1, _, s2 = sources.partition(",")
-            mixed.append(
-                MixedSequence(
-                    user_id=user_id,
-                    items=np.array(observed.split(), dtype=np.int64),
-                    truth_change=int(truth),
-                    source_ids=(int(s1), int(s2)),
-                    holdout=np.array(holdout.split(), dtype=np.int64),
-                )
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed benchmark record") from exc
-    return mixed, meta
+    meta = dict(token.partition("=")[::2] for token in header.split()[2:])
+    return _parse_rows(path, "benchmark", _benchmark_row), meta

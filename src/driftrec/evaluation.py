@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hmm import _check_count, _check_points, _check_real
+
 
 @functools.lru_cache(maxsize=None)
 def _ideal_dcg(L: int, K: int) -> float:
@@ -22,10 +24,8 @@ def _ideal_dcg(L: int, K: int) -> float:
 
 
 def _walk(recommended, truth, n_grid) -> list[tuple[float, float, float]]:
-    """(precision, recall, NDCG) at each N of the ascending n_grid, from one walk.  A truth
+    """(precision, recall, NDCG) at each N of the checked n_grid, from one walk.  A truth
     item counts once; a repeated recommendation is one hit and gains only at its first rank."""
-    if n_grid[0] < 1:
-        raise ValueError("N must be >= 1")
     distinct = dict.fromkeys(int(item) for item in truth)
     L = len(distinct)
     if not L:
@@ -48,7 +48,7 @@ def precision_recall_at(recommended, truth, N: int) -> tuple[float, float]:
     Repeated truth items count once (first occurrence wins), so both
     metrics count the same intersection.
     """
-    return _walk(recommended, truth, [N])[0][:2]
+    return _walk(recommended, truth, [_check_count("N", N)])[0][:2]
 
 
 def ndcg_time_aware(recommended, truth, N: int) -> float:
@@ -58,16 +58,14 @@ def ndcg_time_aware(recommended, truth, N: int) -> float:
     everything else; a repeated recommendation gains only at its first
     rank, and both the achieved and the ideal gain truncate at N.
     """
-    return _walk(recommended, truth, [N])[0][2]
+    return _walk(recommended, truth, [_check_count("N", N)])[0][2]
 
 
 def ranking_metrics(ranked_by_user: dict, truth_by_user: dict, n_grid) -> tuple[dict, dict, dict]:
     """Mean precision, recall and NDCG across users, each as {N: mean} over
     n_grid, from one walk per user.  Each mean is np.mean over a contiguous
     row in sorted user order, so it equals the scalar metrics' mean bit for bit."""
-    n_grid = [int(n) for n in n_grid]
-    if any(b <= a for a, b in zip(n_grid, n_grid[1:])) or not n_grid:
-        raise ValueError("n_grid must be non-empty and strictly ascending")
+    n_grid = _check_points("n_grid", n_grid, 1, nonempty=True)
     missing = set(truth_by_user) - set(ranked_by_user)
     if missing:
         raise ValueError(f"no ranking for users: {sorted(missing)[:5]}")
@@ -115,19 +113,13 @@ class MethodMetrics:
     pr_points: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.mean_delta is not None and self.mean_delta < 0:
-            raise ValueError("mean_delta must be >= 0")
-        for name, table in (
-            ("precision_at", self.precision_at),
-            ("recall_at", self.recall_at),
-            ("ndcg_at", self.ndcg_at),
-        ):
-            if any(not 0.0 <= v <= 1.0 for v in table.values()):
-                raise ValueError(f"{name} values must lie in [0, 1]")
-        if any(
-            not (0.0 <= p <= 1.0 and 0.0 <= r <= 1.0) for p, r in self.pr_points
-        ):
-            raise ValueError("pr_points must lie in the unit square")
+        if self.mean_delta is not None:
+            _check_real("mean_delta", self.mean_delta, "[0, inf]")
+        for name in ("precision_at", "recall_at", "ndcg_at"):
+            for N, value in getattr(self, name).items():
+                _check_real(f"{name}[{N}]", value, "[0, 1]")
+        for value in [v for point in self.pr_points for v in point]:
+            _check_real("pr_points", value, "[0, 1]")
 
 
 @dataclass

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hmm import _check_entries, _reading
+from .hmm import _check_count, _check_entries, _check_real, _reading
 
 _EPS = 1e-12
 
@@ -48,16 +48,11 @@ class FactorizationConfig:
     convergence_tol: float = 1e-5
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.regularization < 0:
-            raise ValueError("regularization must be >= 0")
-        if self.convergence_tol < 0:
-            raise ValueError("convergence_tol must be >= 0")
+        self.d = _check_count("d", self.d)
+        self.max_iters = _check_count("max_iters", self.max_iters)
+        self.learning_rate = _check_real("learning_rate", self.learning_rate, "(0, inf)")
+        self.regularization = _check_real("regularization", self.regularization, "[0, inf)")
+        self.convergence_tol = _check_real("convergence_tol", self.convergence_tol, "[0, inf]")
 
 
 @dataclass
@@ -71,8 +66,7 @@ class FactorPair:
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
         self.q = np.asarray(self.q, dtype=float)
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        self.d = _check_count("d", self.d)
         if self.p.ndim != 2 or self.p.shape[1] != self.d:
             raise ValueError(f"p must have shape (n, {self.d})")
         if self.q.ndim != 2 or self.q.shape[1] != self.d:

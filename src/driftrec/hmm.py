@@ -37,18 +37,68 @@ def _check_entries(arr: np.ndarray, nonnegative: bool, name: str = "matrix") -> 
     raise ValueError(f"{name} entry ({', '.join(map(str, index))}) is {arr[index]}; entries must be {need}")
 
 
-def _index_array(values, name: str) -> np.ndarray:
-    """values as a 1-D int64 array.  A ValueError names the field when they
-    are not 1-D or hold a value that is not a whole number, which a plain
-    integer cast would truncate."""
+def _check_count(name: str, value, minimum: int = 1) -> int:
+    """value as an int: a Python or numpy integer at or above minimum.  A
+    bool or a non-integer, which a plain comparison would accept, is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name}: must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _check_real(name: str, value, interval: str) -> float:
+    """value as a float inside interval, written like "(0, 1)" or "[0, inf]".
+    NaN, which fails every comparison, and bools are refused."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        v = float(value)
+        if (lo < v if interval[0] == "(" else lo <= v) and (v < hi if interval[-1] == ")" else v <= hi):
+            return v
+    raise ValueError(f"{name}: expected a real number in {interval}, got {value!r}")
+
+
+def _index_array(values, name, m: int | None = None) -> np.ndarray:
+    """values as a 1-D int64 array of item indices in [0, m), or of
+    nonnegative ones when m is None.  A ValueError names the field when they
+    are not 1-D, hold a value that is not a whole number (which a plain
+    integer cast would truncate) or one out of range.  When values joins
+    several fields, name(i) gives the field of entry i."""
+    field_of = name if callable(name) else lambda _: name
     arr = np.asarray(values)
     if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D index array")
+        raise ValueError(f"{field_of(0)} must be a 1-D index array")
     if arr.dtype.kind not in "biu":
         arr = arr.astype(float)
-        if not (np.isfinite(arr).all() and (arr == np.trunc(arr)).all()):
-            raise ValueError(f"{name} must hold integer indices")
-    return arr.astype(np.int64, copy=False)
+        whole = np.isfinite(arr) & (arr == np.trunc(arr))
+        if not whole.all():
+            raise ValueError(f"{field_of(int(np.argmin(whole)))} must hold integer indices")
+    arr = arr.astype(np.int64, copy=False)
+    # read as uint64 a negative index is at least 2**63, so one max checks both ends
+    wrapped, limit = arr.view(np.uint64), 2**63 if m is None else m
+    if arr.size and wrapped.max() >= limit:
+        i = int(np.argmax(wrapped >= limit))
+        raise ValueError(f"{field_of(i)} has item {arr[i]}; items must lie in [0, {'inf' if m is None else m})")
+    return arr
+
+
+def _joined(arrays, field_of):
+    """arrays joined for one _index_array call, and the name of its entry i:
+    field_of(r) for the array r that holds it."""
+    ends = np.cumsum([len(a) for a in arrays])
+    return np.concatenate(arrays or [[]]), lambda i: field_of(int(np.searchsorted(ends, i, side="right")))
+
+
+def _check_points(name: str, values, lo: int, hi: float = math.inf, nonempty: bool = False) -> list[int]:
+    """values as a list of ints, each checked by _check_count, that ascend
+    strictly within [lo, hi] (and are not empty when asked)."""
+    try:
+        points = [_check_count(f"{name} entry", v, lo) for v in values]
+    except TypeError:
+        raise ValueError(f"{name}: expected a list of integers, got {values!r}") from None
+    if (nonempty and not points) or (points and points[-1] > hi) or any(b <= a for a, b in zip(points, points[1:])):
+        raise ValueError(f"{name} {points} must {'be nonempty and ' if nonempty else ''}ascend strictly within [{lo}, {hi}]")
+    return points
 
 
 @dataclass(eq=False)
@@ -114,8 +164,6 @@ class InteractionSequence:
         self.items = _index_array(self.items, "items")
         if len(self.items) < 1:
             raise ValueError("items must be a non-empty 1-D index array")
-        if np.any(self.items < 0):
-            raise ValueError("item indices must be nonnegative")
         if self.truth_change is not None:
             t = int(self.truth_change)
             if not 1 <= t < len(self.items):
@@ -146,22 +194,9 @@ class TrainConfig:
     emission_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.log_lik_tol < 0:
-            raise ValueError("log_lik_tol must be >= 0")
-        if self.emission_floor <= 0:
-            raise ValueError("emission_floor must be > 0")
-
-
-def _check_items(seq: InteractionSequence, m: int) -> np.ndarray:
-    items = seq.items
-    if items.max(initial=-1) >= m:
-        raise ValueError(
-            f"sequence {seq.user_id!r} contains item index {int(items.max())} "
-            f">= model item count {m}"
-        )
-    return items
+        self.max_iters = _check_count("max_iters", self.max_iters)
+        self.log_lik_tol = _check_real("log_lik_tol", self.log_lik_tol, "[0, inf]")
+        self.emission_floor = _check_real("emission_floor", self.emission_floor, "(0, inf)")
 
 
 def viterbi_decode(model: HmmModel, seq: InteractionSequence) -> DecodedPath:
@@ -281,7 +316,8 @@ def _pack_corpus(corpus, m):
     obs[start[t]:start[t + 1]], one per sorted sequence still running at t,
     so each step's live set is a prefix of the previous step's.
     """
-    lengths = np.array([len(_check_items(seq, m)) for seq in corpus], dtype=np.int64)
+    _index_array(*_joined([seq.items for seq in corpus], lambda r: f"sequence {corpus[r].user_id!r}"), m)
+    lengths = np.array([len(seq) for seq in corpus], dtype=np.int64)
     order = np.argsort(-lengths, kind="stable")
     live = len(corpus) - np.cumsum(np.bincount(lengths))[:-1]  # sequences longer than t
     start = np.concatenate([[0], np.cumsum(live)])
@@ -345,8 +381,7 @@ def baum_welch_train(
     """
     if not corpus:
         raise ValueError("corpus must not be empty")
-    if h < 1:
-        raise ValueError("h must be >= 1")
+    _check_count("h", h)
     cfg = cfg or TrainConfig()
     m = num_items if num_items is not None else int(max(seq.items.max() for seq in corpus)) + 1
     _, start, obs = _pack_corpus(corpus, m)

@@ -31,6 +31,7 @@ from driftrec.changepoint import (
 )
 from driftrec.dataset import (
     HOLDOUT_SIZE,
+    _parse_rows,
     load_benchmark,
     load_corpus,
     save_benchmark,
@@ -39,7 +40,18 @@ from driftrec.dataset import (
 )
 from driftrec.evaluation import EvalReport, MethodMetrics, aggregate_cpd, ranking_metrics
 from driftrec.factorization import FactorizationConfig, bpr_fit, load_factors, nmf_fit, save_factors
-from driftrec.hmm import TrainConfig, baum_welch_train, load_model, save_model, total_log_likelihood
+from driftrec.hmm import (
+    TrainConfig,
+    _check_count,
+    _check_points,
+    _check_real,
+    _index_array,
+    _joined,
+    baum_welch_train,
+    load_model,
+    save_model,
+    total_log_likelihood,
+)
 from driftrec.recommend import (
     factors_from_pair,
     hmm_item_factors,
@@ -72,24 +84,6 @@ def method_universe(hidden_state_counts) -> list[str]:
         + [f"HMMR-S{h}" for h in counts]
         + list(_STATIC_RANKERS)
     )
-
-
-def _check_int(name: str, value, minimum: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name}: must be >= {minimum}, got {value}")
-
-
-def _check_ascending_ints(name: str, values) -> list[int]:
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ValueError(f"{name}: expected a nonempty list of integers, got {values!r}")
-    for v in values:
-        _check_int(f"{name} entry", v, 1)
-    out = [int(v) for v in values]
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise ValueError(f"{name}: entries must be strictly ascending, got {out}")
-    return out
 
 
 @dataclass
@@ -128,18 +122,15 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, str) or not value:
                 raise ValueError(f"{name}: expected a nonempty path string, got {value!r}")
-        _check_int("seed", self.seed, 0)
+        self.seed = _check_count("seed", self.seed, 0)
         for name in ("k", "d", "l", "mixed_count", "min_window", "hmm_max_iters", "hmm_restarts", "nmf_max_iters", "bpr_epochs"):
-            _check_int(name, getattr(self, name), 1)
-        if isinstance(self.hmm_tol, int) and not isinstance(self.hmm_tol, bool):
-            self.hmm_tol = float(self.hmm_tol)
-        if not isinstance(self.hmm_tol, float) or not 0.0 < self.hmm_tol < 1.0:
-            raise ValueError(f"hmm_tol: expected a float in (0, 1), got {self.hmm_tol!r}")
+            setattr(self, name, _check_count(name, getattr(self, name)))
+        self.hmm_tol = _check_real("hmm_tol", self.hmm_tol, "(0, 1)")
         for name in ("sample_size", "min_len", "pool_split"):
             if getattr(self, name) is not None:
-                _check_int(name, getattr(self, name), 1)
-        self.hidden_state_counts = _check_ascending_ints("hidden_state_counts", self.hidden_state_counts)
-        self.n_grid = _check_ascending_ints("n_grid", self.n_grid)
+                setattr(self, name, _check_count(name, getattr(self, name)))
+        for name in ("hidden_state_counts", "n_grid"):
+            setattr(self, name, _check_points(name, getattr(self, name), 1, nonempty=True))
         universe = method_universe(self.hidden_state_counts)
         if self.methods is None:
             self.methods = list(universe)
@@ -227,25 +218,19 @@ def _write_rows(path: Path, cfg: ExperimentConfig, columns, rows, extra: str = "
     path.write_text("\n".join(lines) + "\n")
 
 
-def _parse_rows(path: Path, what: str, parse) -> list:
-    """parse(*cells) of every data row; a malformed row names the file and line."""
-    out = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if line.strip() and not line.startswith("#"):
-            try:
-                out.append(parse(*line.split("\t")))
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed {what} row ({exc})") from exc
-    return out
-
-
 def _load_sequences(out: Path):
+    """benchmark.tsv's sequences, holdouts and num_items; an item of either
+    outside [0, num_items) is refused, naming the user."""
     path = _require(out / "benchmark.tsv")
     mixed, meta = load_benchmark(path)
     if not meta.get("num_items", "").isdigit():
         raise ValueError(f"{path}: header lacks an integer num_items")
+    m = int(meta["num_items"])
+    for part in ("items", "holdout"):
+        arrays = [getattr(mx, part) for mx in mixed]
+        _index_array(*_joined(arrays, lambda r: f"{path.name}: user {mixed[r].user_id!r} {part}"), m)
     seqs, holdout = to_interaction_sequences(mixed)
-    return seqs, holdout, int(meta["num_items"])
+    return seqs, holdout, m
 
 
 def _check_users(path: Path, users, seqs) -> None:
@@ -274,11 +259,7 @@ def _read_changepoints(path: Path, seqs, interior: bool = True) -> dict[str, lis
         if expected.get(user_id, facts) != facts:
             raise ValueError(f"{path.name}: user {user_id!r} has T, truth {facts}; benchmark.tsv has {expected[user_id]}")
         lo, hi = (1, facts[0] - 1) if interior else (0, facts[0])
-        if any(not lo <= p <= hi for p in points) or any(b <= a for a, b in zip(points, points[1:])):
-            raise ValueError(
-                f"{path.name}: user {user_id!r} has points {points}; they must ascend strictly within [{lo}, {hi}]"
-            )
-        out[user_id] = points
+        out[user_id] = _check_points(f"{path.name}: user {user_id!r} points", points, lo, hi)
     _check_users(path, out, seqs)
     return out
 
@@ -500,12 +481,19 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
 
 
 def _read_recommendations(path: Path, seqs, m: int) -> dict[str, list[int]]:
-    """user_id -> ranked items, each an index in [0, m)."""
+    """user_id -> ranked items, each an index in [0, m).  A user's rows must
+    rank 1, 2, ... in file order, so a list is never scored out of order."""
     ranked: dict[str, list[int]] = {}
-    for user_id, item in _parse_rows(path, "recommendation", lambda user, rank, item, score: (user, int(item))):
-        if not 0 <= item < m:
-            raise ValueError(f"{path.name}: user {user_id!r} has item {item}; items must lie in [0, {m})")
-        ranked.setdefault(user_id, []).append(item)
+
+    def row(user, rank, item, score):
+        items = ranked.setdefault(user, [])
+        items.append(int(item))
+        if rank != str(len(items)):
+            raise ValueError(f"user {user!r} has rank {rank!r} where rank {len(items)} is due")
+
+    _parse_rows(path, "recommendation", row)
+    users = list(ranked)
+    _index_array(*_joined([ranked[u] for u in users], lambda r: f"{path.name}: user {users[r]!r}"), m)
     _check_users(path, ranked, seqs)
     return ranked
 

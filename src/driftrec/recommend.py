@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .factorization import FactorPair, _as_matrix
-from .hmm import _ROW_SUM_TOL, HmmModel, _check_entries, _index_array
+from .hmm import _ROW_SUM_TOL, HmmModel, _check_count, _check_entries, _index_array
 
 _BLOCK_ROWS = 256
 
@@ -123,12 +123,10 @@ class ItemFactors:
         segments = [_last_usable_segment(segs)[0] for segs in segment_lists]
         distinct = 0
         if segments:
-            items = _index_array(np.concatenate(segments), "segment")
+            m = len(self.vectors)
+            items = _index_array(np.concatenate(segments), "segment", m)
             users = np.repeat(np.arange(len(segments)), [len(seg) for seg in segments])
-            # keys offset by the smallest item stay nonnegative and apart per user
-            # even for items outside [0, m), which score_by_segment refuses
-            span = int(np.ptp(items)) + 1
-            distinct = int(np.bincount(np.unique(users * span + items - items.min()) // span).max())
+            distinct = int(np.bincount(np.unique(users * m + items) // m).max())
         self.neighbors(l + distinct)
 
 
@@ -192,14 +190,11 @@ def score_by_segment(factors: ItemFactors, segment, l: int) -> np.ndarray:
     segment's item set U, so that prefix of the neighbor-order table
     holds all l neighbors that vote.
     """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    seg = _index_array(segment, "segment")
+    _check_count("l", l)
+    m = len(factors.vectors)
+    seg = _index_array(segment, "segment", m)
     if seg.size == 0:
         raise ValueError("segment must not be empty")
-    m = len(factors.vectors)
-    if seg.min() < 0 or seg.max() >= m:
-        raise ValueError(f"segment items must lie in [0, {m})")
     items, counts = np.unique(seg, return_counts=True)
     rows = factors.neighbors(l + len(items))[items]
     member = np.zeros(m, dtype=bool)
@@ -223,20 +218,15 @@ def _last_usable_segment(segments) -> tuple:
 
 
 def _rank(scores, popularity, exclude, N, user_id, used_fallback) -> Recommendation:
-    if N < 1:
-        raise ValueError("N must be >= 1")
+    _check_count("N", N)
     m = len(scores)
     popularity = np.asarray(popularity, dtype=float)
     if popularity.shape != (m,):
         raise ValueError(f"popularity must have shape ({m},)")
     if not np.isfinite(popularity).all():
         raise ValueError("popularity must be finite")
-    exclude = _index_array(exclude, "training_items")
     mask = np.ones(m, dtype=bool)
-    if exclude.size:
-        if exclude.min() < 0 or exclude.max() >= m:
-            raise ValueError(f"training_items must lie in [0, {m})")
-        mask[exclude] = False
+    mask[_index_array(exclude, "training_items", m)] = False
     cand = np.flatnonzero(mask)
     s = scores[cand]
     if len(cand) > N:

@@ -134,7 +134,7 @@ class TestHmcdDetect:
     def test_batch_rejects_bad_k_before_decoding(self):
         # the sequence is impossible under the model, so decoding would fail
         model = HmmModel(pi=[1.0, 0.0], trans=np.eye(2), emit=np.eye(2))
-        with pytest.raises(ValueError, match="k must be"):
+        with pytest.raises(ValueError, match="^k: must be >= 1, got 0$"):
             hmcd_detect_all(model, [seq([0, 1])], k=0)
 
     def test_batch_of_nothing(self):
@@ -265,21 +265,21 @@ class TestIncidenceMatrix:
         assert incidence_matrix([], 4, []).shape == (0, 4)
 
     def test_error_names_the_first_bad_row(self):
-        with pytest.raises(ValueError, match=r"^row b has item index outside \[0, 3\)$"):
+        with pytest.raises(ValueError, match=r"^row b has item 3; items must lie in \[0, 3\)$"):
             incidence_matrix([[0], [2, 3], [-1]], 3, ["row a", "row b", "row c"])
-        with pytest.raises(ValueError, match=r"^row c has item index outside"):
+        with pytest.raises(ValueError, match=r"^row c has item -1; items must lie in \[0, 3\)$"):
             incidence_matrix([[0], [], [-1]], 3, ["row a", "row b", "row c"])
 
     def test_segmented_error_names_user_and_segment(self):
         by_user = {"a": [[0], [1]], "b": [[2], [5]]}
-        with pytest.raises(ValueError, match=r"user 'b' segment 1 has item index outside \[0, 3\)"):
+        with pytest.raises(ValueError, match=r"^user 'b' segment 1 has item 5; items must lie in \[0, 3\)$"):
             build_segmented_matrix(by_user, m=3)
-        with pytest.raises(ValueError, match=r"user 'a' segment 0 has item index outside"):
+        with pytest.raises(ValueError, match=r"^user 'a' segment 0 has item -2; items must lie in \[0, 3\)$"):
             build_segmented_matrix({"a": [[-2], []]}, m=3)
 
     def test_cooccurrence_error_names_user(self):
         corpus = [seq([0, 1], user="a"), seq([1, 9], user="b")]
-        with pytest.raises(ValueError, match=r"user 'b' has item index outside \[0, 5\)"):
+        with pytest.raises(ValueError, match=r"^user 'b' has item 9; items must lie in \[0, 5\)$"):
             cooccurrence_item_vectors(corpus, m=5)
 
 

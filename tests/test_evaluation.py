@@ -220,7 +220,7 @@ class TestOneWalk:
         assert pr_curve(ranked, truth, self.GRID) == [(precision[N], recall[N]) for N in self.GRID]
 
     def test_ranking_metrics_rejects_bad_input(self):
-        with pytest.raises(ValueError, match="N must be >= 1"):
+        with pytest.raises(ValueError, match="^n_grid entry: must be >= 1, got 0$"):
             ranking_metrics({"u": [1]}, {"u": [1]}, [0, 1])
         with pytest.raises(ValueError, match="truth must not be empty"):
             ranking_metrics({"u": [1]}, {"u": []}, [1])

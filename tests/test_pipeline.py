@@ -74,7 +74,7 @@ class TestExperimentConfig:
             ExperimentConfig(corpus="c", out_dir="o", seed="nope")
         with pytest.raises(ValueError, match="k: must be >= 1"):
             ExperimentConfig(corpus="c", out_dir="o", k=0)
-        with pytest.raises(ValueError, match="hidden_state_counts.*ascending"):
+        with pytest.raises(ValueError, match=r"^hidden_state_counts \[3, 2\] must be nonempty and ascend strictly within \[1, inf\]$"):
             ExperimentConfig(corpus="c", out_dir="o", hidden_state_counts=[3, 2])
         for removed in ("holdout", "threads"):
             with pytest.raises(ValueError, match=f"unknown config field.*{removed}"):
@@ -422,8 +422,9 @@ def cli_run(tmp_path_factory):
 
 
 class TestStaleArtifacts:
-    """A hand-edited artifact whose users differ from benchmark.tsv's is
-    refused by name, with exit code 2, by every stage that reads it."""
+    """A hand-edited artifact whose users differ from benchmark.tsv's, or
+    whose rows disagree with it or with each other, is refused by name,
+    with exit code 2, by every stage that reads it."""
 
     def run_edited(self, cli_run, tmp_path, stage, name, edit):
         config, out = cli_run
@@ -475,7 +476,7 @@ class TestStaleArtifacts:
 
         assert self.run_edited(cli_run, tmp_path, stage, name, edit) == 2
         listed = points.replace(",", ", ")
-        assert f"{name}: user {user!r} has points [{listed}]; they must ascend strictly within [" in capsys.readouterr().err
+        assert f"{name}: user {user!r} points [{listed}] must ascend strictly within [" in capsys.readouterr().err
 
     def test_items_outside_the_vocabulary_are_refused(self, cli_run, tmp_path, capsys):
         name = "recommendations_NMF.tsv"
@@ -504,6 +505,92 @@ class TestStaleArtifacts:
         for stage in (cmd_fit, cmd_recommend, cmd_evaluate):
             with pytest.raises(ValueError, match=f"{re.escape(name)}: user {first!r} has T, truth"):
                 stage(cfg)
+
+
+    @pytest.mark.parametrize(
+        "edit, found",
+        [
+            (lambda rows: [rows[0].replace("\t1\t", "\tbanana\t", 1)] + rows[1:], "'banana'"),
+            (lambda rows: [rows[1], rows[0]] + rows[2:], "'2'"),
+        ],
+        ids=["non-integer-rank", "swapped-rows"],
+    )
+    def test_ranks_must_count_up_in_file_order(self, cli_run, tmp_path, capsys, edit, found):
+        name = "recommendations_PopRank.tsv"
+        user = data_rows(cli_run[1] / name)[0][0]
+        assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
+        err = capsys.readouterr().err
+        assert f"{name}:3: malformed recommendation row (user {user!r} has rank {found} where rank 1 is due)" in err
+
+
+def edit_benchmark_item(column, value):
+    """Set the first item of the first record's items (column 3) or holdout (column 4)."""
+
+    def edit(text):
+        lines = text.splitlines()
+        cells = lines[1].split("\t")
+        cells[column] = " ".join([value] + cells[column].split()[1:])
+        lines[1] = "\t".join(cells)
+        return "\n".join(lines) + "\n"
+
+    return edit
+
+
+@pytest.mark.parametrize("stage", ["train", "detect", "evaluate"])
+class TestBenchmarkItems:
+    """An item outside the vocabulary in benchmark.tsv is blamed on the file."""
+
+    def run_edited(self, cli_run, tmp_path, stage, edit):
+        config, out = cli_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / "benchmark.tsv").write_text(edit((copy / "benchmark.tsv").read_text()))
+        assert main([stage, "--config", str(config), "--out", str(copy)]) == 2
+        return copy
+
+    @pytest.mark.parametrize("column, part", [(3, "items"), (4, "holdout")])
+    def test_negative_item_names_the_line(self, cli_run, tmp_path, capsys, stage, column, part):
+        self.run_edited(cli_run, tmp_path, stage, edit_benchmark_item(column, "-1"))
+        err = capsys.readouterr().err
+        assert f"benchmark.tsv:2: malformed benchmark row ({part} has item -1; items must lie in [0, inf))" in err
+
+    @pytest.mark.parametrize("column, part", [(3, "items"), (4, "holdout")])
+    def test_item_past_the_vocabulary_names_the_user(self, cli_run, tmp_path, capsys, stage, column, part):
+        header = (cli_run[1] / "benchmark.tsv").read_text().splitlines()[0]
+        m = int(re.search(r"num_items=(\d+)", header).group(1))
+        user = data_rows(cli_run[1] / "benchmark.tsv")[0][0]
+        self.run_edited(cli_run, tmp_path, stage, edit_benchmark_item(column, str(m)))
+        err = capsys.readouterr().err
+        assert f"error: benchmark.tsv: user {user!r} {part} has item {m}; items must lie in [0, {m})" in err
+
+
+_ALWAYS = {
+    "config_resolved.yaml", "benchmark.tsv", "vocab.tsv", "hmm_s2.json", "changepoints_HMCD-S2.tsv",
+    "cpd_table.tsv", "cpd_table.txt", "state_count_trend.tsv", "ranking_metrics.tsv", "pr_curves.tsv", "summary.txt",
+}
+
+
+@pytest.mark.parametrize(
+    "methods, files",
+    [
+        (["HMCD-S2", "CUSUM", "SW", "RP"], {"changepoints_CUSUM.tsv", "changepoints_SW.tsv", "changepoints_RP.tsv"}),
+        (["HMMR-S2"], {"recommendations_HMMR-S2.tsv", "ranking_metrics.txt"}),
+        (["BPR-MF"], {"factors_bpr.json", "recommendations_BPR-MF.tsv", "ranking_metrics.txt"}),
+    ],
+    ids=["detectors-only", "hmmr-without-smf", "bpr-without-nmf"],
+)
+def test_methods_subset_writes_exactly_its_files(tmp_path, methods, files):
+    cfg = small_config(tmp_path / "out", mixed_count=12, bpr_epochs=2, methods=methods)
+    cmd_run_all(cfg)
+    out = Path(cfg.out_dir)
+    written = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert set(written) == _ALWAYS | files
+    rankers = cfg.ranker_labels()
+    summary = written["summary.txt"].decode()
+    assert ("rankers (" in summary) == bool(rankers)
+    assert all(f"  {label} " in summary for label in rankers)
+    cmd_run_all(cfg)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == written
 
 
 def edit_line(index, change):

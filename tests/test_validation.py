@@ -1,0 +1,130 @@
+"""Every public entry point refuses each kind of invalid input with a
+ValueError that names the field: counts (a bool, a float, too small),
+tolerances and rates (NaN), item indices (fractional, out of range) and
+ascending points."""
+
+import math
+
+import numpy as np
+import pytest
+
+from driftrec import (
+    ChangePointResult,
+    FactorizationConfig,
+    FactorPair,
+    HmmModel,
+    InteractionSequence,
+    ItemFactors,
+    MixedSequence,
+    TrainConfig,
+    baum_welch_train,
+    hmcd_detect_all,
+    load_corpus,
+    ndcg_time_aware,
+    partition,
+    precision_recall_at,
+    rank_by_scores,
+    recommend_from_segments,
+    score_by_segment,
+    sliding_window_detect,
+    synthesize_mixed,
+    tune_cusum_threshold,
+)
+from driftrec.changepoint import incidence_matrix
+from driftrec.evaluation import ranking_metrics
+from driftrec.pipeline import ExperimentConfig
+
+NAN = math.nan
+
+
+def seq(items=(0, 1, 2, 1), truth=None):
+    return InteractionSequence(user_id="u", items=np.array(items), truth_change=truth)
+
+
+def model():
+    return HmmModel(pi=[0.5, 0.5], trans=np.full((2, 2), 0.5), emit=np.full((2, 3), 1 / 3))
+
+
+def factors():
+    return ItemFactors(vectors=np.eye(4), source="nmf")
+
+
+def mixed(**fields):
+    base = dict(user_id="u", items=np.arange(12), truth_change=2, source_ids=(0, 1), holdout=np.arange(10))
+    return MixedSequence(**dict(base, **fields))
+
+
+CASES = {
+    # counts
+    "TrainConfig.max_iters-bool": (lambda: TrainConfig(max_iters=True), "max_iters"),
+    "TrainConfig.max_iters-float": (lambda: TrainConfig(max_iters=2.5), "max_iters"),
+    "TrainConfig.max_iters-zero": (lambda: TrainConfig(max_iters=0), "max_iters"),
+    "baum_welch_train.h-bool": (lambda: baum_welch_train([seq()], True), "h"),
+    "FactorizationConfig.d-bool": (lambda: FactorizationConfig(d=True), "d"),
+    "FactorizationConfig.max_iters-float": (lambda: FactorizationConfig(max_iters=3.0), "max_iters"),
+    "FactorPair.d-float": (lambda: FactorPair(p=np.ones((2, 1)), q=np.ones((3, 1)), d=1.0), "d"),
+    "hmcd_detect_all.k-float": (lambda: hmcd_detect_all(model(), [seq()], k=1.5), "k"),
+    "tune_cusum_threshold.grid_size-bool": (lambda: tune_cusum_threshold([seq(truth=2)], grid_size=True), "grid_size"),
+    "score_by_segment.l-bool": (lambda: score_by_segment(factors(), [0], l=True), "l"),
+    "recommend_from_segments.l-zero": (
+        lambda: recommend_from_segments(factors(), [[0]], [0], np.ones(4), l=0), "l"
+    ),
+    "rank_by_scores.N-float": (lambda: rank_by_scores(np.ones(4), np.ones(4), [0], N=2.0), "N"),
+    "precision_recall_at.N-bool": (lambda: precision_recall_at([1], [1], True), "N"),
+    "ndcg_time_aware.N-zero": (lambda: ndcg_time_aware([1], [1], 0), "N"),
+    "load_corpus.min_len-float": (lambda: load_corpus("unread.txt", min_len=0.5), "min_len"),
+    "synthesize_mixed.count-bool": (lambda: synthesize_mixed(None, True), "count"),
+    "synthesize_mixed.min_window-float": (lambda: synthesize_mixed(None, 5, min_window=2.5), "min_window"),
+    "ExperimentConfig.k-float": (lambda: ExperimentConfig(corpus="c", out_dir="o", k=1.0), "k"),
+    # tolerances and rates
+    "TrainConfig.log_lik_tol-nan": (lambda: TrainConfig(log_lik_tol=NAN), "log_lik_tol"),
+    "TrainConfig.emission_floor-nan": (lambda: TrainConfig(emission_floor=NAN), "emission_floor"),
+    "FactorizationConfig.learning_rate-nan": (lambda: FactorizationConfig(learning_rate=NAN), "learning_rate"),
+    "FactorizationConfig.regularization-nan": (lambda: FactorizationConfig(regularization=NAN), "regularization"),
+    "FactorizationConfig.convergence_tol-nan": (lambda: FactorizationConfig(convergence_tol=NAN), "convergence_tol"),
+    "FactorizationConfig.regularization-bool": (lambda: FactorizationConfig(regularization=False), "regularization"),
+    "ExperimentConfig.hmm_tol-nan": (lambda: ExperimentConfig(corpus="c", out_dir="o", hmm_tol=NAN), "hmm_tol"),
+    # item indices
+    "InteractionSequence.items-fractional": (lambda: seq([0, 0.5]), "items"),
+    "MixedSequence.items-negative": (lambda: mixed(items=[3, -1, 2]), "items"),
+    "MixedSequence.holdout-fractional": (lambda: mixed(holdout=np.arange(10) + 0.5), "holdout"),
+    "incidence_matrix-fractional": (lambda: incidence_matrix([[0], [0.7]], 3, ["row a", "row b"]), "row b"),
+    "score_by_segment.segment-out-of-range": (lambda: score_by_segment(factors(), [1, 4], l=1), "segment"),
+    "rank_by_scores.training_items-out-of-range": (
+        lambda: rank_by_scores(np.ones(4), np.ones(4), [9], N=2), "training_items"
+    ),
+    "sliding_window_detect.item_vectors-nan": (
+        lambda: sliding_window_detect(seq([0, 1, 2]), np.array([[0.0], [NAN], [1.0]])), "item_vectors"
+    ),
+    "sliding_window_detect.item_vectors-1-D": (lambda: sliding_window_detect(seq([0, 1]), np.ones(3)), "item_vectors"),
+    # ascending points
+    "ChangePointResult.predicted-bool": (
+        lambda: ChangePointResult(user_id="u", predicted=[True], score_per_point=[1.0]), "predicted"
+    ),
+    "partition.points-fractional": (lambda: partition(seq(), [1.5]), "points"),
+    "partition.points-beyond-T": (lambda: partition(seq(), [4]), "points"),
+    "ranking_metrics.n_grid-float": (lambda: ranking_metrics({"u": [1]}, {"u": [1]}, [1, 2.5]), "n_grid"),
+    "ExperimentConfig.n_grid-bool": (lambda: ExperimentConfig(corpus="c", out_dir="o", n_grid=[True, 2]), "n_grid"),
+}
+
+
+@pytest.mark.parametrize("call, field", CASES.values(), ids=CASES.keys())
+def test_invalid_input_names_the_field(call, field):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value).startswith(field + " ") or str(err.value).startswith(field + ":"), str(err.value)
+
+
+def test_item_vectors_are_checked_only_where_the_sequence_reads_them():
+    vectors = np.array([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0], [NAN, NAN]])
+    assert sliding_window_detect(seq([0, 1, 2, 2]), vectors) == (2, False)
+    with pytest.raises(ValueError, match=r"^item_vectors entry \(3, 0\) is nan; entries must be finite$"):
+        sliding_window_detect(seq([0, 3, 2]), vectors)
+
+
+def test_normalized_values_are_plain_python_numbers():
+    cfg = TrainConfig(max_iters=np.int64(7), log_lik_tol=np.float32(0.5))
+    assert type(cfg.max_iters) is int and type(cfg.log_lik_tol) is float
+    exp = ExperimentConfig(corpus="c", out_dir="o", d=np.int32(4), n_grid=np.arange(1, 4))
+    assert exp.d == 4 and type(exp.d) is int
+    assert exp.n_grid == [1, 2, 3] and all(type(n) is int for n in exp.n_grid)

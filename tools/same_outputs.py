@@ -1,0 +1,123 @@
+"""Check that the working tree writes the same out_dir bytes as a revision.
+
+    python tools/same_outputs.py REV [--work DIR]
+
+Runs `driftrec run-all` on three jobs: the benchmark's acceptance and wide
+jobs at seed 1 (configs written by perfbench/inputs.py) and the unscaled
+acceptance config at seed 39.  Each job runs once with REV's sources and
+once with the working tree's, both from the same checkout path and into
+the same out_dir, because the corpus path enters the config hash and
+config_resolved.yaml records out_dir.  Every out_dir file is then compared
+byte for byte.  Prints the first file that differs and exits 1 on any
+difference, else exits 0.  The three jobs take about 30 s per side on
+2 cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+JOBS = (("acceptance", "bench", 1), ("wide", "bench", 1), ("acceptance", "full", 39))
+
+
+def load_inputs():
+    sys.path.insert(0, str(REPO / "perfbench"))
+    import inputs
+
+    return inputs
+
+
+def populate(checkout: Path, rev: str | None) -> None:
+    """Fill checkout with REV's tracked files, or with the working tree's
+    tracked and untracked, not ignored, files when rev is None."""
+    shutil.rmtree(checkout, ignore_errors=True)
+    checkout.mkdir(parents=True)
+    if rev is not None:
+        archive = subprocess.run(["git", "-C", str(REPO), "archive", rev], check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(checkout)], input=archive, check=True)
+        return
+    listed = subprocess.run(
+        ["git", "-C", str(REPO), "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        check=True, capture_output=True, text=True,
+    ).stdout
+    for name in filter(None, listed.split("\0")):
+        source = REPO / name
+        if source.is_file():
+            (checkout / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, checkout / name)
+
+
+def run_jobs(checkout: Path, configs: dict, results: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    for job, config in configs.items():
+        print(f"  run-all {job}", flush=True)
+        subprocess.run(
+            [sys.executable, "-m", "driftrec.cli", "run-all", "--config", str(config)],
+            cwd=checkout, env=env, check=True,
+        )
+        shutil.move(str(config.parent / "out"), str(results / job))
+
+
+def first_difference(a: Path, b: Path) -> str | None:
+    files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    if files_a != files_b:
+        return f"file lists differ: {sorted(set(map(str, files_a)) ^ set(map(str, files_b)))}"
+    for rel in files_a:
+        if (a / rel).read_bytes() != (b / rel).read_bytes():
+            return str(rel)
+    return None
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="the git revision to compare the working tree with")
+    parser.add_argument("--work", help="scratch directory (default: a new temporary one, removed afterwards)")
+    args = parser.parse_args(argv)
+    work = Path(args.work or tempfile.mkdtemp(prefix="same_outputs-")).resolve()
+    checkout = work / "checkout"
+    inputs = load_inputs()
+    try:
+        results = {}
+        for side, rev in (("rev", args.rev), ("tree", None)):
+            print(f"{side}: {rev or 'working tree'}", flush=True)
+            populate(checkout, rev)
+            configs = {}
+            cwd = Path.cwd()
+            os.chdir(checkout)  # inputs.FIXTURE is relative to the checkout root
+            try:
+                for workload, scale, seed in JOBS:
+                    job = f"{workload}-{scale}-s{seed}"
+                    configs[job] = inputs.write_experiment(
+                        workload, inputs.SCALES[workload][scale], seed, work / "jobs" / job
+                    )
+            finally:
+                os.chdir(cwd)
+            results[side] = work / side
+            results[side].mkdir(parents=True, exist_ok=True)
+            run_jobs(checkout, configs, results[side])
+        for workload, scale, seed in JOBS:
+            job = f"{workload}-{scale}-s{seed}"
+            diff = first_difference(results["rev"] / job, results["tree"] / job)
+            if diff is not None:
+                print(f"DIFFERENT {job}: {diff}")
+                return 1
+            count = sum(1 for p in (results["tree"] / job).rglob("*") if p.is_file())
+            print(f"identical {job}: {count} files")
+        return 0
+    finally:
+        if not args.work:
+            shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
