@@ -101,15 +101,16 @@ def _check_points(name: str, values, lo: int, hi: float = math.inf, nonempty: bo
     return points
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HmmModel:
     """Model parameters: initial distribution, state transitions, emissions.
 
     pi has shape (h,), trans has shape (h, h) with trans[z, z'] the
     probability of moving from state z to z', and emit has shape (h, m)
     with emit[z, i] the probability of observing item i in state z.
-    The arrays are read-only copies of the inputs, so values derived from
-    a model (its item-state posteriors, say) may be cached per instance;
+    A model is immutable: the arrays are read-only copies of the inputs and
+    cannot be rebound, so a model valid once stays valid, and values derived
+    from it (its item-state posteriors, say) may be cached per instance;
     instances compare and hash by identity.
     """
 
@@ -118,9 +119,10 @@ class HmmModel:
     emit: np.ndarray
 
     def __post_init__(self):
-        self.pi = np.array(self.pi, dtype=float)
-        self.trans = np.array(self.trans, dtype=float)
-        self.emit = np.array(self.emit, dtype=float)
+        for name in ("pi", "trans", "emit"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         if self.pi.ndim != 1 or len(self.pi) < 1:
             raise ValueError("pi must be a non-empty 1-D probability vector")
         h = len(self.pi)
@@ -135,8 +137,6 @@ class HmmModel:
         for name, arr in (("trans", self.trans), ("emit", self.emit)):
             if np.any(np.abs(arr.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
                 raise ValueError(f"{name} has a row that does not sum to 1")
-        for arr in (self.pi, self.trans, self.emit):
-            arr.setflags(write=False)
 
     @property
     def num_states(self) -> int:
@@ -165,11 +165,9 @@ class InteractionSequence:
         if len(self.items) < 1:
             raise ValueError("items must be a non-empty 1-D index array")
         if self.truth_change is not None:
-            t = int(self.truth_change)
-            if not 1 <= t < len(self.items):
-                raise ValueError(
-                    f"truth_change {t} outside [1, {len(self.items)}) for user {self.user_id}"
-                )
+            t = _check_count("truth_change", self.truth_change)
+            if t >= len(self.items):
+                raise ValueError(f"truth_change {t} outside [1, {len(self.items)}) for user {self.user_id}")
             self.truth_change = t
 
     def __len__(self) -> int:
@@ -486,5 +484,8 @@ def _reading(path, fmt: str):
 def load_model(path: str | Path) -> tuple[HmmModel, TrainConfig | None]:
     with _reading(path, "driftrec-hmm-v1") as payload:
         model = HmmModel(pi=payload["pi"], trans=payload["trans"], emit=payload["emit"])
+        for name in ("num_states", "num_items"):
+            if _check_count(name, payload[name]) != getattr(model, name):
+                raise ValueError(f"{name}: header says {payload[name]}, the arrays hold {getattr(model, name)}")
         cfg = payload.get("train_config")
         return model, None if cfg is None else TrainConfig(**cfg)

@@ -53,6 +53,7 @@ from driftrec.hmm import (
     total_log_likelihood,
 )
 from driftrec.recommend import (
+    Recommendation,
     factors_from_pair,
     hmm_item_factors,
     item_popularity,
@@ -193,17 +194,14 @@ class ExperimentConfig:
 # shared plumbing
 
 
-def _out(cfg: ExperimentConfig) -> Path:
+def _out(cfg: ExperimentConfig) -> tuple[Path, dict]:
+    """out_dir, with config_resolved.yaml written, and the stage's provenance."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    resolved = dict(cfg.to_mapping(), config_hash=cfg.config_hash())
+    provenance = {"config": cfg.config_hash(), "seed": cfg.seed}
+    resolved = dict(cfg.to_mapping(), config_hash=provenance["config"])
     (out / "config_resolved.yaml").write_text(yaml.safe_dump(resolved, sort_keys=True))
-    return out
-
-
-def _header(cfg: ExperimentConfig, extra: str = "") -> str:
-    line = f"# config={cfg.config_hash()} seed={cfg.seed}"
-    return f"{line} {extra}" if extra else line
+    return out, provenance
 
 
 def _require(path: Path) -> Path:
@@ -212,10 +210,13 @@ def _require(path: Path) -> Path:
     return path
 
 
-def _write_rows(path: Path, cfg: ExperimentConfig, columns, rows, extra: str = "") -> None:
-    lines = [_header(cfg, extra), "# " + "\t".join(columns)]
-    lines.extend("\t".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_lines(path: Path, header: dict, lines) -> None:
+    """A '# key=value ...' line from header (provenance first), then lines."""
+    path.write_text("\n".join(["# " + " ".join(f"{k}={v}" for k, v in header.items()), *lines]) + "\n")
+
+
+def _write_rows(path: Path, header: dict, columns, rows) -> None:
+    _write_lines(path, header, ["# " + "\t".join(columns), *("\t".join(row) for row in rows)])
 
 
 def _load_sequences(out: Path):
@@ -264,17 +265,23 @@ def _read_changepoints(path: Path, seqs, interior: bool = True) -> dict[str, lis
     return out
 
 
-def _segments_by_user(seqs, changepoints, k: int) -> dict[str, list[np.ndarray]]:
-    """Partition each sequence at its detected points, padded to k + 1 segments.
+def _segments_by_user(out: Path, seqs, h: int, k: int) -> dict[str, list[np.ndarray]]:
+    """Each sequence cut at changepoints_HMCD-S{h}.tsv's points, padded to k + 1 segments.
 
     Detectors may return fewer than k points (or none at all, flagged);
     trailing empty segments keep every user's row count identical.
     """
-    out = {}
+    changepoints = _read_changepoints(_require(out / f"changepoints_HMCD-S{h}.tsv"), seqs)
+    segments = {}
     for seq in seqs:
         segs = partition(seq, changepoints[seq.user_id])
-        out[seq.user_id] = segs + [np.array([], dtype=np.int64)] * (k + 1 - len(segs))
-    return out
+        segments[seq.user_id] = segs + [np.array([], dtype=np.int64)] * (k + 1 - len(segs))
+    return segments
+
+
+def _user_matrix(seqs, m: int) -> np.ndarray:
+    """The n x m user-item incidence matrix of the whole sequences."""
+    return incidence_matrix([seq.items for seq in seqs], m, [f"user {seq.user_id!r}" for seq in seqs])
 
 
 def _fmt(value: float) -> str:
@@ -287,7 +294,7 @@ def _fmt(value: float) -> str:
 
 def cmd_synthesize(cfg: ExperimentConfig) -> Path:
     """Corpus in, benchmark out: mixed sequences plus the item vocabulary."""
-    out = _out(cfg)
+    out, provenance = _out(cfg)
     corpus = load_corpus(
         cfg.corpus, min_len=cfg.min_len, sample_size=cfg.sample_size, seed=stable_seed(cfg.seed, "corpus")
     )
@@ -298,17 +305,12 @@ def cmd_synthesize(cfg: ExperimentConfig) -> Path:
         min_window=cfg.min_window,
         pool_split=cfg.pool_split,
     )
-    meta = {
-        "config": cfg.config_hash(),
-        "seed": cfg.seed,
-        "num_items": len(corpus.item_keys),
-        "min_window": cfg.min_window,
-        "pool_split": "none" if cfg.pool_split is None else cfg.pool_split,
-    }
+    pool_split = "none" if cfg.pool_split is None else cfg.pool_split
+    meta = dict(provenance, num_items=len(corpus.item_keys), min_window=cfg.min_window, pool_split=pool_split)
     save_benchmark(out / "benchmark.tsv", mixed, meta)
     _write_rows(
         out / "vocab.tsv",
-        cfg,
+        provenance,
         ("index", "item_key"),
         [(str(i), key) for i, key in enumerate(corpus.item_keys)],
     )
@@ -322,7 +324,7 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
     is the best of hmm_restarts independently seeded runs by final corpus
     log-likelihood.  Ties keep the earliest restart.
     """
-    out = _out(cfg)
+    out, provenance = _out(cfg)
     seqs, _, m = _load_sequences(out)
     paths = []
     for h in cfg.hidden_state_counts:
@@ -339,15 +341,14 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
                 best = (ll, r, model, tc)
         ll, r, model, tc = best
         path = out / f"hmm_s{h}.json"
-        meta = {"config": cfg.config_hash(), "seed": cfg.seed, "h": h, "restart": r, "log_likelihood": ll}
-        save_model(path, model, tc, meta=meta)
+        save_model(path, model, tc, meta=dict(provenance, h=h, restart=r, log_likelihood=ll))
         paths.append(path)
     return paths
 
 
 def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
     """Run every configured detector over the benchmark, one report each."""
-    out = _out(cfg)
+    out, provenance = _out(cfg)
     seqs, _, m = _load_sequences(out)
     columns = ("user_id", "T", "truth", "predicted", "scores", "method")
     paths = []
@@ -368,7 +369,7 @@ def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
         return rows
 
     for label in cfg.detector_labels():
-        extra = ""
+        header = provenance
         if label.startswith("HMCD-S"):
             model, _ = load_model(_require(out / f"hmm_s{label[6:]}.json"))
             per_seq = [
@@ -377,7 +378,7 @@ def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
             ]
         elif label == "CUSUM":
             tau = tune_cusum_threshold(seqs)
-            extra = f"tau={_fmt(tau)}"
+            header = dict(provenance, tau=_fmt(tau))
             per_seq = [([cusum_detect(seq, tau)[0]], []) for seq in seqs]
         elif label == "SW":
             vectors = cooccurrence_item_vectors(seqs, m)
@@ -388,28 +389,26 @@ def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
                 for seq in seqs
             ]
         path = out / f"changepoints_{label}.tsv"
-        _write_rows(path, cfg, columns, rows_from(label, per_seq), extra)
+        _write_rows(path, header, columns, rows_from(label, per_seq))
         paths.append(path)
     return paths
 
 
 def cmd_fit(cfg: ExperimentConfig) -> list[Path]:
     """Factorize the segmented matrices plus the raw matrix for the baselines."""
-    out = _out(cfg)
+    out, provenance = _out(cfg)
     seqs, _, m = _load_sequences(out)
-    provenance = {"config": cfg.config_hash(), "seed": cfg.seed}
     paths = []
     for h in cfg.hidden_state_counts:
         if f"SMF-S{h}" not in cfg.methods:
             continue
-        changepoints = _read_changepoints(_require(out / f"changepoints_HMCD-S{h}.tsv"), seqs)
-        segmented = build_segmented_matrix(_segments_by_user(seqs, changepoints, cfg.k), m)
+        segmented = build_segmented_matrix(_segments_by_user(out, seqs, h, cfg.k), m)
         fc = FactorizationConfig(d=cfg.d, max_iters=cfg.nmf_max_iters, seed=stable_seed(cfg.seed, f"nmf:smf-s{h}"))
         pair = nmf_fit(segmented, fc)
         path = out / f"factors_smf_s{h}.json"
         save_factors(path, pair, meta=dict(provenance, model=f"SMF-S{h}"))
         paths.append(path)
-    raw = incidence_matrix([seq.items for seq in seqs], m, [f"user {seq.user_id!r}" for seq in seqs])
+    raw = _user_matrix(seqs, m) if {"NMF", "BPR-MF"} & set(cfg.methods) else None
     if "NMF" in cfg.methods:
         fc = FactorizationConfig(d=cfg.d, max_iters=cfg.nmf_max_iters, seed=stable_seed(cfg.seed, "nmf:raw"))
         pair = nmf_fit(raw, fc)
@@ -427,21 +426,17 @@ def cmd_fit(cfg: ExperimentConfig) -> list[Path]:
 
 def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     """Produce a ranked list per user for every configured recommender."""
-    out = _out(cfg)
+    out, provenance = _out(cfg)
     seqs, _, m = _load_sequences(out)
-    popularity = item_popularity(
-        incidence_matrix([seq.items for seq in seqs], m, [f"user {seq.user_id!r}" for seq in seqs])
-    )
+    popularity = item_popularity(_user_matrix(seqs, m))
     N = max(cfg.n_grid)
     columns = ("user_id", "rank", "item", "score")
-    segments_cache: dict[int, dict] = {}
-
-    def segments_for(h: int) -> dict:
-        if h not in segments_cache:
-            changepoints = _read_changepoints(_require(out / f"changepoints_HMCD-S{h}.tsv"), seqs)
-            segments_cache[h] = _segments_by_user(seqs, changepoints, cfg.k)
-        return segments_cache[h]
-
+    # one read of each state count's detections, shared by its SMF and HMMR rankers
+    segments_of = {
+        h: _segments_by_user(out, seqs, h, cfg.k)
+        for h in cfg.hidden_state_counts
+        if {f"SMF-S{h}", f"HMMR-S{h}"} & set(cfg.methods)
+    }
     paths = []
     for label in cfg.ranker_labels():
         if label.startswith(("SMF-S", "HMMR-S")):
@@ -452,7 +447,7 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
             else:
                 model, _ = load_model(_require(out / f"hmm_s{h}.json"))
                 factors = hmm_item_factors(model)
-            segments = segments_for(h)
+            segments = segments_of[h]
             factors.reserve(cfg.l, segments.values())
             recs = [
                 recommend_from_segments(
@@ -475,32 +470,41 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
             for rank, (item, score) in enumerate(zip(rec.ranked_items, rec.scores), start=1)
         ]
         path = out / f"recommendations_{label}.tsv"
-        _write_rows(path, cfg, columns, rows, extra=f"method={label}")
+        _write_rows(path, dict(provenance, method=label), columns, rows)
         paths.append(path)
     return paths
 
 
 def _read_recommendations(path: Path, seqs, m: int) -> dict[str, list[int]]:
     """user_id -> ranked items, each an index in [0, m).  A user's rows must
-    rank 1, 2, ... in file order, so a list is never scored out of order."""
+    rank 1, 2, ... in file order, so a list is never scored out of order,
+    and form a valid Recommendation: finite scores that never rise, and no
+    repeated item."""
     ranked: dict[str, list[int]] = {}
+    scores: dict[str, list[str]] = {}
 
     def row(user, rank, item, score):
         items = ranked.setdefault(user, [])
         items.append(int(item))
+        scores.setdefault(user, []).append(score)
         if rank != str(len(items)):
             raise ValueError(f"user {user!r} has rank {rank!r} where rank {len(items)} is due")
 
     _parse_rows(path, "recommendation", row)
     users = list(ranked)
     _index_array(*_joined([ranked[u] for u in users], lambda r: f"{path.name}: user {users[r]!r}"), m)
+    for user, items in ranked.items():
+        try:
+            Recommendation(user, items, list(map(float, scores[user])))
+        except ValueError as exc:
+            raise ValueError(f"{path.name}: user {user!r}: {exc}") from None
     _check_users(path, ranked, seqs)
     return ranked
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
     """Aggregate detector displacement and ranking quality into reports."""
-    out = _out(cfg)
+    out, provenance = _out(cfg)
     seqs, holdout, m = _load_sequences(out)
     per_method: dict[str, MethodMetrics] = {}
 
@@ -517,14 +521,13 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
         per_method[label] = MethodMetrics(mean_delta=delta)
     _write_rows(
         out / "cpd_table.tsv",
-        cfg,
+        provenance,
         ("method", "mean_delta", "users"),
         [(label, _fmt(mean_delta[label]), str(len(seqs))) for label in cfg.detector_labels()],
     )
-    cpd_text = [_header(cfg), f"{'method':<12}{'mean displacement':>20}{'users':>8}"]
-    for label in cfg.detector_labels():
-        cpd_text.append(f"{label:<12}{mean_delta[label]:>20.6f}{len(seqs):>8}")
-    (out / "cpd_table.txt").write_text("\n".join(cpd_text) + "\n")
+    cpd_text = [f"{'method':<12}{'mean displacement':>20}{'users':>8}"]
+    cpd_text += [f"{label:<12}{mean_delta[label]:>20.6f}{len(seqs):>8}" for label in cfg.detector_labels()]
+    _write_lines(out / "cpd_table.txt", provenance, cpd_text)
 
     # state-count trend over the model-based detector, flagged if broken
     deltas = [mean_delta[f"HMCD-S{h}"] for h in cfg.hidden_state_counts]
@@ -535,7 +538,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
         for h, delta, ok in zip(cfg.hidden_state_counts, deltas, row_ok)
     ]
     trend_rows.append(("# trend_ok", "yes" if trend_ok else "no", ""))
-    _write_rows(out / "state_count_trend.tsv", cfg, ("h", "mean_delta", "non_decreasing"), trend_rows)
+    _write_rows(out / "state_count_trend.tsv", provenance, ("h", "mean_delta", "non_decreasing"), trend_rows)
 
     # ranking quality against the held-out tail
     pr_rows, metric_rows, text_lines = [], [], []
@@ -554,19 +557,17 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
             f"{label:<10}{name:<11}" + "".join(f"{table[N]:>10.6f}" for N in cfg.n_grid)
             for name, table in tables.items()
         ]
-    _write_rows(out / "ranking_metrics.tsv", cfg, ("method", "metric", "N", "value"), metric_rows)
-    _write_rows(out / "pr_curves.tsv", cfg, ("method", "N", "precision", "recall"), pr_rows)
+    _write_rows(out / "ranking_metrics.tsv", provenance, ("method", "metric", "N", "value"), metric_rows)
+    _write_rows(out / "pr_curves.tsv", provenance, ("method", "N", "precision", "recall"), pr_rows)
     if text_lines:
         head = f"{'method':<10}{'metric':<11}" + "".join(f"{'N=' + str(N):>10}" for N in cfg.n_grid)
-        (out / "ranking_metrics.txt").write_text(
-            "\n".join([_header(cfg), head] + text_lines) + "\n"
-        )
+        _write_lines(out / "ranking_metrics.txt", provenance, [head] + text_lines)
 
     report = EvalReport(
         per_method=per_method,
         n_users=len(seqs),
         parameters={
-            "config_hash": cfg.config_hash(),
+            "config_hash": provenance["config"],
             "seed": cfg.seed,
             "num_items": m,
             "k": cfg.k,
@@ -578,7 +579,6 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
     )
 
     summary = [
-        _header(cfg),
         f"users={len(seqs)} items={m} mean_length={np.mean([len(s) for s in seqs]):.2f}",
         "detectors (mean displacement):",
     ]
@@ -595,7 +595,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
             f"  {label:<10} {per_method[label].precision_at[top]:.6f} / {per_method[label].ndcg_at[top]:.6f}"
             for label in cfg.ranker_labels()
         ]
-    (out / "summary.txt").write_text("\n".join(summary) + "\n")
+    _write_lines(out / "summary.txt", provenance, summary)
     return report
 
 

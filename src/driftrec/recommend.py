@@ -14,9 +14,9 @@ needs only the first min(m, l + |U|) entries of each of its rows, so the
 table keeps the widest prefix asked for so far, rounded up to a power of
 two, at 2 * m * width bytes (int16 indices below 2**15 items).  It is
 built lazily, 256 rows at a time, and cached on the ItemFactors, whose
-vectors are a read-only copy so the table cannot go stale.  hmmr_recommend
-inverts a model's emissions and builds its table once per HmmModel
-instance, however many requests it serves.
+vectors are a read-only copy so the table cannot go stale.  HmmModel is
+immutable too, so hmmr_recommend inverts each model's emissions and builds
+its table once per instance, however many requests it serves.
 
 Both orders are selected rather than sorted, with the ties of a full
 stable sort.  A table row keeps the items above its width-th similarity
@@ -27,6 +27,7 @@ ties included, then sorts only those by score, popularity and index.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 
@@ -132,7 +133,7 @@ class ItemFactors:
 
 @dataclass
 class Recommendation:
-    """Ranked item list for one user; scores align with ranked_items.
+    """Ranked item list for one user; finite scores, aligned with ranked_items.
 
     used_fallback marks lists produced from an earlier segment because the
     most recent one was empty.
@@ -148,7 +149,9 @@ class Recommendation:
             raise ValueError("ranked_items and scores must align")
         if len(set(self.ranked_items)) != len(self.ranked_items):
             raise ValueError("ranked_items contains duplicates")
-        if any(b > a for a, b in zip(self.scores, self.scores[1:])):
+        if not all(map(math.isfinite, self.scores)):
+            raise ValueError("scores must be finite")
+        if list(self.scores) != sorted(self.scores, reverse=True):
             raise ValueError("scores must be non-increasing")
 
 
@@ -167,10 +170,7 @@ def hmm_item_factors(model: HmmModel) -> ItemFactors:
     state_mass = model.trans.sum(axis=0)
     p_state = state_mass / state_mass.sum()
     p_item = model.emit.T @ p_state
-    total = p_item.sum()
-    if not total > 0:
-        raise ValueError("emission mass vanished: the item marginal sums to 0")
-    p_item = p_item / total
+    p_item /= p_item.sum()
     if not np.all(p_item > 0):
         item = int(np.argmin(p_item > 0))
         raise ValueError(f"item {item} has zero emission mass under the state prior")
@@ -286,8 +286,8 @@ def recommend_from_segments(
 smf_recommend = recommend_from_segments
 
 
-# per model instance: the arrays the factors were inverted from, and the factors
-_MODEL_FACTORS: "weakref.WeakKeyDictionary[HmmModel, tuple]" = weakref.WeakKeyDictionary()
+# per model instance, which is immutable: its item factors
+_MODEL_FACTORS: "weakref.WeakKeyDictionary[HmmModel, ItemFactors]" = weakref.WeakKeyDictionary()
 
 
 def hmmr_recommend(
@@ -302,13 +302,11 @@ def hmmr_recommend(
     """Segment-based ranking over the model's item-state posteriors.
 
     The posteriors and their neighbor-order table are computed on the
-    first call for a model and reused on every later one; a model whose
-    parameter arrays were replaced is inverted again.
+    first call for a model and reused on every later one.
     """
-    trans, emit, factors = _MODEL_FACTORS.get(model, (None, None, None))
-    if trans is not model.trans or emit is not model.emit:
-        factors = hmm_item_factors(model)
-        _MODEL_FACTORS[model] = (model.trans, model.emit, factors)
+    factors = _MODEL_FACTORS.get(model)
+    if factors is None:
+        factors = _MODEL_FACTORS[model] = hmm_item_factors(model)
     return recommend_from_segments(factors, segments, training_items, popularity, l=l, N=N, user_id=user_id)
 
 

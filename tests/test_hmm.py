@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -518,6 +519,23 @@ class TestSerialization:
         path.write_text(json.dumps(payload))
         assert "NaN" in path.read_text()
         with pytest.raises(ValueError, match=r"emit entry \(1, 2\) is nan"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("num_states", 7, "num_states: header says 7, the arrays hold 1"),
+            ("num_items", 99, "num_items: header says 99, the arrays hold 2"),
+            ("num_items", True, "num_items: expected an integer, got True"),
+        ],
+    )
+    def test_header_must_match_the_arrays(self, tmp_path, field, value, message):
+        path = tmp_path / "model.json"
+        save_model(path, HmmModel(pi=[1.0], trans=[[1.0]], emit=[[0.5, 0.5]]))
+        payload = json.loads(path.read_text())
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_model(path)
 
     def test_rejects_foreign_file(self, tmp_path):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
+import driftrec.pipeline
 from driftrec.cli import main
 from driftrec.dataset import load_benchmark, to_interaction_sequences
 from driftrec.evaluation import ndcg_time_aware, pr_curve, precision_recall_at
@@ -522,6 +523,37 @@ class TestStaleArtifacts:
         err = capsys.readouterr().err
         assert f"{name}:3: malformed recommendation row (user {user!r} has rank {found} where rank 1 is due)" in err
 
+    @staticmethod
+    def set_cell(row, column, value):
+        """An edit that sets cell `column` of data row `row` to value(rows)."""
+
+        def edit(rows):
+            cells = rows[row].split("\t")
+            cells[column] = value(rows)
+            return rows[:row] + ["\t".join(cells)] + rows[row + 1 :]
+
+        return edit
+
+    @pytest.mark.parametrize(
+        "row, column, value, found",
+        [
+            (0, 3, lambda rows: "banana",
+             "recommendations_PopRank.tsv: user {user!r}: could not convert string to float: 'banana'"),
+            (0, 3, lambda rows: "nan", "recommendations_PopRank.tsv: user {user!r}: scores must be finite"),
+            (1, 3, lambda rows: repr(float(rows[0].split("\t")[3]) + 1),
+             "recommendations_PopRank.tsv: user {user!r}: scores must be non-increasing"),
+            (1, 2, lambda rows: rows[0].split("\t")[2],
+             "recommendations_PopRank.tsv: user {user!r}: ranked_items contains duplicates"),
+        ],
+        ids=["non-number-score", "nan-score", "second-outscores-first", "repeated-item"],
+    )
+    def test_rows_must_form_a_ranking(self, cli_run, tmp_path, capsys, row, column, value, found):
+        name = "recommendations_PopRank.tsv"
+        user = data_rows(cli_run[1] / name)[0][0]
+        assert self.run_edited(cli_run, tmp_path, "evaluate", name, self.set_cell(row, column, value)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and found.format(user=user) in err
+
 
 def edit_benchmark_item(column, value):
     """Set the first item of the first record's items (column 3) or holdout (column 4)."""
@@ -591,6 +623,30 @@ def test_methods_subset_writes_exactly_its_files(tmp_path, methods, files):
     assert all(f"  {label} " in summary for label in rankers)
     cmd_run_all(cfg)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == written
+
+
+_STAGES = (cmd_synthesize, cmd_train, cmd_detect, cmd_fit, cmd_recommend, cmd_evaluate)
+
+
+def test_each_stage_hashes_the_config_once(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path / "out", mixed_count=12, bpr_epochs=2)
+    calls = []
+    original = ExperimentConfig.config_hash
+    monkeypatch.setattr(ExperimentConfig, "config_hash", lambda self: calls.append(self) or original(self))
+    for stage in _STAGES:
+        calls.clear()
+        stage(cfg)
+        assert len(calls) == 1, stage.__name__
+
+
+def test_fit_without_static_rankers_builds_no_user_matrix(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path / "out", mixed_count=12, methods=["HMMR-S2"])
+    for stage in _STAGES[:3]:
+        stage(cfg)
+    calls = []
+    monkeypatch.setattr(driftrec.pipeline, "incidence_matrix", lambda *args: calls.append(args))
+    assert cmd_fit(cfg) == []
+    assert calls == []
 
 
 def edit_line(index, change):

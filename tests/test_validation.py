@@ -76,6 +76,9 @@ CASES = {
     "synthesize_mixed.count-bool": (lambda: synthesize_mixed(None, True), "count"),
     "synthesize_mixed.min_window-float": (lambda: synthesize_mixed(None, 5, min_window=2.5), "min_window"),
     "ExperimentConfig.k-float": (lambda: ExperimentConfig(corpus="c", out_dir="o", k=1.0), "k"),
+    "InteractionSequence.truth_change-float": (lambda: seq([0, 1, 2, 3], truth=2.7), "truth_change"),
+    "InteractionSequence.truth_change-bool": (lambda: seq(truth=True), "truth_change"),
+    "InteractionSequence.truth_change-at-T": (lambda: seq([0, 1, 2, 3], truth=4), "truth_change"),
     # tolerances and rates
     "TrainConfig.log_lik_tol-nan": (lambda: TrainConfig(log_lik_tol=NAN), "log_lik_tol"),
     "TrainConfig.emission_floor-nan": (lambda: TrainConfig(emission_floor=NAN), "emission_floor"),

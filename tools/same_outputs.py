@@ -9,8 +9,9 @@ once with the working tree's, both from the same checkout path and into
 the same out_dir, because the corpus path enters the config hash and
 config_resolved.yaml records out_dir.  Every out_dir file is then compared
 byte for byte.  Prints the first file that differs and exits 1 on any
-difference, else exits 0.  The three jobs take about 30 s per side on
-2 cores.
+difference, else exits 0.  Also prints the line count of src/driftrec at
+REV and in the working tree, counted as the benchmark's driftrec_loc
+counts it.  The three jobs take about 30 s per side on 2 cores.
 """
 
 from __future__ import annotations
@@ -27,11 +28,14 @@ REPO = Path(__file__).resolve().parent.parent
 JOBS = (("acceptance", "bench", 1), ("wide", "bench", 1), ("acceptance", "full", 39))
 
 
-def load_inputs():
+def load_perfbench():
+    """perfbench's inputs module, which writes the job configs, and its run
+    module, whose count_loc gives driftrec_loc."""
     sys.path.insert(0, str(REPO / "perfbench"))
     import inputs
+    import run
 
-    return inputs
+    return inputs, run
 
 
 def populate(checkout: Path, rev: str | None) -> None:
@@ -85,12 +89,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     work = Path(args.work or tempfile.mkdtemp(prefix="same_outputs-")).resolve()
     checkout = work / "checkout"
-    inputs = load_inputs()
+    inputs, run = load_perfbench()
     try:
-        results = {}
+        results, loc = {}, {}
         for side, rev in (("rev", args.rev), ("tree", None)):
             print(f"{side}: {rev or 'working tree'}", flush=True)
             populate(checkout, rev)
+            loc[side] = run.count_loc(checkout / "src" / "driftrec")
             configs = {}
             cwd = Path.cwd()
             os.chdir(checkout)  # inputs.FIXTURE is relative to the checkout root
@@ -105,6 +110,7 @@ def main(argv=None) -> int:
             results[side] = work / side
             results[side].mkdir(parents=True, exist_ok=True)
             run_jobs(checkout, configs, results[side])
+        print(f"src/driftrec: {loc['rev']} lines at {args.rev}, {loc['tree']} in the working tree")
         for workload, scale, seed in JOBS:
             job = f"{workload}-{scale}-s{seed}"
             diff = first_difference(results["rev"] / job, results["tree"] / job)
