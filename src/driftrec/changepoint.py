@@ -16,25 +16,28 @@ import numpy as np
 from .hmm import HmmModel, InteractionSequence, _check_count, _check_entries, _check_points, _index_array, viterbi_decode_all
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChangePointResult:
     """Detected change points for one user, in ascending sequence order.
 
     predicted holds indices of the first item after each change; each lies
-    in [1, T).  score_per_point aligns with predicted.  no_change is set
-    when the decoded state path never switches, in which case both lists
-    are empty.
+    in [1, T).  score_per_point aligns with predicted.  A result is
+    immutable once validated.
     """
 
     user_id: str
     predicted: list[int] = field(default_factory=list)
     score_per_point: list[float] = field(default_factory=list)
-    no_change: bool = False
 
     def __post_init__(self):
         if len(self.predicted) != len(self.score_per_point):
             raise ValueError("predicted and score_per_point must align")
-        self.predicted = _check_points("predicted", self.predicted, 1)
+        object.__setattr__(self, "predicted", _check_points("predicted", self.predicted, 1))
+
+    @property
+    def no_change(self) -> bool:
+        """True when no change point was found: the decoded path never switches."""
+        return not self.predicted
 
 
 def hmcd_detect(model: HmmModel, seq: InteractionSequence, k: int = 1) -> ChangePointResult:
@@ -68,7 +71,7 @@ def _switch_points(
 ) -> ChangePointResult:
     switches = np.flatnonzero(path[1:] != path[:-1]) + 1
     if len(switches) == 0:
-        return ChangePointResult(user_id=seq.user_id, no_change=True)
+        return ChangePointResult(user_id=seq.user_id)
     scores = model.trans[path[switches - 1], path[switches]] * model.emit[
         path[switches], seq.items[switches]
     ]

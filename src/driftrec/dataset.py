@@ -33,12 +33,28 @@ class CorpusStats:
 
 @dataclass
 class PlaylistCorpus:
-    """Sampled playlists as contiguous item indices plus the vocabulary."""
+    """Sampled playlists as contiguous item indices; item_keys[i] is item i's key."""
 
     playlists: list[np.ndarray]
-    item_vocab: dict[str, int]
     item_keys: list[str]
-    stats: CorpusStats
+
+    @property
+    def item_vocab(self) -> dict[str, int]:
+        """key -> item index."""
+        return {key: i for i, key in enumerate(self.item_keys)}
+
+    @property
+    def stats(self) -> CorpusStats:
+        """Sizes, distinct (playlist, item) pairs, sparsity and mean length."""
+        n, m = len(self.playlists), len(self.item_keys)
+        pair_count = sum(len(np.unique(pl)) for pl in self.playlists)
+        return CorpusStats(
+            num_playlists=n,
+            num_items=m,
+            pair_count=pair_count,
+            sparsity=1.0 - pair_count / (n * m),
+            mean_length=float(np.mean([len(pl) for pl in self.playlists])),
+        )
 
 
 @dataclass
@@ -121,18 +137,8 @@ def load_corpus(
 
     vocab: dict[str, int] = {}
     playlists = [np.array([vocab.setdefault(key, len(vocab)) for key in pl], dtype=np.int64) for pl in sample]
-    n, m = len(playlists), len(vocab)
-    lengths = [len(pl) for pl in playlists]
-    pair_count = sum(len(set(pl)) for pl in sample)  # distinct (playlist, item) pairs
-    stats = CorpusStats(
-        num_playlists=n,
-        num_items=m,
-        pair_count=pair_count,
-        sparsity=1.0 - pair_count / (n * m),
-        mean_length=float(np.mean(lengths)),
-    )
     # a dict keeps insertion order, so its keys are the items in index order
-    return PlaylistCorpus(playlists=playlists, item_vocab=vocab, item_keys=list(vocab), stats=stats)
+    return PlaylistCorpus(playlists=playlists, item_keys=list(vocab))
 
 
 def synthesize_mixed(

@@ -110,7 +110,6 @@ class MethodMetrics:
     precision_at: dict[int, float] = field(default_factory=dict)
     recall_at: dict[int, float] = field(default_factory=dict)
     ndcg_at: dict[int, float] = field(default_factory=dict)
-    pr_points: list[tuple[float, float]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.mean_delta is not None:
@@ -118,8 +117,6 @@ class MethodMetrics:
         for name in ("precision_at", "recall_at", "ndcg_at"):
             for N, value in getattr(self, name).items():
                 _check_real(f"{name}[{N}]", value, "[0, 1]")
-        for value in [v for point in self.pr_points for v in point]:
-            _check_real("pr_points", value, "[0, 1]")
 
 
 @dataclass

@@ -57,22 +57,25 @@ class FactorizationConfig:
 
 @dataclass
 class FactorPair:
-    """Row factors p (one row per matrix row) and item factors q."""
+    """Row factors p (one row per matrix row) and item factors q, both with
+    d columns."""
 
     p: np.ndarray
     q: np.ndarray
-    d: int
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
         self.q = np.asarray(self.q, dtype=float)
-        self.d = _check_count("d", self.d)
+        if self.q.ndim != 2 or self.q.shape[1] < 1:
+            raise ValueError(f"q must have shape (m, d) with d >= 1, got {self.q.shape}")
         if self.p.ndim != 2 or self.p.shape[1] != self.d:
-            raise ValueError(f"p must have shape (n, {self.d})")
-        if self.q.ndim != 2 or self.q.shape[1] != self.d:
-            raise ValueError(f"q must have shape (m, {self.d})")
+            raise ValueError(f"p must have shape (n, {self.d}), got {self.p.shape}")
         _check_entries(self.p, nonnegative=False, name="p")
         _check_entries(self.q, nonnegative=False, name="q")
+
+    @property
+    def d(self) -> int:
+        return self.q.shape[1]
 
 
 def _as_matrix(M) -> np.ndarray:
@@ -135,7 +138,7 @@ def nmf_fit(M, cfg: FactorizationConfig | None = None, return_history: bool = Fa
         if prev - obj < cfg.convergence_tol * max(1.0, prev):
             break
 
-    pair = FactorPair(p=p, q=q, d=cfg.d)
+    pair = FactorPair(p=p, q=q)
     if return_history:
         return pair, history
     return pair
@@ -219,7 +222,7 @@ def bpr_fit(M, cfg: FactorizationConfig | None = None) -> FactorPair:
         for a, b in zip(bounds[:-1], bounds[1:]):
             _bpr_chunk(p, q, users[a:b], items[a:b], negs[a:b], cfg.learning_rate, cfg.regularization)
 
-    return FactorPair(p=p, q=q, d=cfg.d)
+    return FactorPair(p=p, q=q)
 
 
 def save_factors(path: str | Path, pair: FactorPair, meta: dict | None = None) -> None:
@@ -236,9 +239,7 @@ def save_factors(path: str | Path, pair: FactorPair, meta: dict | None = None) -
 
 def load_factors(path: str | Path) -> tuple[FactorPair, dict]:
     with _reading(path, "driftrec-factors-v1") as payload:
-        pair = FactorPair(
-            p=np.array(payload["p"], dtype=float),
-            q=np.array(payload["q"], dtype=float),
-            d=int(payload["d"]),
-        )
+        pair = FactorPair(p=np.array(payload["p"], dtype=float), q=np.array(payload["q"], dtype=float))
+        if _check_count("d", payload["d"]) != pair.d:
+            raise ValueError(f"d: header says {payload['d']}, the arrays hold {pair.d}")
         return pair, payload.get("meta", {})

@@ -248,12 +248,13 @@ def _changepoint_row(user_id, T, truth, predicted, *_):
     return user_id, (int(T), int(truth)), [] if predicted == "-" else [int(p) for p in predicted.split(",")]
 
 
-def _read_changepoints(path: Path, seqs, interior: bool = True) -> dict[str, list[int]]:
+def _read_changepoints(path: Path, seqs, k: int, interior: bool = True) -> dict[str, list[int]]:
     """user_id -> predicted indices ('-' marks none).  Each row's T and truth
     must be benchmark.tsv's, so a table detected on another benchmark is refused.
-    Points must ascend strictly within [1, T), where partition can split at
-    them, or within [0, T] when not interior: the RP baseline draws its split
-    from [0, T], and displacement scores any of them."""
+    A row holds at most k points, as every detector writes.  Points must
+    ascend strictly within [1, T), where partition can split at them, or
+    within [0, T] when not interior: the RP baseline draws its split from
+    [0, T], and displacement scores any of them."""
     expected = {seq.user_id: (len(seq), seq.truth_change) for seq in seqs}
     out = {}
     for user_id, facts, points in _parse_rows(path, "change-point", _changepoint_row):
@@ -261,6 +262,8 @@ def _read_changepoints(path: Path, seqs, interior: bool = True) -> dict[str, lis
             raise ValueError(f"{path.name}: user {user_id!r} has T, truth {facts}; benchmark.tsv has {expected[user_id]}")
         lo, hi = (1, facts[0] - 1) if interior else (0, facts[0])
         out[user_id] = _check_points(f"{path.name}: user {user_id!r} points", points, lo, hi)
+        if len(points) > k:
+            raise ValueError(f"{path.name}: user {user_id!r} has {len(points)} points, more than k = {k}")
     _check_users(path, out, seqs)
     return out
 
@@ -271,7 +274,7 @@ def _segments_by_user(out: Path, seqs, h: int, k: int) -> dict[str, list[np.ndar
     Detectors may return fewer than k points (or none at all, flagged);
     trailing empty segments keep every user's row count identical.
     """
-    changepoints = _read_changepoints(_require(out / f"changepoints_HMCD-S{h}.tsv"), seqs)
+    changepoints = _read_changepoints(_require(out / f"changepoints_HMCD-S{h}.tsv"), seqs, k)
     segments = {}
     for seq in seqs:
         segs = partition(seq, changepoints[seq.user_id])
@@ -503,7 +506,7 @@ def _read_recommendations(path: Path, seqs, m: int) -> dict[str, list[int]]:
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
-    """Aggregate detector displacement and ranking quality into reports."""
+    """Aggregate detector displacement and ranking quality into one table per fact, plus a summary."""
     out, provenance = _out(cfg)
     seqs, holdout, m = _load_sequences(out)
     per_method: dict[str, MethodMetrics] = {}
@@ -511,7 +514,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
     # displacement of the point nearest the truth (earlier on a tie); none counts as the last index
     cpd_inputs = {}
     for label in cfg.detector_labels():
-        points = _read_changepoints(_require(out / f"changepoints_{label}.tsv"), seqs, interior=False)
+        points = _read_changepoints(_require(out / f"changepoints_{label}.tsv"), seqs, cfg.k, interior=False)
         cpd_inputs[label] = {}
         for seq in seqs:
             pts, truth = points[seq.user_id], seq.truth_change
@@ -525,9 +528,6 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
         ("method", "mean_delta", "users"),
         [(label, _fmt(mean_delta[label]), str(len(seqs))) for label in cfg.detector_labels()],
     )
-    cpd_text = [f"{'method':<12}{'mean displacement':>20}{'users':>8}"]
-    cpd_text += [f"{label:<12}{mean_delta[label]:>20.6f}{len(seqs):>8}" for label in cfg.detector_labels()]
-    _write_lines(out / "cpd_table.txt", provenance, cpd_text)
 
     # state-count trend over the model-based detector, flagged if broken
     deltas = [mean_delta[f"HMCD-S{h}"] for h in cfg.hidden_state_counts]
@@ -541,27 +541,15 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
     _write_rows(out / "state_count_trend.tsv", provenance, ("h", "mean_delta", "non_decreasing"), trend_rows)
 
     # ranking quality against the held-out tail
-    pr_rows, metric_rows, text_lines = [], [], []
+    metric_rows = []
     for label in cfg.ranker_labels():
         ranked = _read_recommendations(_require(out / f"recommendations_{label}.tsv"), seqs, m)
         precision_at, recall_at, ndcg_at = ranking_metrics(ranked, holdout, cfg.n_grid)
-        points = [(precision_at[N], recall_at[N]) for N in cfg.n_grid]
-        per_method[label] = MethodMetrics(
-            precision_at=precision_at, recall_at=recall_at, ndcg_at=ndcg_at, pr_points=points
-        )
+        per_method[label] = MethodMetrics(precision_at=precision_at, recall_at=recall_at, ndcg_at=ndcg_at)
         tables = {"precision": precision_at, "recall": recall_at, "ndcg": ndcg_at}
         for N in cfg.n_grid:
             metric_rows += [(label, name, str(N), _fmt(table[N])) for name, table in tables.items()]
-            pr_rows.append((label, str(N), _fmt(precision_at[N]), _fmt(recall_at[N])))
-        text_lines += [
-            f"{label:<10}{name:<11}" + "".join(f"{table[N]:>10.6f}" for N in cfg.n_grid)
-            for name, table in tables.items()
-        ]
     _write_rows(out / "ranking_metrics.tsv", provenance, ("method", "metric", "N", "value"), metric_rows)
-    _write_rows(out / "pr_curves.tsv", provenance, ("method", "N", "precision", "recall"), pr_rows)
-    if text_lines:
-        head = f"{'method':<10}{'metric':<11}" + "".join(f"{'N=' + str(N):>10}" for N in cfg.n_grid)
-        _write_lines(out / "ranking_metrics.txt", provenance, [head] + text_lines)
 
     report = EvalReport(
         per_method=per_method,

@@ -131,12 +131,13 @@ class ItemFactors:
         self.neighbors(l + distinct)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Recommendation:
     """Ranked item list for one user; finite scores, aligned with ranked_items.
 
     used_fallback marks lists produced from an earlier segment because the
-    most recent one was empty.
+    most recent one was empty.  The fields cannot be rebound once
+    validated.
     """
 
     user_id: str

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,15 @@ class TestResultType:
             ChangePointResult(user_id="u", predicted=[5, 3], score_per_point=[0.1, 0.2])
         with pytest.raises(ValueError):
             ChangePointResult(user_id="u", predicted=[0], score_per_point=[0.1])
+
+    def test_no_change_follows_predicted(self):
+        assert ChangePointResult(user_id="u").no_change
+        result = ChangePointResult(user_id="u", predicted=[3], score_per_point=[0.1])
+        assert not result.no_change
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.predicted = []
+        with pytest.raises(TypeError, match="no_change"):
+            ChangePointResult("u", [3], [0.1], no_change=True)
 
 
 class TestHmcdDetect:

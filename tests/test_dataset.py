@@ -6,7 +6,6 @@ from scipy import stats as scipy_stats
 
 from driftrec.dataset import (
     HOLDOUT_SIZE,
-    CorpusStats,
     MixedSequence,
     PlaylistCorpus,
     load_benchmark,
@@ -26,21 +25,7 @@ def write_lines(tmp_path, lines, name="corpus.txt"):
 def make_corpus(playlists):
     arrays = [np.array(pl, dtype=np.int64) for pl in playlists]
     m = int(max(pl.max() for pl in arrays)) + 1
-    keys = [f"k{i}" for i in range(m)]
-    pairs = int(sum(len(np.unique(pl)) for pl in arrays))
-    stats = CorpusStats(
-        num_playlists=len(arrays),
-        num_items=m,
-        pair_count=pairs,
-        sparsity=1.0 - pairs / (len(arrays) * m),
-        mean_length=float(np.mean([len(pl) for pl in arrays])),
-    )
-    return PlaylistCorpus(
-        playlists=arrays,
-        item_vocab={k: i for i, k in enumerate(keys)},
-        item_keys=keys,
-        stats=stats,
-    )
+    return PlaylistCorpus(playlists=arrays, item_keys=[f"k{i}" for i in range(m)])
 
 
 class TestLoadCorpus:

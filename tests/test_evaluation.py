@@ -263,8 +263,6 @@ class TestReportTypes:
             MethodMetrics(precision_at={10: 1.5})
         with pytest.raises(ValueError):
             MethodMetrics(mean_delta=-1.0)
-        with pytest.raises(ValueError):
-            MethodMetrics(pr_points=[(0.5, 1.2)])
 
     def test_report_assembly(self):
         metrics = MethodMetrics(
@@ -272,7 +270,6 @@ class TestReportTypes:
             precision_at={10: 0.2},
             recall_at={10: 0.2},
             ndcg_at={10: 0.3},
-            pr_points=[(0.2, 0.1)],
         )
         report = EvalReport(per_method={"m": metrics}, n_users=100, parameters={"seed": 1})
         assert report.per_method["m"].mean_delta == pytest.approx(16.3)

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -43,15 +44,15 @@ def reference_nmf_fit(M, cfg):
     scale = np.sqrt(M.mean() / cfg.d)
     p = rng.uniform(0.0, 1.0, size=(n, cfg.d)) * scale
     q = rng.uniform(0.0, 1.0, size=(m, cfg.d)) * scale
-    history = [frobenius_objective(M, FactorPair(p=p, q=q, d=cfg.d))]
+    history = [frobenius_objective(M, FactorPair(p=p, q=q))]
     for _ in range(cfg.max_iters):
         p *= (M @ q) / (p @ (q.T @ q) + 1e-12)
         q *= (M.T @ p) / (q @ (p.T @ p) + 1e-12)
-        obj = frobenius_objective(M, FactorPair(p=p, q=q, d=cfg.d))
+        obj = frobenius_objective(M, FactorPair(p=p, q=q))
         history.append(obj)
         if history[-2] - obj < cfg.convergence_tol * max(1.0, history[-2]):
             break
-    return FactorPair(p=p, q=q, d=cfg.d), history
+    return FactorPair(p=p, q=q), history
 
 
 def reference_bpr_fit(M, cfg):
@@ -79,7 +80,7 @@ def reference_bpr_fit(M, cfg):
             p[u] -= cfg.learning_rate * g_p
             q[i] -= cfg.learning_rate * g_i
             q[j] -= cfg.learning_rate * g_j
-    return FactorPair(p=p, q=q, d=cfg.d)
+    return FactorPair(p=p, q=q)
 
 
 def ragged_binary(rng, n, m):
@@ -218,7 +219,6 @@ class TestBpr:
         init = FactorPair(
             p=init_rng.normal(0.0, 0.1, size=(15, 4)),
             q=init_rng.normal(0.0, 0.1, size=(20, 4)),
-            d=4,
         )
         trained = bpr_fit(M, cfg)
         assert training_auc(M, trained) > training_auc(M, init)
@@ -331,7 +331,7 @@ class TestBpr:
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(23)
-        pair = FactorPair(p=rng.normal(size=(4, 3)), q=rng.normal(size=(6, 3)), d=3)
+        pair = FactorPair(p=rng.normal(size=(4, 3)), q=rng.normal(size=(6, 3)))
         path = tmp_path / "factors.json"
         save_factors(path, pair, meta={"source": "bpr"})
         loaded, meta = load_factors(path)
@@ -342,7 +342,7 @@ class TestSerialization:
 
     def test_file_format(self, tmp_path):
         path = tmp_path / "factors.json"
-        pair = FactorPair(p=[[1.0, -0.5], [0.25, 2.0]], q=[[0.0, 1.5], [3.0, -1.0]], d=2)
+        pair = FactorPair(p=[[1.0, -0.5], [0.25, 2.0]], q=[[0.0, 1.5], [3.0, -1.0]])
         save_factors(path, pair, meta={"model": "NMF"})
         assert path.read_text() == (
             '{"format": "driftrec-factors-v1", "d": 2, "p": [[1.0, -0.5], [0.25, 2.0]], '
@@ -351,7 +351,7 @@ class TestSerialization:
 
     def test_rejects_nan_factors_in_file(self, tmp_path):
         path = tmp_path / "factors.json"
-        save_factors(path, FactorPair(p=np.ones((2, 2)), q=np.ones((3, 2)), d=2))
+        save_factors(path, FactorPair(p=np.ones((2, 2)), q=np.ones((3, 2))))
         payload = json.loads(path.read_text())
         payload["q"][2][1] = float("nan")
         path.write_text(json.dumps(payload))
@@ -369,7 +369,21 @@ class TestSerialization:
     )
     def test_pair_rejects_non_finite_entries(self, p, q, match):
         with pytest.raises(ValueError, match=match):
-            FactorPair(p=p, q=q, d=1)
+            FactorPair(p=p, q=q)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(2.0, "d: expected an integer, got 2.0"), (3, "d: header says 3, the arrays hold 2")],
+        ids=["float", "disagrees"],
+    )
+    def test_header_d_must_match_the_arrays(self, tmp_path, value, message):
+        path = tmp_path / "factors.json"
+        save_factors(path, FactorPair(p=np.ones((2, 2)), q=np.ones((3, 2))))
+        payload = json.loads(path.read_text())
+        payload["d"] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_factors(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"

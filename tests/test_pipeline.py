@@ -164,15 +164,11 @@ class TestPipelineRun:
             "recommendations_BPR-MF.tsv",
             "recommendations_PopRank.tsv",
             "cpd_table.tsv",
-            "cpd_table.txt",
             "state_count_trend.tsv",
             "ranking_metrics.tsv",
-            "ranking_metrics.txt",
-            "pr_curves.tsv",
             "summary.txt",
         ]
-        for name in expected:
-            assert (out / name).exists(), name
+        assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
     def test_every_text_artifact_embeds_hash_and_seed(self, pipeline_run):
         cfg, out, _ = pipeline_run
@@ -245,21 +241,19 @@ class TestPipelineRun:
             for N in cfg.n_grid:
                 assert 0.0 <= metrics.precision_at[N] <= 1.0
                 assert 0.0 <= metrics.ndcg_at[N] <= 1.0
-            assert len(metrics.pr_points) == len(cfg.n_grid)
         assert report.parameters["config_hash"] == cfg.config_hash()
 
-    def test_pr_curves_match_recomputation_from_recommendations(self, pipeline_run):
-        cfg, out, report = pipeline_run
+    def test_pr_curve_matches_the_ranking_metrics_rows(self, pipeline_run):
+        cfg, out, _ = pipeline_run
         _, truth = to_interaction_sequences(load_benchmark(out / "benchmark.tsv")[0])
-        rows = data_rows(out / "pr_curves.tsv")
+        rows = data_rows(out / "ranking_metrics.tsv")
         for label in cfg.ranker_labels():
             ranked = {}
             for user_id, _, item, _ in data_rows(out / f"recommendations_{label}.tsv"):
                 ranked.setdefault(user_id, []).append(int(item))
-            written = [(int(n), float(p), float(r)) for method, n, p, r in rows if method == label]
-            expected = pr_curve(ranked, truth, cfg.n_grid)
-            assert written == [(n, p, r) for n, (p, r) in zip(cfg.n_grid, expected)], label
-            assert report.per_method[label].pr_points == expected, label
+            written = {(metric, int(N)): float(value) for method, metric, N, value in rows if method == label}
+            curve = [(written["precision", N], written["recall", N]) for N in cfg.n_grid]
+            assert curve == pr_curve(ranked, truth, cfg.n_grid), label
 
     def test_ranking_metrics_match_scalar_means_from_recommendations(self, pipeline_run):
         cfg, out, _ = pipeline_run
@@ -376,7 +370,8 @@ class TestCli:
         config = self.write_config(tmp_path)
         for stage in ("synthesize", "train", "detect", "fit", "recommend", "evaluate"):
             assert main([stage, "--config", str(config)]) == 0, stage
-        assert (tmp_path / "out" / "cpd_table.txt").exists()
+        written = {p.name for p in (tmp_path / "out").iterdir()}
+        assert {"cpd_table.tsv", "state_count_trend.tsv", "ranking_metrics.tsv", "summary.txt"} <= written
 
     def test_invalid_config_exits_nonzero_with_field(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -478,6 +473,13 @@ class TestStaleArtifacts:
         assert self.run_edited(cli_run, tmp_path, stage, name, edit) == 2
         listed = points.replace(",", ", ")
         assert f"{name}: user {user!r} points [{listed}] must ascend strictly within [" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["fit", "recommend", "evaluate"])
+    def test_more_than_k_points_are_refused(self, cli_run, tmp_path, capsys, stage):
+        name = "changepoints_HMCD-S2.tsv"
+        user = data_rows(cli_run[1] / name)[0][0]
+        assert self.run_edited(cli_run, tmp_path, stage, name, self.set_cell(0, 3, lambda rows: "2,3")) == 2
+        assert f"error: {name}: user {user!r} has 2 points, more than k = 1" in capsys.readouterr().err
 
     def test_items_outside_the_vocabulary_are_refused(self, cli_run, tmp_path, capsys):
         name = "recommendations_NMF.tsv"
@@ -598,7 +600,7 @@ class TestBenchmarkItems:
 
 _ALWAYS = {
     "config_resolved.yaml", "benchmark.tsv", "vocab.tsv", "hmm_s2.json", "changepoints_HMCD-S2.tsv",
-    "cpd_table.tsv", "cpd_table.txt", "state_count_trend.tsv", "ranking_metrics.tsv", "pr_curves.tsv", "summary.txt",
+    "cpd_table.tsv", "state_count_trend.tsv", "ranking_metrics.tsv", "summary.txt",
 }
 
 
@@ -606,8 +608,8 @@ _ALWAYS = {
     "methods, files",
     [
         (["HMCD-S2", "CUSUM", "SW", "RP"], {"changepoints_CUSUM.tsv", "changepoints_SW.tsv", "changepoints_RP.tsv"}),
-        (["HMMR-S2"], {"recommendations_HMMR-S2.tsv", "ranking_metrics.txt"}),
-        (["BPR-MF"], {"factors_bpr.json", "recommendations_BPR-MF.tsv", "ranking_metrics.txt"}),
+        (["HMMR-S2"], {"recommendations_HMMR-S2.tsv"}),
+        (["BPR-MF"], {"factors_bpr.json", "recommendations_BPR-MF.tsv"}),
     ],
     ids=["detectors-only", "hmmr-without-smf", "bpr-without-nmf"],
 )

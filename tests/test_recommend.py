@@ -112,7 +112,7 @@ class TestItemFactorsType:
             ItemFactors(vectors=[[1.0]], source="magic")
 
     def test_wrap_factor_pair(self):
-        pair = FactorPair(p=np.ones((2, 3)), q=np.ones((5, 3)), d=3)
+        pair = FactorPair(p=np.ones((2, 3)), q=np.ones((5, 3)))
         factors = factors_from_pair(pair, "nmf")
         assert factors.vectors.shape == (5, 3)
         assert factors.source == "nmf"
@@ -131,6 +131,12 @@ class TestRecommendationType:
     def test_rejects_non_finite_scores(self, bad):
         with pytest.raises(ValueError, match="^scores must be finite$"):
             Recommendation(user_id="u", ranked_items=[1, 2], scores=[0.5, bad])
+
+    def test_fields_cannot_be_rebound(self):
+        rec = Recommendation(user_id="u", ranked_items=[1, 2], scores=[0.5, 0.2])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.scores = [float("nan"), 9.0]
+        assert rec.scores == [0.5, 0.2]
 
 
 class TestHmmItemFactors:

@@ -12,17 +12,18 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 RUN = PERFBENCH / "run.py"
+SAME_OUTPUTS = PERFBENCH.parent / "tools" / "same_outputs.py"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load_module(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_exists_in_its_module():
-    traced = load_spans().TRACED
+    traced = load_module("perfbench_spans", SPANS).TRACED
     missing = [
         f"driftrec.{layer}.{name}"
         for layer, names in traced.items()
@@ -61,3 +62,19 @@ def test_every_exported_name_resolves_on_the_package():
     package = importlib.import_module("driftrec")
     assert [name for name in package.__all__ if not hasattr(package, name)] == []
     assert len(set(package.__all__)) == len(package.__all__)
+
+
+def test_first_difference_names_each_side_and_compares_shared_files(tmp_path):
+    first_difference = load_module("same_outputs", SAME_OUTPUTS).first_difference
+    rev, tree = tmp_path / "rev", tmp_path / "tree"
+    for side, names in ((rev, ["a.tsv", "b.tsv", "gone.txt"]), (tree, ["a.tsv", "b.tsv", "new.tsv"])):
+        side.mkdir()
+        for name in names:
+            (side / name).write_text(name)
+    assert first_difference(rev, rev) is None
+    assert first_difference(rev, tree) == "only at REV: gone.txt; only in the tree: new.tsv; the 2 shared files are identical"
+    (tree / "b.tsv").write_text("changed")
+    assert first_difference(rev, tree) == "only at REV: gone.txt; only in the tree: new.tsv; bytes differ: b.tsv"
+    (tree / "new.tsv").unlink()
+    (tree / "gone.txt").write_text("gone.txt")
+    assert first_difference(rev, tree) == "bytes differ: b.tsv"

@@ -11,7 +11,6 @@ import pytest
 from driftrec import (
     ChangePointResult,
     FactorizationConfig,
-    FactorPair,
     HmmModel,
     InteractionSequence,
     ItemFactors,
@@ -62,7 +61,6 @@ CASES = {
     "baum_welch_train.h-bool": (lambda: baum_welch_train([seq()], True), "h"),
     "FactorizationConfig.d-bool": (lambda: FactorizationConfig(d=True), "d"),
     "FactorizationConfig.max_iters-float": (lambda: FactorizationConfig(max_iters=3.0), "max_iters"),
-    "FactorPair.d-float": (lambda: FactorPair(p=np.ones((2, 1)), q=np.ones((3, 1)), d=1.0), "d"),
     "hmcd_detect_all.k-float": (lambda: hmcd_detect_all(model(), [seq()], k=1.5), "k"),
     "tune_cusum_threshold.grid_size-bool": (lambda: tune_cusum_threshold([seq(truth=2)], grid_size=True), "grid_size"),
     "score_by_segment.l-bool": (lambda: score_by_segment(factors(), [0], l=True), "l"),

@@ -8,10 +8,12 @@ acceptance config at seed 39.  Each job runs once with REV's sources and
 once with the working tree's, both from the same checkout path and into
 the same out_dir, because the corpus path enters the config hash and
 config_resolved.yaml records out_dir.  Every out_dir file is then compared
-byte for byte.  Prints the first file that differs and exits 1 on any
-difference, else exits 0.  Also prints the line count of src/driftrec at
-REV and in the working tree, counted as the benchmark's driftrec_loc
-counts it.  The three jobs take about 30 s per side on 2 cores.
+byte for byte.  For each job that differs, prints the files found only at
+REV, those found only in the working tree, and the first shared file whose
+bytes differ; exits 1 on any difference, else 0.  Also prints the line
+count of src/driftrec at REV and in the working tree, counted as the
+benchmark's driftrec_loc counts it.  The three jobs take about 30 s per
+side on 2 cores.
 """
 
 from __future__ import annotations
@@ -72,14 +74,22 @@ def run_jobs(checkout: Path, configs: dict, results: Path) -> None:
 
 
 def first_difference(a: Path, b: Path) -> str | None:
-    files_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-    files_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-    if files_a != files_b:
-        return f"file lists differ: {sorted(set(map(str, files_a)) ^ set(map(str, files_b)))}"
-    for rel in files_a:
-        if (a / rel).read_bytes() != (b / rel).read_bytes():
-            return str(rel)
-    return None
+    """None when out_dir a (REV's) and b (the tree's) hold the same files with
+    the same bytes.  Else the files found only at REV, those found only in
+    the tree, and the first shared file whose bytes differ, or how many
+    shared files are identical."""
+    files_a, files_b = ({str(p.relative_to(d)) for p in d.rglob("*") if p.is_file()} for d in (a, b))
+    shared = sorted(files_a & files_b)
+    differing = next((rel for rel in shared if (a / rel).read_bytes() != (b / rel).read_bytes()), None)
+    if files_a == files_b and differing is None:
+        return None
+    found = [
+        f"only {side}: {', '.join(sorted(names))}"
+        for side, names in (("at REV", files_a - files_b), ("in the tree", files_b - files_a))
+        if names
+    ]
+    found.append(f"bytes differ: {differing}" if differing else f"the {len(shared)} shared files are identical")
+    return "; ".join(found)
 
 
 def main(argv=None) -> int:
@@ -111,15 +121,17 @@ def main(argv=None) -> int:
             results[side].mkdir(parents=True, exist_ok=True)
             run_jobs(checkout, configs, results[side])
         print(f"src/driftrec: {loc['rev']} lines at {args.rev}, {loc['tree']} in the working tree")
+        status = 0
         for workload, scale, seed in JOBS:
             job = f"{workload}-{scale}-s{seed}"
             diff = first_difference(results["rev"] / job, results["tree"] / job)
             if diff is not None:
                 print(f"DIFFERENT {job}: {diff}")
-                return 1
-            count = sum(1 for p in (results["tree"] / job).rglob("*") if p.is_file())
-            print(f"identical {job}: {count} files")
-        return 0
+                status = 1
+            else:
+                count = sum(1 for p in (results["tree"] / job).rglob("*") if p.is_file())
+                print(f"identical {job}: {count} files")
+        return status
     finally:
         if not args.work:
             shutil.rmtree(work, ignore_errors=True)
