@@ -17,66 +17,47 @@ from pathlib import Path
 
 import numpy as np
 
-from .hmm import InteractionSequence, _check_count, _index_array
+from .hmm import InteractionSequence, _check_count, _index_array, _joined
 
 HOLDOUT_SIZE = 10
 
 
 @dataclass
-class CorpusStats:
-    num_playlists: int
-    num_items: int
-    pair_count: int
-    sparsity: float
-    mean_length: float
-
-
-@dataclass
 class PlaylistCorpus:
-    """Sampled playlists as contiguous item indices; item_keys[i] is item i's key."""
+    """Sampled playlists as contiguous item indices; item_keys[i] is item i's key.
+
+    The keys are distinct strings, and every playlist is an index array in
+    [0, len(item_keys)).
+    """
 
     playlists: list[np.ndarray]
     item_keys: list[str]
 
-    @property
-    def item_vocab(self) -> dict[str, int]:
-        """key -> item index."""
-        return {key: i for i, key in enumerate(self.item_keys)}
-
-    @property
-    def stats(self) -> CorpusStats:
-        """Sizes, distinct (playlist, item) pairs, sparsity and mean length."""
-        n, m = len(self.playlists), len(self.item_keys)
-        pair_count = sum(len(np.unique(pl)) for pl in self.playlists)
-        return CorpusStats(
-            num_playlists=n,
-            num_items=m,
-            pair_count=pair_count,
-            sparsity=1.0 - pair_count / (n * m),
-            mean_length=float(np.mean([len(pl) for pl in self.playlists])),
-        )
+    def __post_init__(self):
+        keys = self.item_keys
+        if not all(isinstance(key, str) for key in keys) or len(set(keys)) != len(keys):
+            raise ValueError("item_keys must be distinct strings")
+        _index_array(*_joined(self.playlists, lambda r: f"playlist {r}"), len(self.item_keys))
 
 
-@dataclass
-class MixedSequence:
+@dataclass(kw_only=True)
+class MixedSequence(InteractionSequence):
     """One synthesized two-taste sequence with known change point.
 
     truth_change is the length of the first playlist's window: the index
-    of the first item that came from the second playlist.  holdout keeps
+    of the first item that came from the second playlist, so it is required.
+    source_ids are the two playlists' corpus positions, and holdout keeps
     the last ten items of the second window, in order, removed from items.
-    Both hold nonnegative whole-number item indices.
     """
 
-    user_id: str
-    items: np.ndarray
-    truth_change: int
     source_ids: tuple[int, int]
     holdout: np.ndarray
 
     def __post_init__(self):
-        self.items = _index_array(self.items, "items")
+        if self.truth_change is None:
+            raise ValueError(f"truth_change: required for benchmark user {self.user_id}")
+        super().__post_init__()
         self.holdout = _index_array(self.holdout, "holdout")
-        self.truth_change = _check_count("truth_change", self.truth_change)
         if len(self.holdout) != HOLDOUT_SIZE:
             raise ValueError(f"holdout must hold exactly {HOLDOUT_SIZE} items")
 
@@ -200,14 +181,9 @@ def synthesize_mixed(
 
 def to_interaction_sequences(
     mixed: list[MixedSequence],
-) -> tuple[list[InteractionSequence], dict[str, np.ndarray]]:
-    """Repackage benchmark records for the sequence models, losslessly."""
-    sequences = [
-        InteractionSequence(user_id=mx.user_id, items=mx.items, truth_change=mx.truth_change)
-        for mx in mixed
-    ]
-    holdout = {mx.user_id: mx.holdout for mx in mixed}
-    return sequences, holdout
+) -> tuple[list[MixedSequence], dict[str, np.ndarray]]:
+    """The records themselves, which are sequences, and each user's holdout."""
+    return list(mixed), {mx.user_id: mx.holdout for mx in mixed}
 
 
 def save_benchmark(path: str | Path, mixed: list[MixedSequence], meta: dict) -> None:

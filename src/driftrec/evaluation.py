@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hmm import _check_count, _check_points, _check_real
+from .hmm import _check_count, _check_points
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,28 +100,3 @@ def aggregate_cpd(per_method: dict[str, dict[str, tuple[int, int]]]) -> dict[str
         for method, results in per_method.items()
     }
 
-
-@dataclass
-class MethodMetrics:
-    """Metrics for one method; fields not applicable to it stay empty."""
-
-    mean_delta: float | None = None
-    precision_at: dict[int, float] = field(default_factory=dict)
-    recall_at: dict[int, float] = field(default_factory=dict)
-    ndcg_at: dict[int, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.mean_delta is not None:
-            _check_real("mean_delta", self.mean_delta, "[0, inf]")
-        for name in ("precision_at", "recall_at", "ndcg_at"):
-            for N, value in getattr(self, name).items():
-                _check_real(f"{name}[{N}]", value, "[0, 1]")
-
-
-@dataclass
-class EvalReport:
-    """All methods' metrics plus the run context they were computed under."""
-
-    per_method: dict[str, MethodMetrics]
-    n_users: int
-    parameters: dict

@@ -38,7 +38,7 @@ from driftrec.dataset import (
     synthesize_mixed,
     to_interaction_sequences,
 )
-from driftrec.evaluation import EvalReport, MethodMetrics, aggregate_cpd, ranking_metrics
+from driftrec.evaluation import aggregate_cpd, ranking_metrics
 from driftrec.factorization import FactorizationConfig, bpr_fit, load_factors, nmf_fit, save_factors
 from driftrec.hmm import (
     TrainConfig,
@@ -505,11 +505,10 @@ def _read_recommendations(path: Path, seqs, m: int) -> dict[str, list[int]]:
     return ranked
 
 
-def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
+def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     """Aggregate detector displacement and ranking quality into one table per fact, plus a summary."""
     out, provenance = _out(cfg)
     seqs, holdout, m = _load_sequences(out)
-    per_method: dict[str, MethodMetrics] = {}
 
     # displacement of the point nearest the truth (earlier on a tie); none counts as the last index
     cpd_inputs = {}
@@ -520,8 +519,6 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
             pts, truth = points[seq.user_id], seq.truth_change
             cpd_inputs[label][seq.user_id] = (truth, min(pts, key=lambda t: abs(t - truth)) if pts else len(seq) - 1)
     mean_delta = aggregate_cpd(cpd_inputs)
-    for label, delta in mean_delta.items():
-        per_method[label] = MethodMetrics(mean_delta=delta)
     _write_rows(
         out / "cpd_table.tsv",
         provenance,
@@ -541,30 +538,13 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
     _write_rows(out / "state_count_trend.tsv", provenance, ("h", "mean_delta", "non_decreasing"), trend_rows)
 
     # ranking quality against the held-out tail
-    metric_rows = []
+    metric_rows, tables_of = [], {}
     for label in cfg.ranker_labels():
         ranked = _read_recommendations(_require(out / f"recommendations_{label}.tsv"), seqs, m)
-        precision_at, recall_at, ndcg_at = ranking_metrics(ranked, holdout, cfg.n_grid)
-        per_method[label] = MethodMetrics(precision_at=precision_at, recall_at=recall_at, ndcg_at=ndcg_at)
-        tables = {"precision": precision_at, "recall": recall_at, "ndcg": ndcg_at}
+        tables_of[label] = dict(zip(("precision", "recall", "ndcg"), ranking_metrics(ranked, holdout, cfg.n_grid)))
         for N in cfg.n_grid:
-            metric_rows += [(label, name, str(N), _fmt(table[N])) for name, table in tables.items()]
+            metric_rows += [(label, name, str(N), _fmt(table[N])) for name, table in tables_of[label].items()]
     _write_rows(out / "ranking_metrics.tsv", provenance, ("method", "metric", "N", "value"), metric_rows)
-
-    report = EvalReport(
-        per_method=per_method,
-        n_users=len(seqs),
-        parameters={
-            "config_hash": provenance["config"],
-            "seed": cfg.seed,
-            "num_items": m,
-            "k": cfg.k,
-            "d": cfg.d,
-            "l": cfg.l,
-            "n_grid": list(cfg.n_grid),
-            "trend_ok": trend_ok,
-        },
-    )
 
     summary = [
         f"users={len(seqs)} items={m} mean_length={np.mean([len(s) for s in seqs]):.2f}",
@@ -580,14 +560,14 @@ def cmd_evaluate(cfg: ExperimentConfig) -> EvalReport:
         top = max(cfg.n_grid)
         summary.append(f"rankers (precision@{top} / ndcg@{top}):")
         summary += [
-            f"  {label:<10} {per_method[label].precision_at[top]:.6f} / {per_method[label].ndcg_at[top]:.6f}"
+            f"  {label:<10} {tables_of[label]['precision'][top]:.6f} / {tables_of[label]['ndcg'][top]:.6f}"
             for label in cfg.ranker_labels()
         ]
     _write_lines(out / "summary.txt", provenance, summary)
-    return report
+    return [out / name for name in ("cpd_table.tsv", "state_count_trend.tsv", "ranking_metrics.tsv", "summary.txt")]
 
 
-def cmd_run_all(cfg: ExperimentConfig) -> EvalReport:
+def cmd_run_all(cfg: ExperimentConfig) -> list[Path]:
     cmd_synthesize(cfg)
     cmd_train(cfg)
     cmd_detect(cfg)

@@ -137,15 +137,18 @@ class Recommendation:
 
     used_fallback marks lists produced from an earlier segment because the
     most recent one was empty.  The fields cannot be rebound once
-    validated.
+    validated, and both lists are stored as tuples, so they cannot be
+    edited in place either.
     """
 
     user_id: str
-    ranked_items: list[int]
-    scores: list[float]
+    ranked_items: tuple[int, ...]
+    scores: tuple[float, ...]
     used_fallback: bool = False
 
     def __post_init__(self):
+        for name in ("ranked_items", "scores"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(self.ranked_items) != len(self.scores):
             raise ValueError("ranked_items and scores must align")
         if len(set(self.ranked_items)) != len(self.ranked_items):

@@ -1,8 +1,15 @@
 import itertools
+from pathlib import Path
 
 import numpy as np
 
 from driftrec.hmm import HmmModel
+
+
+def data_rows(path):
+    """The tab-split cells of every data row of a stage table, skipping
+    blank lines and '#' lines (the header, the column names, a verdict)."""
+    return [line.split("\t") for line in Path(path).read_text().splitlines() if line and not line.startswith("#")]
 
 
 def random_model(rng, h, m):

@@ -36,7 +36,13 @@ from driftrec.pipeline import (
 )
 from driftrec.recommend import hmm_item_factors, hmmr_recommend
 
-from conftest import brute_force_best_path, brute_force_likelihood, random_model, two_state_disjoint_model
+from conftest import (
+    brute_force_best_path,
+    brute_force_likelihood,
+    data_rows,
+    random_model,
+    two_state_disjoint_model,
+)
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "playlists_200.txt")
 
@@ -66,6 +72,17 @@ def _pass(tag: str, detail: str) -> None:
     print(f"PASS [{tag}]: {detail}")
 
 
+def mean_deltas(out: Path) -> dict[str, float]:
+    """cpd_table.tsv's mean displacement per detector."""
+    return {method: float(delta) for method, delta, _ in data_rows(out / "cpd_table.tsv")}
+
+
+def ranking_at(out: Path, N: int) -> dict[tuple[str, str], float]:
+    """ranking_metrics.tsv's value per (ranker, metric) at list length N."""
+    rows = data_rows(out / "ranking_metrics.tsv")
+    return {(method, metric): float(value) for method, metric, n, value in rows if int(n) == N}
+
+
 @pytest.fixture(scope="module")
 def experiment(tmp_path_factory):
     out = tmp_path_factory.mktemp("experiment")
@@ -77,12 +94,11 @@ def experiment(tmp_path_factory):
     detect_seconds = time.perf_counter() - t0
     cmd_fit(cfg)
     cmd_recommend(cfg)
-    report = cmd_evaluate(cfg)
+    cmd_evaluate(cfg)
     total_seconds = time.perf_counter() - t0
     return SimpleNamespace(
         cfg=cfg,
         out=Path(cfg.out_dir),
-        report=report,
         detect_seconds=detect_seconds,
         total_seconds=total_seconds,
     )
@@ -170,7 +186,7 @@ def test_benchmark_detection_beats_baselines(experiment):
     mean_length = np.mean([len(mx.items) for mx in mixed])
     assert abs(mean_length - 80.0) <= 5.0
 
-    deltas = {label: experiment.report.per_method[label].mean_delta for label in ("HMCD-S2", "CUSUM", "SW", "RP")}
+    deltas = mean_deltas(experiment.out)
     assert deltas["HMCD-S2"] < deltas["CUSUM"]
     assert deltas["HMCD-S2"] < deltas["SW"]
     assert deltas["HMCD-S2"] < deltas["RP"]
@@ -190,16 +206,12 @@ def test_benchmark_detection_beats_baselines(experiment):
 def test_displacement_grows_with_state_count(experiment):
     trend_file = experiment.out / "state_count_trend.tsv"
     assert trend_file.exists()
-    rows = [
-        line.split("\t")
-        for line in trend_file.read_text().splitlines()
-        if line and not line.startswith("#")
-    ]
-    file_deltas = {int(r[0]): float(r[1]) for r in rows}
+    file_deltas = {int(r[0]): float(r[1]) for r in data_rows(trend_file)}
     verdict = [line for line in trend_file.read_text().splitlines() if line.startswith("# trend_ok")]
     assert len(verdict) == 1
 
-    deltas = [experiment.report.per_method[f"HMCD-S{h}"].mean_delta for h in (2, 5, 10)]
+    cpd = mean_deltas(experiment.out)
+    deltas = [cpd[f"HMCD-S{h}"] for h in (2, 5, 10)]
     assert file_deltas == {h: d for h, d in zip((2, 5, 10), deltas)}
     flagged_ok = verdict[0].split("\t")[1] == "yes"
     assert flagged_ok == all(b >= a for a, b in zip(deltas, deltas[1:]))
@@ -213,20 +225,17 @@ def test_displacement_grows_with_state_count(experiment):
 
 
 def test_segment_aware_rankers_beat_static_baselines(experiment):
-    report = experiment.report
+    at10 = ranking_at(experiment.out, 10)
     for candidate in ("SMF-S10", "HMMR-S10"):
         for baseline in ("NMF", "BPR-MF", "PopRank"):
-            for metric in ("ndcg_at", "precision_at"):
-                ours = getattr(report.per_method[candidate], metric)[10]
-                theirs = getattr(report.per_method[baseline], metric)[10]
+            for metric in ("ndcg", "precision"):
+                ours, theirs = at10[candidate, metric], at10[baseline, metric]
                 assert ours > theirs, f"{candidate} {metric}@10 {ours:.4f} <= {baseline} {theirs:.4f}"
     assert experiment.total_seconds < 600.0
-    smf = report.per_method["SMF-S10"]
-    hmmr = report.per_method["HMMR-S10"]
     _pass(
         "segment-rankers",
-        f"SMF P@10 {smf.precision_at[10]:.3f}/NDCG@10 {smf.ndcg_at[10]:.3f} and "
-        f"HMMR P@10 {hmmr.precision_at[10]:.3f}/NDCG@10 {hmmr.ndcg_at[10]:.3f} beat all static "
+        f"SMF P@10 {at10['SMF-S10', 'precision']:.3f}/NDCG@10 {at10['SMF-S10', 'ndcg']:.3f} and "
+        f"HMMR P@10 {at10['HMMR-S10', 'precision']:.3f}/NDCG@10 {at10['HMMR-S10', 'ndcg']:.3f} beat all static "
         f"baselines; end-to-end {experiment.total_seconds:.0f}s",
     )
 

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from driftrec.evaluation import (
-    EvalReport,
-    MethodMetrics,
     aggregate_cpd,
     ndcg_time_aware,
     pr_curve,
@@ -256,20 +254,3 @@ class TestAggregateCpd:
         rev = {"m": {"c": (5, 5), "b": (20, 25), "a": (10, 0)}}
         assert aggregate_cpd(fwd) == aggregate_cpd(rev)
 
-
-class TestReportTypes:
-    def test_metric_range_enforced(self):
-        with pytest.raises(ValueError):
-            MethodMetrics(precision_at={10: 1.5})
-        with pytest.raises(ValueError):
-            MethodMetrics(mean_delta=-1.0)
-
-    def test_report_assembly(self):
-        metrics = MethodMetrics(
-            mean_delta=16.3,
-            precision_at={10: 0.2},
-            recall_at={10: 0.2},
-            ndcg_at={10: 0.3},
-        )
-        report = EvalReport(per_method={"m": metrics}, n_users=100, parameters={"seed": 1})
-        assert report.per_method["m"].mean_delta == pytest.approx(16.3)

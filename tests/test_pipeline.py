@@ -28,11 +28,10 @@ from driftrec.pipeline import (
 )
 from driftrec.recommend import pop_rank
 
+from conftest import data_rows
+
 FIXTURE = str(Path(__file__).parent / "fixtures" / "playlists_200.txt")
-
-
-def data_rows(path):
-    return [line.split("\t") for line in Path(path).read_text().splitlines() if line and not line.startswith("#")]
+_STAGES = (cmd_synthesize, cmd_train, cmd_detect, cmd_fit, cmd_recommend, cmd_evaluate)
 
 
 def small_config(out_dir, **overrides):
@@ -137,10 +136,11 @@ def test_stable_seed_depends_on_seed_and_label():
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
+    """The stages run in order, and what each returned, by name."""
     out = tmp_path_factory.mktemp("run")
     cfg = small_config(out)
-    report = cmd_run_all(cfg)
-    return cfg, Path(cfg.out_dir), report
+    returned = {stage.__name__: stage(cfg) for stage in _STAGES}
+    return cfg, Path(cfg.out_dir), returned
 
 
 class TestPipelineRun:
@@ -197,11 +197,7 @@ class TestPipelineRun:
         mixed, _ = load_benchmark(out / "benchmark.tsv")
         users = [mx.user_id for mx in mixed]
         for label in ("HMCD-S2", "CUSUM", "SW", "RP"):
-            rows = [
-                line.split("\t")
-                for line in (out / f"changepoints_{label}.tsv").read_text().splitlines()
-                if line and not line.startswith("#")
-            ]
+            rows = data_rows(out / f"changepoints_{label}.tsv")
             assert [r[0] for r in rows] == users
             assert all(r[5] == label for r in rows)
             for r in rows:
@@ -219,10 +215,7 @@ class TestPipelineRun:
         N = max(cfg.n_grid)
         for label in ("SMF-S2", "HMMR-S2", "NMF", "BPR-MF", "PopRank"):
             per_user = {}
-            for line in (out / f"recommendations_{label}.tsv").read_text().splitlines():
-                if not line or line.startswith("#"):
-                    continue
-                user_id, rank, item, _ = line.split("\t")
+            for user_id, rank, item, _ in data_rows(out / f"recommendations_{label}.tsv"):
                 per_user.setdefault(user_id, []).append((int(rank), int(item)))
             assert set(per_user) == set(seen)
             for user_id, rows in per_user.items():
@@ -232,16 +225,29 @@ class TestPipelineRun:
                 assert not (set(items) & seen[user_id])
 
     def test_report_covers_all_methods(self, pipeline_run):
-        cfg, _, report = pipeline_run
-        assert report.n_users == cfg.mixed_count
-        for label in ("HMCD-S2", "CUSUM", "SW", "RP"):
-            assert report.per_method[label].mean_delta >= 0.0
-        for label in ("SMF-S2", "HMMR-S2", "NMF", "BPR-MF", "PopRank"):
-            metrics = report.per_method[label]
-            for N in cfg.n_grid:
-                assert 0.0 <= metrics.precision_at[N] <= 1.0
-                assert 0.0 <= metrics.ndcg_at[N] <= 1.0
-        assert report.parameters["config_hash"] == cfg.config_hash()
+        cfg, out, _ = pipeline_run
+        cpd = data_rows(out / "cpd_table.tsv")
+        assert [label for label, _, _ in cpd] == ["HMCD-S2", "CUSUM", "SW", "RP"]
+        assert all(float(delta) >= 0.0 and int(users) == cfg.mixed_count for _, delta, users in cpd)
+        rows = data_rows(out / "ranking_metrics.tsv")
+        ranking = {(label, metric, int(N)): float(value) for label, metric, N, value in rows}
+        assert set(ranking) == {
+            (label, metric, N)
+            for label in ("SMF-S2", "HMMR-S2", "NMF", "BPR-MF", "PopRank")
+            for metric in ("precision", "recall", "ndcg")
+            for N in cfg.n_grid
+        }
+        assert all(0.0 <= value <= 1.0 for value in ranking.values())
+
+    def test_every_stage_returns_paths_that_exist(self, pipeline_run):
+        _, out, returned = pipeline_run
+        evaluate_files = ("cpd_table.tsv", "state_count_trend.tsv", "ranking_metrics.tsv", "summary.txt")
+        assert returned["cmd_evaluate"] == [out / name for name in evaluate_files]
+        paths = [returned["cmd_synthesize"]] + [p for stage in _STAGES[1:] for p in returned[stage.__name__]]
+        assert all(path.exists() for path in paths)
+        # every file a stage writes but config_resolved.yaml, which each rewrites, and vocab.tsv
+        unreturned = {"config_resolved.yaml", "vocab.tsv"}
+        assert sorted(p.name for p in paths) == sorted(p.name for p in out.iterdir() if p.name not in unreturned)
 
     def test_pr_curve_matches_the_ranking_metrics_rows(self, pipeline_run):
         cfg, out, _ = pipeline_run
@@ -325,16 +331,12 @@ def test_two_points_score_the_one_nearest_the_truth(tmp_path):
 
 def test_single_state_run_completes_with_flagged_detections(tmp_path):
     cfg = small_config(tmp_path / "s1", mixed_count=12, hidden_state_counts=[1], bpr_epochs=2)
-    report = cmd_run_all(cfg)
-    rows = [
-        line.split("\t")
-        for line in (Path(cfg.out_dir) / "changepoints_HMCD-S1.tsv").read_text().splitlines()
-        if line and not line.startswith("#")
-    ]
-    assert all(r[3] == "-" for r in rows)
-    assert report.per_method["HMCD-S1"].mean_delta > 0.0
-    assert 0.0 <= report.per_method["SMF-S1"].precision_at[10] <= 1.0
-    assert (Path(cfg.out_dir) / "state_count_trend.tsv").exists()
+    cpd, trend, ranking, _ = cmd_run_all(cfg)
+    assert all(r[3] == "-" for r in data_rows(Path(cfg.out_dir) / "changepoints_HMCD-S1.tsv"))
+    assert {r[0]: float(r[1]) for r in data_rows(cpd)}["HMCD-S1"] > 0.0
+    precision = [float(r[3]) for r in data_rows(ranking) if r[:3] == ["SMF-S1", "precision", "10"]]
+    assert len(precision) == 1 and 0.0 <= precision[0] <= 1.0
+    assert trend.exists()
 
 
 def test_missing_artifact_names_the_file(tmp_path):
@@ -350,8 +352,8 @@ def test_stage_handoff_runs_in_order(tmp_path):
     cmd_detect(cfg)
     cmd_fit(cfg)
     cmd_recommend(cfg)
-    report = cmd_evaluate(cfg)
-    assert set(report.per_method) == set(cfg.methods)
+    cpd, _, ranking, _ = cmd_evaluate(cfg)
+    assert {r[0] for r in data_rows(cpd)} | {r[0] for r in data_rows(ranking)} == set(cfg.methods)
 
 
 class TestCli:
@@ -558,7 +560,7 @@ class TestStaleArtifacts:
 
 
 def edit_benchmark_item(column, value):
-    """Set the first item of the first record's items (column 3) or holdout (column 4)."""
+    """Set the first entry of the first record's truth (column 1), items (column 3) or holdout (column 4)."""
 
     def edit(text):
         lines = text.splitlines()
@@ -597,6 +599,13 @@ class TestBenchmarkItems:
         err = capsys.readouterr().err
         assert f"error: benchmark.tsv: user {user!r} {part} has item {m}; items must lie in [0, {m})" in err
 
+    def test_truth_past_the_sequence_names_the_line(self, cli_run, tmp_path, capsys, stage):
+        user, _, _, items, _ = data_rows(cli_run[1] / "benchmark.tsv")[0]
+        self.run_edited(cli_run, tmp_path, stage, edit_benchmark_item(1, "5000"))
+        T = len(items.split())
+        err = capsys.readouterr().err
+        assert f"benchmark.tsv:2: malformed benchmark row (truth_change 5000 outside [1, {T}) for user {user})" in err
+
 
 _ALWAYS = {
     "config_resolved.yaml", "benchmark.tsv", "vocab.tsv", "hmm_s2.json", "changepoints_HMCD-S2.tsv",
@@ -625,9 +634,6 @@ def test_methods_subset_writes_exactly_its_files(tmp_path, methods, files):
     assert all(f"  {label} " in summary for label in rankers)
     cmd_run_all(cfg)
     assert {p.name: p.read_bytes() for p in out.iterdir()} == written
-
-
-_STAGES = (cmd_synthesize, cmd_train, cmd_detect, cmd_fit, cmd_recommend, cmd_evaluate)
 
 
 def test_each_stage_hashes_the_config_once(tmp_path, monkeypatch):

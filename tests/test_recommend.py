@@ -136,7 +136,15 @@ class TestRecommendationType:
         rec = Recommendation(user_id="u", ranked_items=[1, 2], scores=[0.5, 0.2])
         with pytest.raises(dataclasses.FrozenInstanceError):
             rec.scores = [float("nan"), 9.0]
-        assert rec.scores == [0.5, 0.2]
+        assert rec.scores == (0.5, 0.2)
+
+    def test_lists_cannot_be_edited_in_place(self):
+        rec = Recommendation(user_id="u", ranked_items=[1, 2], scores=[0.5, 0.2])
+        with pytest.raises(TypeError):
+            rec.scores[0] = float("nan")
+        with pytest.raises(TypeError):
+            rec.ranked_items[1] = 1
+        assert rec.ranked_items == (1, 2) and rec.scores == (0.5, 0.2)
 
 
 class TestHmmItemFactors:
@@ -432,7 +440,7 @@ class TestSegmentRecommenders:
             l=10,
             N=5,
         )
-        assert rec.ranked_items == [4, 1, 2, 3, 5]
+        assert rec.ranked_items == (4, 1, 2, 3, 5)
 
     def test_smf_recommend_is_the_shared_rule(self):
         assert smf_recommend is recommend_from_segments
@@ -504,7 +512,7 @@ class TestSegmentRecommenders:
             l=10,
             N=4,
         )
-        assert rec.ranked_items == [3, 1, 4, 2]
+        assert rec.ranked_items == (3, 1, 4, 2)
 
 
 class TestRankSelection:
@@ -574,16 +582,16 @@ class TestPopRank:
 
     def test_most_popular_first(self):
         rec = pop_rank(self._matrix(), user_items=[], N=2, user_id="u")
-        assert rec.ranked_items == [0, 1]
-        assert rec.scores == [5.0, 3.0]
+        assert rec.ranked_items == (0, 1)
+        assert rec.scores == (5.0, 3.0)
 
     def test_owned_top_item_excluded(self):
         rec = pop_rank(self._matrix(), user_items=[0], N=2)
-        assert rec.ranked_items == [1, 2]
+        assert rec.ranked_items == (1, 2)
 
     def test_frequency_ties_break_by_index(self):
         rec = pop_rank(self._matrix(), user_items=[], N=4)
-        assert rec.ranked_items == [0, 1, 2, 3]
+        assert rec.ranked_items == (0, 1, 2, 3)
 
     def test_popularity_matches_recount(self):
         rng = np.random.default_rng(61)

@@ -78,3 +78,18 @@ def test_first_difference_names_each_side_and_compares_shared_files(tmp_path):
     (tree / "new.tsv").unlink()
     (tree / "gone.txt").write_text("gone.txt")
     assert first_difference(rev, tree) == "bytes differ: b.tsv"
+
+
+def test_api_change_lists_the_names_all_loses_and_gains(tmp_path):
+    same_outputs = load_module("same_outputs", SAME_OUTPUTS)
+    rev, tree = tmp_path / "rev.py", tmp_path / "tree.py"
+    rev.write_text('import os\n__all__ = [\n    "A",\n    "Gone",\n    "B",\n]\n')
+    tree.write_text('__version__ = "1"\n__all__ = ["A", "B", "New"]\n')
+    assert same_outputs.exported(rev) == {"A", "B", "Gone"}
+    assert same_outputs.api_change(same_outputs.exported(rev), same_outputs.exported(tree)) == (
+        "driftrec.__all__: loses Gone; gains New"
+    )
+    assert same_outputs.api_change({"A"}, {"A"}) == "driftrec.__all__: loses nothing; gains nothing"
+    assert same_outputs.api_change({"A", "B"}, {"A"}) == "driftrec.__all__: loses B; gains nothing"
+    package = same_outputs.exported(SAME_OUTPUTS.parent.parent / "src" / "driftrec" / "__init__.py")
+    assert package == set(importlib.import_module("driftrec").__all__)

@@ -15,6 +15,7 @@ from driftrec import (
     InteractionSequence,
     ItemFactors,
     MixedSequence,
+    PlaylistCorpus,
     TrainConfig,
     baum_welch_train,
     hmcd_detect_all,
@@ -77,6 +78,7 @@ CASES = {
     "InteractionSequence.truth_change-float": (lambda: seq([0, 1, 2, 3], truth=2.7), "truth_change"),
     "InteractionSequence.truth_change-bool": (lambda: seq(truth=True), "truth_change"),
     "InteractionSequence.truth_change-at-T": (lambda: seq([0, 1, 2, 3], truth=4), "truth_change"),
+    "MixedSequence.truth_change-missing": (lambda: mixed(truth_change=None), "truth_change"),
     # tolerances and rates
     "TrainConfig.log_lik_tol-nan": (lambda: TrainConfig(log_lik_tol=NAN), "log_lik_tol"),
     "TrainConfig.emission_floor-nan": (lambda: TrainConfig(emission_floor=NAN), "emission_floor"),
@@ -89,6 +91,12 @@ CASES = {
     "InteractionSequence.items-fractional": (lambda: seq([0, 0.5]), "items"),
     "MixedSequence.items-negative": (lambda: mixed(items=[3, -1, 2]), "items"),
     "MixedSequence.holdout-fractional": (lambda: mixed(holdout=np.arange(10) + 0.5), "holdout"),
+    "PlaylistCorpus.item_keys-repeated": (lambda: PlaylistCorpus([np.array([0, 5])], ["a", "a"]), "item_keys"),
+    "PlaylistCorpus.item_keys-not-strings": (lambda: PlaylistCorpus([np.array([0])], [3]), "item_keys"),
+    "PlaylistCorpus.playlists-fractional": (
+        lambda: PlaylistCorpus([np.array([0, 1]), np.array([0.5, -2])], ["a", "b"]), "playlist 1"
+    ),
+    "PlaylistCorpus.playlists-out-of-range": (lambda: PlaylistCorpus([np.array([0, 5])], ["a", "b"]), "playlist 0"),
     "incidence_matrix-fractional": (lambda: incidence_matrix([[0], [0.7]], 3, ["row a", "row b"]), "row b"),
     "score_by_segment.segment-out-of-range": (lambda: score_by_segment(factors(), [1, 4], l=1), "segment"),
     "rank_by_scores.training_items-out-of-range": (

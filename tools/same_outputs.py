@@ -12,13 +12,15 @@ byte for byte.  For each job that differs, prints the files found only at
 REV, those found only in the working tree, and the first shared file whose
 bytes differ; exits 1 on any difference, else 0.  Also prints the line
 count of src/driftrec at REV and in the working tree, counted as the
-benchmark's driftrec_loc counts it.  The three jobs take about 30 s per
-side on 2 cores.
+benchmark's driftrec_loc counts it, and the names driftrec.__all__ loses
+and gains from REV to the working tree.  The three jobs take about 30 s
+per side on 2 cores.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import os
 import shutil
 import subprocess
@@ -58,6 +60,23 @@ def populate(checkout: Path, rev: str | None) -> None:
         if source.is_file():
             (checkout / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, checkout / name)
+
+
+def exported(init: Path) -> set[str]:
+    """The names in the one __all__ list of the package file init, read with
+    ast so the package is not imported."""
+    (names,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    ]
+    return set(names)
+
+
+def api_change(rev_names: set[str], tree_names: set[str]) -> str:
+    """What driftrec.__all__ loses and gains from REV to the tree."""
+    lost, gained = (", ".join(sorted(names)) or "nothing" for names in (rev_names - tree_names, tree_names - rev_names))
+    return f"driftrec.__all__: loses {lost}; gains {gained}"
 
 
 def run_jobs(checkout: Path, configs: dict, results: Path) -> None:
@@ -101,11 +120,12 @@ def main(argv=None) -> int:
     checkout = work / "checkout"
     inputs, run = load_perfbench()
     try:
-        results, loc = {}, {}
+        results, loc, names = {}, {}, {}
         for side, rev in (("rev", args.rev), ("tree", None)):
             print(f"{side}: {rev or 'working tree'}", flush=True)
             populate(checkout, rev)
             loc[side] = run.count_loc(checkout / "src" / "driftrec")
+            names[side] = exported(checkout / "src" / "driftrec" / "__init__.py")
             configs = {}
             cwd = Path.cwd()
             os.chdir(checkout)  # inputs.FIXTURE is relative to the checkout root
@@ -121,6 +141,7 @@ def main(argv=None) -> int:
             results[side].mkdir(parents=True, exist_ok=True)
             run_jobs(checkout, configs, results[side])
         print(f"src/driftrec: {loc['rev']} lines at {args.rev}, {loc['tree']} in the working tree")
+        print(api_change(names["rev"], names["tree"]))
         status = 0
         for workload, scale, seed in JOBS:
             job = f"{workload}-{scale}-s{seed}"
