@@ -1,5 +1,14 @@
 """Preference-drift detection and drift-aware recommendation over interaction sequences."""
 
+import os
+
+# One BLAS thread unless the caller chose otherwise: train and fit already
+# run one forked worker per CPU (pipeline._map_jobs), and a BLAS pool of
+# one thread per CPU in each worker would oversubscribe the cores.  Takes
+# effect only where numpy is first imported through this package.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from driftrec.changepoint import (
     ChangePointResult,
     build_segmented_matrix,

@@ -146,6 +146,10 @@ class HmmModel:
     def num_items(self) -> int:
         return self.emit.shape[1]
 
+    def __reduce__(self):
+        # unpickled through the constructor, so a model sent between processes stays read-only
+        return HmmModel, (self.pi, self.trans, self.emit)
+
 
 @dataclass
 class InteractionSequence:

@@ -11,7 +11,11 @@ the run seed, and reruns with the same configuration are byte-identical.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,6 +45,7 @@ from driftrec.dataset import (
 from driftrec.evaluation import aggregate_cpd, ranking_metrics
 from driftrec.factorization import FactorizationConfig, bpr_fit, load_factors, nmf_fit, save_factors
 from driftrec.hmm import (
+    HmmModel,
     TrainConfig,
     _check_count,
     _check_points,
@@ -291,11 +296,41 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+_shared = None  # a forked worker's copy of the stage's shared inputs, set by _init_worker
+
+
+def _init_worker(shared) -> None:
+    global _shared
+    _shared = shared
+
+
+def _run_job(fn, job):
+    return fn(_shared, *job)
+
+
+def _map_jobs(fn, jobs, shared) -> list:
+    """[fn(shared, *job) for job in jobs], in job order, on one forked
+    worker per available CPU.
+
+    Forked workers inherit shared rather than a pickled copy of it; fn must
+    be a module-level function, so it pickles by reference.  With one
+    worker the jobs run inline.  The earliest failing job's exception is
+    raised here, as inline.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(jobs), cpus)
+    if workers <= 1:
+        return [fn(shared, *job) for job in jobs]
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(shared,)) as pool:
+        return list(pool.map(functools.partial(_run_job, fn), jobs))
+
+
 # ---------------------------------------------------------------------------
 # stages
 
 
-def cmd_synthesize(cfg: ExperimentConfig) -> Path:
+def cmd_synthesize(cfg: ExperimentConfig) -> list[Path]:
     """Corpus in, benchmark out: mixed sequences plus the item vocabulary."""
     out, provenance = _out(cfg)
     corpus = load_corpus(
@@ -317,7 +352,14 @@ def cmd_synthesize(cfg: ExperimentConfig) -> Path:
         ("index", "item_key"),
         [(str(i), key) for i, key in enumerate(corpus.item_keys)],
     )
-    return out / "benchmark.tsv"
+    return [out / "benchmark.tsv", out / "vocab.tsv"]
+
+
+def _train_one(shared, h: int, tc: TrainConfig) -> tuple[float, HmmModel]:
+    """One EM restart: its corpus log-likelihood and its model."""
+    seqs, m = shared
+    model = baum_welch_train(seqs, h, tc, num_items=m)
+    return total_log_likelihood(model, seqs), model
 
 
 def cmd_train(cfg: ExperimentConfig) -> list[Path]:
@@ -325,26 +367,26 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
 
     Expectation maximization only climbs to a local optimum, so each model
     is the best of hmm_restarts independently seeded runs by final corpus
-    log-likelihood.  Ties keep the earliest restart.
+    log-likelihood.  Ties keep the earliest restart.  The runs share
+    nothing and go through _map_jobs.
     """
     out, provenance = _out(cfg)
     seqs, _, m = _load_sequences(out)
+    restarts = range(cfg.hmm_restarts)
+    em = dict(max_iters=cfg.hmm_max_iters, log_lik_tol=cfg.hmm_tol)
+    jobs = [
+        (h, TrainConfig(**em, seed=stable_seed(cfg.seed, f"train:h{h}:r{r}")))
+        for h in cfg.hidden_state_counts
+        for r in restarts
+    ]
+    results = _map_jobs(_train_one, jobs, (seqs, m))
     paths = []
-    for h in cfg.hidden_state_counts:
-        best = None
-        for r in range(cfg.hmm_restarts):
-            tc = TrainConfig(
-                max_iters=cfg.hmm_max_iters,
-                log_lik_tol=cfg.hmm_tol,
-                seed=stable_seed(cfg.seed, f"train:h{h}:r{r}"),
-            )
-            model = baum_welch_train(seqs, h, tc, num_items=m)
-            ll = total_log_likelihood(model, seqs)
-            if best is None or ll > best[0]:
-                best = (ll, r, model, tc)
-        ll, r, model, tc = best
+    for i, h in enumerate(cfg.hidden_state_counts):
+        first = i * len(restarts)
+        r = max(restarts, key=lambda j: results[first + j][0])  # the earliest on a tie
+        ll, model = results[first + r]
         path = out / f"hmm_s{h}.json"
-        save_model(path, model, tc, meta=dict(provenance, h=h, restart=r, log_likelihood=ll))
+        save_model(path, model, jobs[first + r][1], meta=dict(provenance, h=h, restart=r, log_likelihood=ll))
         paths.append(path)
     return paths
 
@@ -397,34 +439,38 @@ def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
     return paths
 
 
+def _fit_one(shared, label: str, fc: FactorizationConfig) -> Path:
+    """Factorize ranker label's matrix and write its factors file: NMF of
+    the HMCD segments for SMF-S{h}, NMF or BPR of the user matrix raw."""
+    cfg, out, provenance, seqs, m, raw = shared
+    if label.startswith("SMF-S"):
+        h = int(label[5:])
+        matrix = build_segmented_matrix(_segments_by_user(out, seqs, h, cfg.k), m)
+        fit, path = nmf_fit, out / f"factors_smf_s{h}.json"
+    else:
+        matrix = raw
+        fit, path = (nmf_fit, out / "factors_nmf.json") if label == "NMF" else (bpr_fit, out / "factors_bpr.json")
+    save_factors(path, fit(matrix, fc), meta=dict(provenance, model=label))
+    return path
+
+
 def cmd_fit(cfg: ExperimentConfig) -> list[Path]:
-    """Factorize the segmented matrices plus the raw matrix for the baselines."""
+    """Factorize the segmented matrices plus the raw matrix for the
+    baselines, each factorization one job of _map_jobs."""
     out, provenance = _out(cfg)
     seqs, _, m = _load_sequences(out)
-    paths = []
-    for h in cfg.hidden_state_counts:
-        if f"SMF-S{h}" not in cfg.methods:
-            continue
-        segmented = build_segmented_matrix(_segments_by_user(out, seqs, h, cfg.k), m)
-        fc = FactorizationConfig(d=cfg.d, max_iters=cfg.nmf_max_iters, seed=stable_seed(cfg.seed, f"nmf:smf-s{h}"))
-        pair = nmf_fit(segmented, fc)
-        path = out / f"factors_smf_s{h}.json"
-        save_factors(path, pair, meta=dict(provenance, model=f"SMF-S{h}"))
-        paths.append(path)
-    raw = _user_matrix(seqs, m) if {"NMF", "BPR-MF"} & set(cfg.methods) else None
+    nmf = dict(d=cfg.d, max_iters=cfg.nmf_max_iters)
+    jobs = [
+        (f"SMF-S{h}", FactorizationConfig(**nmf, seed=stable_seed(cfg.seed, f"nmf:smf-s{h}")))
+        for h in cfg.hidden_state_counts
+        if f"SMF-S{h}" in cfg.methods
+    ]
     if "NMF" in cfg.methods:
-        fc = FactorizationConfig(d=cfg.d, max_iters=cfg.nmf_max_iters, seed=stable_seed(cfg.seed, "nmf:raw"))
-        pair = nmf_fit(raw, fc)
-        path = out / "factors_nmf.json"
-        save_factors(path, pair, meta=dict(provenance, model="NMF"))
-        paths.append(path)
+        jobs.append(("NMF", FactorizationConfig(**nmf, seed=stable_seed(cfg.seed, "nmf:raw"))))
     if "BPR-MF" in cfg.methods:
-        fc = FactorizationConfig(d=cfg.d, max_iters=cfg.bpr_epochs, seed=stable_seed(cfg.seed, "bpr"))
-        pair = bpr_fit(raw, fc)
-        path = out / "factors_bpr.json"
-        save_factors(path, pair, meta=dict(provenance, model="BPR-MF"))
-        paths.append(path)
-    return paths
+        jobs.append(("BPR-MF", FactorizationConfig(d=cfg.d, max_iters=cfg.bpr_epochs, seed=stable_seed(cfg.seed, "bpr"))))
+    raw = _user_matrix(seqs, m) if {"NMF", "BPR-MF"} & set(cfg.methods) else None
+    return _map_jobs(_fit_one, jobs, (cfg, out, provenance, seqs, m, raw))
 
 
 def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -65,6 +66,13 @@ class TestModelInvariants:
         params[name] = value
         with pytest.raises(ValueError, match=match + "; entries must be finite and nonnegative"):
             HmmModel(**params)
+
+    def test_unpickled_model_is_read_only(self):
+        model = random_model(np.random.default_rng(0), 3, 5)
+        copy = pickle.loads(pickle.dumps(model, protocol=4))
+        for name in ("pi", "trans", "emit"):
+            np.testing.assert_array_equal(getattr(copy, name), getattr(model, name))
+            assert not getattr(copy, name).flags.writeable, name
 
     def test_sequence_bounds(self):
         with pytest.raises(ValueError):

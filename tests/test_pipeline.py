@@ -2,8 +2,12 @@
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -243,11 +247,11 @@ class TestPipelineRun:
         _, out, returned = pipeline_run
         evaluate_files = ("cpd_table.tsv", "state_count_trend.tsv", "ranking_metrics.tsv", "summary.txt")
         assert returned["cmd_evaluate"] == [out / name for name in evaluate_files]
-        paths = [returned["cmd_synthesize"]] + [p for stage in _STAGES[1:] for p in returned[stage.__name__]]
+        paths = [p for stage in _STAGES for p in returned[stage.__name__]]
         assert all(path.exists() for path in paths)
-        # every file a stage writes but config_resolved.yaml, which each rewrites, and vocab.tsv
-        unreturned = {"config_resolved.yaml", "vocab.tsv"}
-        assert sorted(p.name for p in paths) == sorted(p.name for p in out.iterdir() if p.name not in unreturned)
+        # every file a stage writes but config_resolved.yaml, which each rewrites
+        written = [p.name for p in out.iterdir() if p.name != "config_resolved.yaml"]
+        assert sorted(p.name for p in paths) == sorted(written)
 
     def test_pr_curve_matches_the_ranking_metrics_rows(self, pipeline_run):
         cfg, out, _ = pipeline_run
@@ -354,6 +358,67 @@ def test_stage_handoff_runs_in_order(tmp_path):
     cmd_recommend(cfg)
     cpd, _, ranking, _ = cmd_evaluate(cfg)
     assert {r[0] for r in data_rows(cpd)} | {r[0] for r in data_rows(ranking)} == set(cfg.methods)
+
+
+def use_cpus(monkeypatch, count):
+    """Make _map_jobs see `count` available CPUs, and count the worker pools it starts."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+    pools = []
+    pool = driftrec.pipeline.ProcessPoolExecutor
+    monkeypatch.setattr(driftrec.pipeline, "ProcessPoolExecutor", lambda *a, **kw: pools.append(a) or pool(*a, **kw))
+    return pools
+
+
+def test_cpu_count_changes_no_output(tmp_path, monkeypatch):
+    """train and fit run their jobs on one worker per CPU, and leave no
+    worker behind; two CPUs write the same bytes as one, which runs inline."""
+    cfg = small_config(tmp_path / "out", mixed_count=15, hidden_state_counts=[2, 5], bpr_epochs=2)
+    written = {}
+    for cpus in (1, 2):
+        shutil.rmtree(cfg.out_dir, ignore_errors=True)
+        pools = use_cpus(monkeypatch, cpus)
+        for stage in _STAGES:
+            stage(cfg)
+            assert multiprocessing.active_children() == [], stage.__name__
+        assert pools == ([] if cpus == 1 else [(2,), (2,)])
+        written[cpus] = {p.name: p.read_bytes() for p in Path(cfg.out_dir).iterdir()}
+    assert written[2] == written[1]
+
+
+def test_a_workers_error_is_raised_as_inline(cli_run, tmp_path, monkeypatch, capsys):
+    config, out = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    name = "changepoints_HMCD-S2.tsv"
+    lines = (copy / name).read_text().splitlines()
+    (copy / name).write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+    cfg = dataclasses.replace(ExperimentConfig.from_yaml(config), out_dir=str(copy))
+    messages = []
+    for cpus in (1, 2):
+        pools = use_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError) as err:
+            cmd_fit(cfg)
+        assert len(pools) == cpus - 1
+        messages.append(str(err.value))
+    assert messages[1] == messages[0]
+    assert f"{name} lacks user" in messages[0]
+    assert main(["fit", "--config", str(config), "--out", str(copy)]) == 2
+    assert capsys.readouterr().err == f"error: {messages[0]}\n"
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_import_sets_one_blas_thread_unless_chosen(preset, expected):
+    """The forked workers are the parallelism: importing driftrec caps the
+    BLAS pool at one thread, and keeps a count the caller set."""
+    names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    if preset is not None:
+        env.update(dict.fromkeys(names, preset))
+    probe = "import os, driftrec; print(*(os.environ[k] for k in %r))" % (names,)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == [expected] * 3
 
 
 class TestCli:
@@ -655,6 +720,18 @@ def test_fit_without_static_rankers_builds_no_user_matrix(tmp_path, monkeypatch)
     monkeypatch.setattr(driftrec.pipeline, "incidence_matrix", lambda *args: calls.append(args))
     assert cmd_fit(cfg) == []
     assert calls == []
+
+
+def test_fit_builds_the_user_matrix_once_for_nmf_and_bpr(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path / "out", mixed_count=12, methods=["NMF", "BPR-MF"], bpr_epochs=1)
+    for stage in _STAGES[:3]:
+        stage(cfg)
+    use_cpus(monkeypatch, 1)
+    calls = []
+    build = driftrec.pipeline._user_matrix
+    monkeypatch.setattr(driftrec.pipeline, "_user_matrix", lambda *args: calls.append(args) or build(*args))
+    assert [p.name for p in cmd_fit(cfg)] == ["factors_nmf.json", "factors_bpr.json"]
+    assert len(calls) == 1
 
 
 def edit_line(index, change):

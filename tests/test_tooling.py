@@ -9,10 +9,13 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import yaml
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 RUN = PERFBENCH / "run.py"
 SAME_OUTPUTS = PERFBENCH.parent / "tools" / "same_outputs.py"
+FIXTURE = PERFBENCH.parent / "tests" / "fixtures" / "playlists_200.txt"
 
 
 def load_module(name, path):
@@ -93,3 +96,23 @@ def test_api_change_lists_the_names_all_loses_and_gains(tmp_path):
     assert same_outputs.api_change({"A", "B"}, {"A"}) == "driftrec.__all__: loses B; gains nothing"
     package = same_outputs.exported(SAME_OUTPUTS.parent.parent / "src" / "driftrec" / "__init__.py")
     assert package == set(importlib.import_module("driftrec").__all__)
+
+
+def test_rerun_into_the_same_work_dir_replaces_each_out_dir(tmp_path):
+    """A second run with the same --work DIR compares only the new files."""
+    run_jobs = load_module("same_outputs", SAME_OUTPUTS).run_jobs
+    config = tmp_path / "jobs" / "tiny" / "tiny.yaml"
+    config.parent.mkdir(parents=True)
+    settings = dict(
+        corpus=str(FIXTURE), out_dir=str(config.parent / "out"), mixed_count=8, min_window=25, pool_split=100,
+        hidden_state_counts=[2], d=4, n_grid=[1, 5], hmm_max_iters=2, nmf_max_iters=2, bpr_epochs=1,
+    )
+    config.write_text(yaml.safe_dump(settings))
+    results = tmp_path / "tree"
+    results.mkdir()
+    run_jobs(PERFBENCH.parent, {"tiny": config}, results)
+    first = sorted(p.relative_to(results) for p in results.rglob("*"))
+    (results / "tiny" / "stale.tsv").write_text("left by an earlier run")
+    run_jobs(PERFBENCH.parent, {"tiny": config}, results)
+    assert sorted(p.relative_to(results) for p in results.rglob("*")) == first
+    assert not (results / "tiny" / "out").exists()

@@ -80,6 +80,8 @@ def api_change(rev_names: set[str], tree_names: set[str]) -> str:
 
 
 def run_jobs(checkout: Path, configs: dict, results: Path) -> None:
+    """run-all each job's config with checkout's sources, then move its
+    out_dir to results/<job>, replacing what an earlier run left there."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -89,6 +91,7 @@ def run_jobs(checkout: Path, configs: dict, results: Path) -> None:
             [sys.executable, "-m", "driftrec.cli", "run-all", "--config", str(config)],
             cwd=checkout, env=env, check=True,
         )
+        shutil.rmtree(results / job, ignore_errors=True)
         shutil.move(str(config.parent / "out"), str(results / job))
 
 
