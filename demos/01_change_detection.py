@@ -20,7 +20,7 @@ from driftrec import (
     displacement_error,
     hmcd_detect,
     random_partition,
-    sliding_window_detect,
+    sliding_window_detect_all,
     tune_cusum_threshold,
     viterbi_decode,
 )
@@ -71,6 +71,8 @@ print("model-based detector says:", result.predicted)
 tau = tune_cusum_threshold(corpus)
 vectors = cooccurrence_item_vectors(corpus, m=40)
 
+window_splits = sliding_window_detect_all(corpus, vectors)
+
 errors = {"model": [], "cusum": [], "window": [], "random": []}
 for i, seq in enumerate(corpus):
     truth = seq.truth_change
@@ -78,7 +80,7 @@ for i, seq in enumerate(corpus):
     predicted = detected.predicted[0] if detected.predicted else len(seq) - 1
     errors["model"].append(displacement_error(truth, predicted))
     errors["cusum"].append(displacement_error(truth, cusum_detect(seq, tau)[0]))
-    errors["window"].append(displacement_error(truth, sliding_window_detect(seq, vectors)[0]))
+    errors["window"].append(displacement_error(truth, window_splits[i][0]))
     errors["random"].append(displacement_error(truth, random_partition(seq, rng_seed=i)))
 
 print("\nmean displacement from the true change point:")

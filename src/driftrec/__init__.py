@@ -2,7 +2,7 @@
 
 import os
 
-# One BLAS thread unless the caller chose otherwise: train and fit already
+# One BLAS thread unless the caller chose otherwise: train, detect and fit
 # run one forked worker per CPU (pipeline._map_jobs), and a BLAS pool of
 # one thread per CPU in each worker would oversubscribe the cores.  Takes
 # effect only where numpy is first imported through this package.
@@ -20,6 +20,7 @@ from driftrec.changepoint import (
     partition,
     random_partition,
     sliding_window_detect,
+    sliding_window_detect_all,
     tune_cusum_threshold,
 )
 from driftrec.dataset import (
@@ -113,6 +114,7 @@ __all__ = [
     "save_model",
     "score_by_segment",
     "sliding_window_detect",
+    "sliding_window_detect_all",
     "synthesize_mixed",
     "to_interaction_sequences",
     "total_log_likelihood",

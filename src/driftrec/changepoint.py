@@ -13,7 +13,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hmm import HmmModel, InteractionSequence, _check_count, _check_entries, _check_points, _index_array, viterbi_decode_all
+from .hmm import (
+    HmmModel,
+    InteractionSequence,
+    _check_count,
+    _check_entries,
+    _check_points,
+    _index_array,
+    _joined,
+    viterbi_decode_all,
+)
 
 
 @dataclass(frozen=True)
@@ -187,37 +196,68 @@ def sliding_window_detect(
 ) -> tuple[int, bool]:
     """Split point maximizing within-segment over between-segment similarity.
 
+    The result sliding_window_detect_all gives for a corpus of one; see
+    there for the objective and the checks on item_vectors.
+    """
+    return sliding_window_detect_all([seq], item_vectors)[0]
+
+
+def sliding_window_detect_all(
+    corpus: list[InteractionSequence], item_vectors: np.ndarray
+) -> list[tuple[int, bool]]:
+    """Each sequence's split point, in corpus order, from one distance table.
+
     Similarity between two positions is the negated Euclidean distance of
     their items' vectors.  The objective at split t is the mean similarity
     over all within-segment pairs (both segments pooled) minus the mean
     over all between-segment pairs; the earliest maximizer wins ties.  If
-    every pairwise distance is zero the objective carries no information
-    and (1, True) is returned.  item_vectors must be a 2-D matrix whose
-    rows for the sequence's items are finite.
+    every pairwise distance of a sequence is zero the objective carries no
+    information and (1, True) is returned for it.  item_vectors must be a
+    2-D matrix whose rows for the corpus's items are finite.  Each
+    sequence reads its distances from one table over the corpus's U
+    distinct items, which holds U**2 float64 values.
     """
-    T = len(seq)
-    if T < 2:
-        raise ValueError("need at least 2 items to split")
+    if not corpus:
+        raise ValueError("corpus must not be empty")
     item_vectors = np.asarray(item_vectors, dtype=float)
     if item_vectors.ndim != 2:
         raise ValueError(f"item_vectors must be a 2-D matrix, got shape {item_vectors.shape}")
-    _index_array(seq.items, f"sequence {seq.user_id!r}", len(item_vectors))
+    for seq in corpus:
+        if len(seq) < 2:
+            raise ValueError(f"sequence {seq.user_id!r} has {len(seq)} item(s); need at least 2 to split")
+    arrays = [seq.items for seq in corpus]
+    uniq = np.unique(_index_array(*_joined(arrays, lambda r: f"sequence {corpus[r].user_id!r}"), len(item_vectors)))
+    dist = _distance_table(item_vectors, uniq)
+    return [_best_split(dist[np.ix_(pos, pos)]) for pos in (np.searchsorted(uniq, items) for items in arrays)]
 
-    uniq, inv = np.unique(seq.items, return_inverse=True)
+
+def _distance_table(item_vectors: np.ndarray, uniq: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the vectors of items uniq, written over
+    their gram matrix a block of rows at a time, so one len(uniq) x
+    len(uniq) array is live."""
+    block = 256
     vecs = item_vectors[uniq]
-    gram = vecs @ vecs.T
-    sq = np.diag(gram)
+    table = vecs @ vecs.T
+    sq = np.diag(table).copy()
     # a non-finite entry makes its row's squared norm non-finite; only the rows read are checked
     if not np.isfinite(sq).all():
         read = np.zeros_like(item_vectors)
         read[uniq] = vecs
         _check_entries(read, nonnegative=False, name="item_vectors")
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.maximum(d2, 0.0, out=d2)
-    dist = np.sqrt(d2)[np.ix_(inv, inv)]
+    for a in range(0, len(uniq), block):
+        rows = table[a : a + block]
+        rows *= 2.0
+        np.subtract(sq[a : a + block, None] + sq[None, :], rows, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+        np.sqrt(rows, out=rows)
+    return table
+
+
+def _best_split(dist: np.ndarray) -> tuple[int, bool]:
+    """The split of one sequence's T x T distance matrix; see sliding_window_detect_all."""
     if dist.max() == 0.0:
         return 1, True
-
+    T = len(dist)
     # 2-D prefix sums give each rectangle sum of the distance matrix in O(1)
     ps = np.zeros((T + 1, T + 1))
     ps[1:, 1:] = dist.cumsum(axis=0).cumsum(axis=1)

@@ -30,7 +30,7 @@ from driftrec.changepoint import (
     incidence_matrix,
     partition,
     random_partition,
-    sliding_window_detect,
+    sliding_window_detect_all,
     tune_cusum_threshold,
 )
 from driftrec.dataset import (
@@ -391,50 +391,48 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
     return paths
 
 
+def _detect_one(shared, label: str) -> tuple[float | None, list]:
+    """Detector label over every sequence: CUSUM's tuned threshold (None
+    for the others) and each sequence's (points, scores)."""
+    cfg, out, seqs, m = shared
+    if label.startswith("HMCD-S"):
+        model, _ = load_model(_require(out / f"hmm_s{label[6:]}.json"))
+        return None, [(res.predicted, res.score_per_point) for res in hmcd_detect_all(model, seqs, k=cfg.k)]
+    if label == "CUSUM":
+        tau = tune_cusum_threshold(seqs)
+        return tau, [([cusum_detect(seq, tau)[0]], []) for seq in seqs]
+    if label == "SW":
+        splits = sliding_window_detect_all(seqs, cooccurrence_item_vectors(seqs, m))
+        return None, [([split], []) for split, _ in splits]
+    return None, [([random_partition(seq, stable_seed(cfg.seed, f"rp:{seq.user_id}"))], []) for seq in seqs]
+
+
 def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
-    """Run every configured detector over the benchmark, one report each."""
+    """Run every configured detector over the benchmark, one report each.
+
+    Each detector is one job of _map_jobs; the reports are written here,
+    in detector order.
+    """
     out, provenance = _out(cfg)
     seqs, _, m = _load_sequences(out)
     columns = ("user_id", "T", "truth", "predicted", "scores", "method")
+    labels = cfg.detector_labels()
+    results = _map_jobs(_detect_one, [(label,) for label in labels], (cfg, out, seqs, m))
     paths = []
-
-    def rows_from(label, per_seq):
-        rows = []
-        for seq, (points, scores) in zip(seqs, per_seq):
-            rows.append(
-                (
-                    seq.user_id,
-                    str(len(seq)),
-                    str(seq.truth_change),
-                    ",".join(str(p) for p in points) if points else "-",
-                    ",".join(_fmt(s) for s in scores) if scores else "-",
-                    label,
-                )
+    for label, (tau, per_seq) in zip(labels, results):
+        rows = [
+            (
+                seq.user_id,
+                str(len(seq)),
+                str(seq.truth_change),
+                ",".join(str(p) for p in points) if points else "-",
+                ",".join(_fmt(s) for s in scores) if scores else "-",
+                label,
             )
-        return rows
-
-    for label in cfg.detector_labels():
-        header = provenance
-        if label.startswith("HMCD-S"):
-            model, _ = load_model(_require(out / f"hmm_s{label[6:]}.json"))
-            per_seq = [
-                (res.predicted, res.score_per_point)
-                for res in hmcd_detect_all(model, seqs, k=cfg.k)
-            ]
-        elif label == "CUSUM":
-            tau = tune_cusum_threshold(seqs)
-            header = dict(provenance, tau=_fmt(tau))
-            per_seq = [([cusum_detect(seq, tau)[0]], []) for seq in seqs]
-        elif label == "SW":
-            vectors = cooccurrence_item_vectors(seqs, m)
-            per_seq = [([sliding_window_detect(seq, vectors)[0]], []) for seq in seqs]
-        else:
-            per_seq = [
-                ([random_partition(seq, stable_seed(cfg.seed, f"rp:{seq.user_id}"))], [])
-                for seq in seqs
-            ]
+            for seq, (points, scores) in zip(seqs, per_seq)
+        ]
         path = out / f"changepoints_{label}.tsv"
-        _write_rows(path, header, columns, rows_from(label, per_seq))
+        _write_rows(path, provenance if tau is None else dict(provenance, tau=_fmt(tau)), columns, rows)
         paths.append(path)
     return paths
 

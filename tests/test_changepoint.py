@@ -15,11 +15,13 @@ from driftrec.changepoint import (
     partition,
     random_partition,
     sliding_window_detect,
+    sliding_window_detect_all,
     tune_cusum_threshold,
 )
 from driftrec.hmm import HmmModel, InteractionSequence, viterbi_decode
 
 from conftest import brute_force_best_path, random_model, two_state_disjoint_model
+from oracles import sliding_window_reference
 
 
 def seq(items, user="u", truth=None):
@@ -460,6 +462,34 @@ class TestSlidingWindow:
         vectors = np.array([[0.0], [1.0]])
         idx, flagged = sliding_window_detect(seq([0, 1, 0, 1]), vectors)
         assert (idx, flagged) == (1, False)
+
+
+def sliding_window_corpus():
+    """About 200 seeded sequences over 60 items, drawn from a skewed
+    distribution so that items repeat, plus a sequence of one repeated item,
+    a sequence of two, and items 50-59 each consumed by one user only."""
+    rng = np.random.default_rng(24)
+    weights = 1.0 / np.arange(1, 51)
+    corpus = [
+        seq(rng.choice(50, size=int(rng.integers(2, 40)), p=weights / weights.sum()), user=f"u{i}")
+        for i in range(196)
+    ]
+    corpus += [seq([7] * 6, user="same"), seq([3, 12], user="pair")]
+    corpus += [seq(np.concatenate([rng.integers(0, 50, size=10), [50 + j, 55 + j]]), user=f"solo{j}") for j in range(5)]
+    return corpus, cooccurrence_item_vectors(corpus, 60)
+
+
+class TestSlidingWindowBatch:
+    def test_corpus_splits_match_the_per_sequence_reference(self):
+        corpus, vectors = sliding_window_corpus()
+        expected = [sliding_window_reference(s.items, vectors) for s in corpus]
+        assert sliding_window_detect_all(corpus, vectors) == expected
+        assert expected[196] == (1, True)
+
+    def test_batch_of_one_equals_the_reference(self):
+        corpus, vectors = sliding_window_corpus()
+        for s in corpus:
+            assert sliding_window_detect(s, vectors) == sliding_window_reference(s.items, vectors)
 
 
 class TestRandomPartition:

@@ -370,8 +370,8 @@ def use_cpus(monkeypatch, count):
 
 
 def test_cpu_count_changes_no_output(tmp_path, monkeypatch):
-    """train and fit run their jobs on one worker per CPU, and leave no
-    worker behind; two CPUs write the same bytes as one, which runs inline."""
+    """train, detect and fit run their jobs on one worker per CPU, and leave
+    no worker behind; two CPUs write the same bytes as one, which runs inline."""
     cfg = small_config(tmp_path / "out", mixed_count=15, hidden_state_counts=[2, 5], bpr_epochs=2)
     written = {}
     for cpus in (1, 2):
@@ -380,31 +380,41 @@ def test_cpu_count_changes_no_output(tmp_path, monkeypatch):
         for stage in _STAGES:
             stage(cfg)
             assert multiprocessing.active_children() == [], stage.__name__
-        assert pools == ([] if cpus == 1 else [(2,), (2,)])
+        assert pools == ([] if cpus == 1 else [(2,), (2,), (2,)])
         written[cpus] = {p.name: p.read_bytes() for p in Path(cfg.out_dir).iterdir()}
     assert written[2] == written[1]
 
 
 def test_a_workers_error_is_raised_as_inline(cli_run, tmp_path, monkeypatch, capsys):
+    """A job that fails on a worker raises what it raises inline: fit's job
+    over a stale detection table, and detect's second HMCD job over a
+    malformed model."""
     config, out = cli_run
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
     name = "changepoints_HMCD-S2.tsv"
     lines = (copy / name).read_text().splitlines()
     (copy / name).write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+    model = json.loads((copy / "hmm_s2.json").read_text())
+    (copy / "hmm_s5.json").write_text(json.dumps(dict(model, num_states=5)))
     cfg = dataclasses.replace(ExperimentConfig.from_yaml(config), out_dir=str(copy))
-    messages = []
-    for cpus in (1, 2):
-        pools = use_cpus(monkeypatch, cpus)
-        with pytest.raises(ValueError) as err:
-            cmd_fit(cfg)
-        assert len(pools) == cpus - 1
-        messages.append(str(err.value))
-    assert messages[1] == messages[0]
-    assert f"{name} lacks user" in messages[0]
+    cases = (
+        (cmd_fit, cfg, f"{name} lacks user"),
+        (cmd_detect, dataclasses.replace(cfg, hidden_state_counts=[2, 5]), "num_states: header says 5"),
+    )
+    messages = {}
+    for stage, stage_cfg, expected in cases:
+        for cpus in (1, 2):
+            pools = use_cpus(monkeypatch, cpus)
+            with pytest.raises(ValueError) as err:
+                stage(stage_cfg)
+            assert len(pools) == cpus - 1
+            messages.setdefault(stage, []).append(str(err.value))
+        assert messages[stage][1] == messages[stage][0]
+        assert expected in messages[stage][0], messages[stage][0]
+        assert multiprocessing.active_children() == []
     assert main(["fit", "--config", str(config), "--out", str(copy)]) == 2
-    assert capsys.readouterr().err == f"error: {messages[0]}\n"
-    assert multiprocessing.active_children() == []
+    assert capsys.readouterr().err == f"error: {messages[cmd_fit][0]}\n"
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])

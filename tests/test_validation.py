@@ -27,6 +27,7 @@ from driftrec import (
     recommend_from_segments,
     score_by_segment,
     sliding_window_detect,
+    sliding_window_detect_all,
     synthesize_mixed,
     tune_cusum_threshold,
 )
@@ -106,6 +107,19 @@ CASES = {
         lambda: sliding_window_detect(seq([0, 1, 2]), np.array([[0.0], [NAN], [1.0]])), "item_vectors"
     ),
     "sliding_window_detect.item_vectors-1-D": (lambda: sliding_window_detect(seq([0, 1]), np.ones(3)), "item_vectors"),
+    "sliding_window_detect_all.item_vectors-nan": (
+        lambda: sliding_window_detect_all([seq([0, 2]), seq([1, 2])], np.array([[0.0], [NAN], [1.0]])), "item_vectors"
+    ),
+    "sliding_window_detect_all.item_vectors-1-D": (
+        lambda: sliding_window_detect_all([seq([0, 1])], np.ones(3)), "item_vectors"
+    ),
+    "sliding_window_detect_all.items-out-of-range": (
+        lambda: sliding_window_detect_all(
+            [seq([0, 1]), InteractionSequence(user_id="u2", items=np.array([2, 3]))], np.ones((3, 2))
+        ),
+        "sequence 'u2'",
+    ),
+    "sliding_window_detect_all.corpus-empty": (lambda: sliding_window_detect_all([], np.ones((3, 2))), "corpus"),
     # ascending points
     "ChangePointResult.predicted-bool": (
         lambda: ChangePointResult(user_id="u", predicted=[True], score_per_point=[1.0]), "predicted"
