@@ -2,10 +2,11 @@
 
 import os
 
-# One BLAS thread unless the caller chose otherwise: train, detect and fit
-# run one forked worker per CPU (pipeline._map_jobs), and a BLAS pool of
-# one thread per CPU in each worker would oversubscribe the cores.  Takes
-# effect only where numpy is first imported through this package.
+# One BLAS thread unless the caller chose otherwise: every stage but
+# synthesize runs one forked worker per CPU (pipeline._map_jobs), and a
+# BLAS pool of one thread per CPU in each worker would oversubscribe the
+# cores.  Takes effect only where numpy is first imported through this
+# package.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

@@ -43,7 +43,7 @@ from driftrec.dataset import (
     to_interaction_sequences,
 )
 from driftrec.evaluation import aggregate_cpd, ranking_metrics
-from driftrec.factorization import FactorizationConfig, bpr_fit, load_factors, nmf_fit, save_factors
+from driftrec.factorization import FactorizationConfig, FactorPair, bpr_fit, load_factors, nmf_fit, save_factors
 from driftrec.hmm import (
     HmmModel,
     TrainConfig,
@@ -471,55 +471,76 @@ def cmd_fit(cfg: ExperimentConfig) -> list[Path]:
     return _map_jobs(_fit_one, jobs, (cfg, out, provenance, seqs, m, raw))
 
 
+def _load_pair(path: Path, m: int, n: int | None = None) -> FactorPair:
+    """A factors file's pair, refused unless q has one row per item and, when
+    n is given, p one row per benchmark user."""
+    pair, _ = load_factors(_require(path))
+    for name, rows, want, what in (("q", len(pair.q), m, "items"), ("p", len(pair.p), n, "users")):
+        if want is not None and rows != want:
+            raise ValueError(f"{path.name}: {name} has {rows} rows; benchmark.tsv has {want} {what} (stale artifact?)")
+    return pair
+
+
+def _recommend_one(shared, label: str) -> Path:
+    """Rank every user for ranker label and write its recommendations file:
+    SMF-S{h} and HMMR-S{h} from the last HMCD segment, NMF and BPR-MF by
+    their factor products, PopRank by popularity."""
+    cfg, out, provenance, seqs, m, popularity, segments_of = shared
+    N = max(cfg.n_grid)
+    if label.startswith(("SMF-S", "HMMR-S")):
+        h = int(label.partition("-S")[2])
+        if label.startswith("SMF-S"):
+            factors = factors_from_pair(_load_pair(out / f"factors_smf_s{h}.json", m), "nmf")
+        else:
+            path = _require(out / f"hmm_s{h}.json")
+            model, _ = load_model(path)
+            if model.num_items != m:
+                raise ValueError(f"{path.name}: num_items is {model.num_items}; benchmark.tsv has {m} (stale artifact?)")
+            factors = hmm_item_factors(model)
+        segments = segments_of[h]
+        factors.reserve(cfg.l, segments.values())
+        recs = [
+            recommend_from_segments(
+                factors, segments[seq.user_id], seq.items, popularity, l=cfg.l, N=N, user_id=seq.user_id
+            )
+            for seq in seqs
+        ]
+    elif label == "PopRank":
+        recs = [rank_by_scores(popularity, popularity, seq.items, N, user_id=seq.user_id) for seq in seqs]
+    else:
+        pair = _load_pair(out / ("factors_nmf.json" if label == "NMF" else "factors_bpr.json"), m, len(seqs))
+        recs = [
+            rank_by_scores(pair.p[u] @ pair.q.T, popularity, seq.items, N, user_id=seq.user_id)
+            for u, seq in enumerate(seqs)
+        ]
+    rows = [
+        (rec.user_id, str(rank), str(int(item)), _fmt(score))
+        for rec in recs
+        for rank, (item, score) in enumerate(zip(rec.ranked_items, rec.scores), start=1)
+    ]
+    path = out / f"recommendations_{label}.tsv"
+    _write_rows(path, dict(provenance, method=label), ("user_id", "rank", "item", "score"), rows)
+    return path
+
+
 def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
-    """Produce a ranked list per user for every configured recommender."""
+    """Produce a ranked list per user for every configured recommender.
+
+    Each ranker is one job of _map_jobs and writes its own recommendations
+    file.  The benchmark, the item popularity and each state count's HMCD
+    segments are read here, once, before the jobs start.
+    """
     out, provenance = _out(cfg)
     seqs, _, m = _load_sequences(out)
     popularity = item_popularity(_user_matrix(seqs, m))
-    N = max(cfg.n_grid)
-    columns = ("user_id", "rank", "item", "score")
     # one read of each state count's detections, shared by its SMF and HMMR rankers
     segments_of = {
         h: _segments_by_user(out, seqs, h, cfg.k)
         for h in cfg.hidden_state_counts
         if {f"SMF-S{h}", f"HMMR-S{h}"} & set(cfg.methods)
     }
-    paths = []
-    for label in cfg.ranker_labels():
-        if label.startswith(("SMF-S", "HMMR-S")):
-            h = int(label.partition("-S")[2])
-            if label.startswith("SMF-S"):
-                pair, _ = load_factors(_require(out / f"factors_smf_s{h}.json"))
-                factors = factors_from_pair(pair, "nmf")
-            else:
-                model, _ = load_model(_require(out / f"hmm_s{h}.json"))
-                factors = hmm_item_factors(model)
-            segments = segments_of[h]
-            factors.reserve(cfg.l, segments.values())
-            recs = [
-                recommend_from_segments(
-                    factors, segments[seq.user_id], seq.items, popularity, l=cfg.l, N=N, user_id=seq.user_id
-                )
-                for seq in seqs
-            ]
-        elif label == "PopRank":
-            recs = [rank_by_scores(popularity, popularity, seq.items, N, user_id=seq.user_id) for seq in seqs]
-        else:
-            name = "factors_nmf.json" if label == "NMF" else "factors_bpr.json"
-            pair, _ = load_factors(_require(out / name))
-            recs = [
-                rank_by_scores(pair.p[u] @ pair.q.T, popularity, seq.items, N, user_id=seq.user_id)
-                for u, seq in enumerate(seqs)
-            ]
-        rows = [
-            (rec.user_id, str(rank), str(int(item)), _fmt(score))
-            for rec in recs
-            for rank, (item, score) in enumerate(zip(rec.ranked_items, rec.scores), start=1)
-        ]
-        path = out / f"recommendations_{label}.tsv"
-        _write_rows(path, dict(provenance, method=label), columns, rows)
-        paths.append(path)
-    return paths
+    jobs = [(label,) for label in cfg.ranker_labels()]
+    return _map_jobs(_recommend_one, jobs, (cfg, out, provenance, seqs, m, popularity, segments_of))
 
 
 def _read_recommendations(path: Path, seqs, m: int) -> dict[str, list[int]]:
@@ -549,8 +570,20 @@ def _read_recommendations(path: Path, seqs, m: int) -> dict[str, list[int]]:
     return ranked
 
 
+def _evaluate_one(shared, label: str) -> tuple[dict, dict, dict]:
+    """Ranker label's mean precision, recall and NDCG, each {N: mean}, from
+    its recommendations file against the held-out tails."""
+    out, seqs, holdout, m, n_grid = shared
+    ranked = _read_recommendations(_require(out / f"recommendations_{label}.tsv"), seqs, m)
+    return ranking_metrics(ranked, holdout, n_grid)
+
+
 def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
-    """Aggregate detector displacement and ranking quality into one table per fact, plus a summary."""
+    """Aggregate detector displacement and ranking quality into one table per fact, plus a summary.
+
+    Each ranker's recommendations are read and scored by one job of
+    _map_jobs; the tables and the summary are written here, in ranker order.
+    """
     out, provenance = _out(cfg)
     seqs, holdout, m = _load_sequences(out)
 
@@ -582,12 +615,15 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     _write_rows(out / "state_count_trend.tsv", provenance, ("h", "mean_delta", "non_decreasing"), trend_rows)
 
     # ranking quality against the held-out tail
-    metric_rows, tables_of = [], {}
-    for label in cfg.ranker_labels():
-        ranked = _read_recommendations(_require(out / f"recommendations_{label}.tsv"), seqs, m)
-        tables_of[label] = dict(zip(("precision", "recall", "ndcg"), ranking_metrics(ranked, holdout, cfg.n_grid)))
-        for N in cfg.n_grid:
-            metric_rows += [(label, name, str(N), _fmt(table[N])) for name, table in tables_of[label].items()]
+    labels = cfg.ranker_labels()
+    results = _map_jobs(_evaluate_one, [(label,) for label in labels], (out, seqs, holdout, m, cfg.n_grid))
+    tables_of = {label: dict(zip(("precision", "recall", "ndcg"), tables)) for label, tables in zip(labels, results)}
+    metric_rows = [
+        (label, name, str(N), _fmt(table[N]))
+        for label in labels
+        for N in cfg.n_grid
+        for name, table in tables_of[label].items()
+    ]
     _write_rows(out / "ranking_metrics.tsv", provenance, ("method", "metric", "N", "value"), metric_rows)
 
     summary = [
@@ -600,12 +636,12 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
         + " ".join(f"h={h}:{d:.4f}" for h, d in zip(cfg.hidden_state_counts, deltas))
         + f" trend_ok={'yes' if trend_ok else 'no'}"
     )
-    if cfg.ranker_labels():
+    if labels:
         top = max(cfg.n_grid)
         summary.append(f"rankers (precision@{top} / ndcg@{top}):")
         summary += [
             f"  {label:<10} {tables_of[label]['precision'][top]:.6f} / {tables_of[label]['ndcg'][top]:.6f}"
-            for label in cfg.ranker_labels()
+            for label in labels
         ]
     _write_lines(out / "summary.txt", provenance, summary)
     return [out / name for name in ("cpd_table.tsv", "state_count_trend.tsv", "ranking_metrics.tsv", "summary.txt")]

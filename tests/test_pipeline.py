@@ -370,8 +370,9 @@ def use_cpus(monkeypatch, count):
 
 
 def test_cpu_count_changes_no_output(tmp_path, monkeypatch):
-    """train, detect and fit run their jobs on one worker per CPU, and leave
-    no worker behind; two CPUs write the same bytes as one, which runs inline."""
+    """train, detect, fit, recommend and evaluate run their jobs on one
+    worker per CPU, and leave no worker behind; two CPUs write the same
+    bytes as one, which runs inline."""
     cfg = small_config(tmp_path / "out", mixed_count=15, hidden_state_counts=[2, 5], bpr_epochs=2)
     written = {}
     for cpus in (1, 2):
@@ -380,27 +381,53 @@ def test_cpu_count_changes_no_output(tmp_path, monkeypatch):
         for stage in _STAGES:
             stage(cfg)
             assert multiprocessing.active_children() == [], stage.__name__
-        assert pools == ([] if cpus == 1 else [(2,), (2,), (2,)])
+        assert pools == ([] if cpus == 1 else [(2,)] * 5)
         written[cpus] = {p.name: p.read_bytes() for p in Path(cfg.out_dir).iterdir()}
     assert written[2] == written[1]
 
 
 def test_a_workers_error_is_raised_as_inline(cli_run, tmp_path, monkeypatch, capsys):
     """A job that fails on a worker raises what it raises inline: fit's job
-    over a stale detection table, and detect's second HMCD job over a
-    malformed model."""
+    over a stale detection table, detect's second HMCD job over a
+    malformed model, recommend's BPR-MF job (after the SMF and HMMR jobs)
+    over a factors file whose d disagrees with its arrays, and evaluate's
+    NMF job over a ranked list out of rank order."""
     config, out = cli_run
-    copy = tmp_path / "out"
-    shutil.copytree(out, copy)
+    cfg = ExperimentConfig.from_yaml(config)
+
+    def edited(tag, edits):
+        """A copy of the run's out_dir, with edits {name: f(copy) -> new text} applied."""
+        copy = tmp_path / tag
+        shutil.copytree(out, copy)
+        for name, edit in edits.items():
+            (copy / name).write_text(edit(copy))
+        return dataclasses.replace(cfg, out_dir=str(copy))
+
+    def rows_edited(name, change):
+        return lambda copy: "\n".join(change((copy / name).read_text().splitlines())) + "\n"
+
+    def json_edited(source, **fields):
+        return lambda copy: json.dumps(dict(json.loads((copy / source).read_text()), **fields))
+
     name = "changepoints_HMCD-S2.tsv"
-    lines = (copy / name).read_text().splitlines()
-    (copy / name).write_text("\n".join(lines[:2] + lines[3:]) + "\n")
-    model = json.loads((copy / "hmm_s2.json").read_text())
-    (copy / "hmm_s5.json").write_text(json.dumps(dict(model, num_states=5)))
-    cfg = dataclasses.replace(ExperimentConfig.from_yaml(config), out_dir=str(copy))
+    drop_first_row = rows_edited(name, lambda lines: lines[:2] + lines[3:])
+    stale = edited("stale", {name: drop_first_row, "hmm_s5.json": json_edited("hmm_s2.json", num_states=5)})
+    ranked = "recommendations_NMF.tsv"
+    swap_first_rows = rows_edited(ranked, lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:])
+    first = data_rows(out / ranked)[0][0]
     cases = (
-        (cmd_fit, cfg, f"{name} lacks user"),
-        (cmd_detect, dataclasses.replace(cfg, hidden_state_counts=[2, 5]), "num_states: header says 5"),
+        (cmd_fit, stale, f"{name} lacks user"),
+        (cmd_detect, dataclasses.replace(stale, hidden_state_counts=[2, 5]), "num_states: header says 5"),
+        (
+            cmd_recommend,
+            edited("bpr", {"factors_bpr.json": json_edited("factors_bpr.json", d=cfg.d + 1)}),
+            f"factors_bpr.json: d: header says {cfg.d + 1}",
+        ),
+        (
+            cmd_evaluate,
+            edited("ranked", {ranked: swap_first_rows}),
+            f"{ranked}:3: malformed recommendation row (user {first!r} has rank '2' where rank 1 is due)",
+        ),
     )
     messages = {}
     for stage, stage_cfg, expected in cases:
@@ -413,7 +440,7 @@ def test_a_workers_error_is_raised_as_inline(cli_run, tmp_path, monkeypatch, cap
         assert messages[stage][1] == messages[stage][0]
         assert expected in messages[stage][0], messages[stage][0]
         assert multiprocessing.active_children() == []
-    assert main(["fit", "--config", str(config), "--out", str(copy)]) == 2
+    assert main(["fit", "--config", str(config), "--out", stale.out_dir]) == 2
     assert capsys.readouterr().err == f"error: {messages[cmd_fit][0]}\n"
 
 
@@ -492,6 +519,13 @@ def cli_run(tmp_path_factory):
     config.write_text(yaml.safe_dump(small_config(root / "out", mixed_count=12, bpr_epochs=2).to_mapping()))
     assert main(["run-all", "--config", str(config)]) == 0
     return config, root / "out"
+
+
+def with_one_more_item(model):
+    """A model file's payload over one item more than it had, emission rows renormalized."""
+    emit = np.array(model["emit"])
+    emit = np.hstack([emit, emit[:, :1]])
+    return dict(model, emit=(emit / emit.sum(axis=1, keepdims=True)).tolist(), num_items=emit.shape[1])
 
 
 class TestStaleArtifacts:
@@ -586,6 +620,41 @@ class TestStaleArtifacts:
             with pytest.raises(ValueError, match=f"{re.escape(name)}: user {first!r} has T, truth"):
                 stage(cfg)
 
+
+    @pytest.mark.parametrize(
+        "name, edit, found",
+        [
+            (
+                "factors_nmf.json",
+                lambda f: dict(f, p=f["p"][: len(f["p"]) // 2]),
+                lambda n, m: f"p has {n // 2} rows; benchmark.tsv has {n} users",
+            ),
+            (
+                "factors_bpr.json",
+                lambda f: dict(f, p=f["p"] + f["p"][:1]),
+                lambda n, m: f"p has {n + 1} rows; benchmark.tsv has {n} users",
+            ),
+            (
+                "factors_smf_s2.json",
+                lambda f: dict(f, q=f["q"][:-1]),
+                lambda n, m: f"q has {m - 1} rows; benchmark.tsv has {m} items",
+            ),
+            ("hmm_s2.json", with_one_more_item, lambda n, m: f"num_items is {m + 1}; benchmark.tsv has {m}"),
+        ],
+        ids=["nmf-half-the-users", "bpr-an-extra-user", "smf-an-item-short", "hmm-an-extra-item"],
+    )
+    def test_recommend_refuses_factors_shaped_for_another_benchmark(self, cli_run, tmp_path, capsys, name, edit, found):
+        """A factor or model file whose rows do not match benchmark.tsv's
+        users and items is refused by name, never ranked from."""
+        config, out = cli_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        payload = json.loads((copy / name).read_text())
+        (copy / name).write_text(json.dumps(edit(payload)))
+        n = len(data_rows(out / "benchmark.tsv"))
+        m = int(re.search(r"num_items=(\d+)", (out / "benchmark.tsv").read_text()).group(1))
+        assert main(["recommend", "--config", str(config), "--out", str(copy)]) == 2
+        assert capsys.readouterr().err == f"error: {name}: {found(n, m)} (stale artifact?)\n"
 
     @pytest.mark.parametrize(
         "edit, found",
