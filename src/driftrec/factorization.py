@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hmm import _check_count, _check_entries, _check_real, _reading
+from .hmm import _check_count, _check_entries, _check_real, _decode_array, _encode_array, _reading
 
 _EPS = 1e-12
 
@@ -226,20 +226,23 @@ def bpr_fit(M, cfg: FactorizationConfig | None = None) -> FactorPair:
 
 
 def save_factors(path: str | Path, pair: FactorPair, meta: dict | None = None) -> None:
-    """Write a factor pair as JSON with exact float round-trip."""
+    """Write a factor pair as a driftrec-factors-v2 JSON file: p and q each
+    stored as its shape and the base64 of its row-major little-endian
+    float64 bytes, so loading reproduces them bit-exactly.  Files of the
+    earlier v1 format, which stored decimal lists, no longer load."""
     payload = {
-        "format": "driftrec-factors-v1",
+        "format": "driftrec-factors-v2",
         "d": pair.d,
-        "p": pair.p.tolist(),
-        "q": pair.q.tolist(),
+        "p": _encode_array(pair.p),
+        "q": _encode_array(pair.q),
         "meta": meta or {},
     }
     Path(path).write_text(json.dumps(payload))
 
 
 def load_factors(path: str | Path) -> tuple[FactorPair, dict]:
-    with _reading(path, "driftrec-factors-v1") as payload:
-        pair = FactorPair(p=np.array(payload["p"], dtype=float), q=np.array(payload["q"], dtype=float))
+    with _reading(path, "driftrec-factors-v2", "fit") as payload:
+        pair = FactorPair(p=_decode_array(payload, "p"), q=_decode_array(payload, "q"))
         if _check_count("d", payload["d"]) != pair.d:
             raise ValueError(f"d: header says {payload['d']}, the arrays hold {pair.d}")
         return pair, payload.get("meta", {})

@@ -9,6 +9,7 @@ underflow.
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import dataclasses
 import json
@@ -451,33 +452,67 @@ def save_model(
     train_config: TrainConfig | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Write the model (and the training settings that produced it) as JSON.
+    """Write the model (and the training settings that produced it) as a
+    driftrec-hmm-v2 JSON file.
 
-    Floats are serialized with Python's shortest round-trip representation,
-    so loading reproduces the parameter arrays bit-exactly.  meta may carry
-    provenance (run seed, config hash); it is stored but not interpreted.
+    Each of pi, trans and emit is stored as its shape and the base64 of its
+    row-major little-endian float64 bytes, so loading reproduces the
+    parameter arrays bit-exactly.  meta may carry provenance (run seed,
+    config hash); it is stored but not interpreted.  Files of the earlier
+    v1 format, which stored the arrays as decimal lists, no longer load.
     """
     payload = {
-        "format": "driftrec-hmm-v1",
+        "format": "driftrec-hmm-v2",
         "num_states": model.num_states,
         "num_items": model.num_items,
-        "pi": model.pi.tolist(),
-        "trans": model.trans.tolist(),
-        "emit": model.emit.tolist(),
+        "pi": _encode_array(model.pi),
+        "trans": _encode_array(model.trans),
+        "emit": _encode_array(model.emit),
         "train_config": None if train_config is None else dataclasses.asdict(train_config),
         "meta": meta or {},
     }
     Path(path).write_text(json.dumps(payload))
 
 
+def _encode_array(arr: np.ndarray) -> dict:
+    """arr as {"shape": [...], "data": base64 of its row-major little-endian
+    float64 bytes}, the array form of the v2 model and factor files."""
+    arr = np.asarray(arr, dtype="<f8")
+    return {"shape": list(arr.shape), "data": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def _decode_array(payload: dict, name: str) -> np.ndarray:
+    """The writable float64 array that _encode_array stored as payload[name].
+    A missing or malformed shape, data that is not base64, or a byte count
+    other than 8 per entry raises a ValueError naming the field."""
+    stored = payload[name]
+    if not isinstance(stored, dict) or "shape" not in stored or "data" not in stored:
+        raise ValueError(f"{name}: expected an object with fields 'shape' and 'data'")
+    shape = stored["shape"]
+    if not isinstance(shape, list):
+        raise ValueError(f"{name}: shape must be a list of integers, got {shape!r}")
+    shape = [_check_count(f"{name} shape entry", n, 0) for n in shape]
+    try:
+        raw = base64.b64decode(stored["data"], validate=True)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name}: data is not base64 text") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{name}: data holds {len(raw)} bytes; shape {shape} needs {8 * math.prod(shape)}")
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+
+
 @contextlib.contextmanager
-def _reading(path, fmt: str):
-    """The JSON payload of a fmt file.  A defect met while reading it raises
-    a ValueError naming the file, and the field when one is missing."""
+def _reading(path, fmt: str, stage: str):
+    """The JSON payload of a fmt file, which the pipeline's stage writes.  A
+    defect met while reading it raises a ValueError naming the file, and the
+    field when one is missing; a file of another format or version names the
+    format found and the stage that rewrites it."""
     try:
         payload = json.loads(Path(path).read_text())
-        if not isinstance(payload, dict) or payload.get("format") != fmt:
+        if not isinstance(payload, dict):
             raise ValueError(f"not a {fmt} file")
+        if payload.get("format") != fmt:
+            raise ValueError(f"format is {payload.get('format')!r}, not {fmt!r}; rerun the {stage} stage to rewrite it")
         yield payload
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from exc
@@ -486,8 +521,8 @@ def _reading(path, fmt: str):
 
 
 def load_model(path: str | Path) -> tuple[HmmModel, TrainConfig | None]:
-    with _reading(path, "driftrec-hmm-v1") as payload:
-        model = HmmModel(pi=payload["pi"], trans=payload["trans"], emit=payload["emit"])
+    with _reading(path, "driftrec-hmm-v2", "train") as payload:
+        model = HmmModel(*(_decode_array(payload, name) for name in ("pi", "trans", "emit")))
         for name in ("num_states", "num_items"):
             if _check_count(name, payload[name]) != getattr(model, name):
                 raise ValueError(f"{name}: header says {payload[name]}, the arrays hold {getattr(model, name)}")

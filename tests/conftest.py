@@ -1,15 +1,33 @@
+import contextlib
 import itertools
+import json
 from pathlib import Path
 
 import numpy as np
 
-from driftrec.hmm import HmmModel
+from driftrec.hmm import HmmModel, _decode_array, _encode_array
 
 
 def data_rows(path):
     """The tab-split cells of every data row of a stage table, skipping
     blank lines and '#' lines (the header, the column names, a verdict)."""
     return [line.split("\t") for line in Path(path).read_text().splitlines() if line and not line.startswith("#")]
+
+
+@contextlib.contextmanager
+def arrays_as_lists(path):
+    """The payload of the model or factor file at path, its stored arrays
+    decoded to nested lists for a test to edit in place; on exit the arrays
+    are encoded again and the file rewritten."""
+    path = Path(path)
+    payload = json.loads(path.read_text())
+    names = [name for name in ("pi", "trans", "emit", "p", "q") if name in payload]
+    for name in names:
+        payload[name] = _decode_array(payload, name).tolist()
+    yield payload
+    for name in names:
+        payload[name] = _encode_array(np.array(payload[name], dtype=float))
+    path.write_text(json.dumps(payload))
 
 
 def random_model(rng, h, m):

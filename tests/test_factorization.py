@@ -19,6 +19,7 @@ from driftrec.factorization import (
     save_factors,
 )
 
+from conftest import arrays_as_lists
 from oracles import bpr_triple_grad, bpr_triple_loss, sigmoid
 
 
@@ -344,18 +345,36 @@ class TestSerialization:
         path = tmp_path / "factors.json"
         pair = FactorPair(p=[[1.0, -0.5], [0.25, 2.0]], q=[[0.0, 1.5], [3.0, -1.0]])
         save_factors(path, pair, meta={"model": "NMF"})
+        # p and q as base64 of their row-major little-endian float64 bytes
         assert path.read_text() == (
-            '{"format": "driftrec-factors-v1", "d": 2, "p": [[1.0, -0.5], [0.25, 2.0]], '
-            '"q": [[0.0, 1.5], [3.0, -1.0]], "meta": {"model": "NMF"}}'
+            '{"format": "driftrec-factors-v2", "d": 2, '
+            '"p": {"shape": [2, 2], "data": "AAAAAAAA8D8AAAAAAADgvwAAAAAAANA/AAAAAAAAAEA="}, '
+            '"q": {"shape": [2, 2], "data": "AAAAAAAAAAAAAAAAAAD4PwAAAAAAAAhAAAAAAAAA8L8="}, '
+            '"meta": {"model": "NMF"}}'
         )
+
+    def test_extreme_values_round_trip_bit_exactly(self, tmp_path):
+        path = tmp_path / "factors.json"
+        pair = FactorPair(p=[[-0.0, 5e-324], [0.1, 1.7976931348623157e308]], q=[[0.1, -0.0]])
+        save_factors(path, pair)
+        loaded, _ = load_factors(path)
+        assert loaded.p.tobytes() == pair.p.tobytes()
+        assert loaded.q.tobytes() == pair.q.tobytes()
+        assert loaded.p.flags.writeable and loaded.q.flags.writeable
+
+    def test_refuses_a_v1_file_naming_the_stage_that_rewrites_it(self, tmp_path):
+        path = tmp_path / "factors_nmf.json"
+        path.write_text('{"format": "driftrec-factors-v1", "d": 1, "p": [[1.0]], "q": [[1.0]], "meta": {}}')
+        message = f"{path}: format is 'driftrec-factors-v1', not 'driftrec-factors-v2'; rerun the fit stage to rewrite it"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_factors(path)
 
     def test_rejects_nan_factors_in_file(self, tmp_path):
         path = tmp_path / "factors.json"
         save_factors(path, FactorPair(p=np.ones((2, 2)), q=np.ones((3, 2))))
-        payload = json.loads(path.read_text())
-        payload["q"][2][1] = float("nan")
-        path.write_text(json.dumps(payload))
-        assert "NaN" in path.read_text()
+        with arrays_as_lists(path) as payload:
+            payload["q"][2][1] = float("nan")
+        assert np.isnan(factorization._decode_array(json.loads(path.read_text()), "q")[2, 1])
         with pytest.raises(ValueError, match=r"q entry \(2, 1\) is nan; entries must be finite"):
             load_factors(path)
 

@@ -21,6 +21,7 @@ from driftrec.hmm import (
 )
 
 from conftest import (
+    arrays_as_lists,
     brute_force_best_path,
     brute_force_likelihood,
     enumerate_path_probs,
@@ -522,10 +523,9 @@ class TestSerialization:
     def test_rejects_nan_parameters_in_file(self, tmp_path):
         path = tmp_path / "model.json"
         save_model(path, random_model(np.random.default_rng(5), h=2, m=3))
-        payload = json.loads(path.read_text())
-        payload["emit"][1][2] = float("nan")
-        path.write_text(json.dumps(payload))
-        assert "NaN" in path.read_text()
+        with arrays_as_lists(path) as payload:
+            payload["emit"][1][2] = float("nan")
+        assert math.isnan(hmm._decode_array(json.loads(path.read_text()), "emit")[1, 2])
         with pytest.raises(ValueError, match=r"emit entry \(1, 2\) is nan"):
             load_model(path)
 
@@ -555,9 +555,13 @@ class TestSerialization:
     GOLDEN_MODEL = HmmModel(
         pi=[0.5, 0.5], trans=[[0.75, 0.25], [0.5, 0.5]], emit=[[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]]
     )
+    # pi [0.5, 0.5], trans [[0.75, 0.25], [0.5, 0.5]] and emit [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]]
+    # as base64 of their little-endian float64 bytes
     GOLDEN_HEAD = (
-        '{"format": "driftrec-hmm-v1", "num_states": 2, "num_items": 3, "pi": [0.5, 0.5], '
-        '"trans": [[0.75, 0.25], [0.5, 0.5]], "emit": [[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]], '
+        '{"format": "driftrec-hmm-v2", "num_states": 2, "num_items": 3, '
+        '"pi": {"shape": [2], "data": "AAAAAAAA4D8AAAAAAADgPw=="}, '
+        '"trans": {"shape": [2, 2], "data": "AAAAAAAA6D8AAAAAAADQPwAAAAAAAOA/AAAAAAAA4D8="}, '
+        '"emit": {"shape": [2, 3], "data": "AAAAAAAA4D8AAAAAAADQPwAAAAAAANA/AAAAAAAAwD8AAAAAAADYPwAAAAAAAOA/"}, '
     )
 
     def test_file_format_with_train_config(self, tmp_path):
@@ -573,3 +577,22 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(path, self.GOLDEN_MODEL)
         assert path.read_text() == self.GOLDEN_HEAD + '"train_config": null, "meta": {}}'
+
+    def test_extreme_values_round_trip_bit_exactly(self, tmp_path):
+        path = tmp_path / "model.json"
+        model = HmmModel(pi=[0.1, 0.9], trans=[[1.0, -0.0], [0.5, 0.5]], emit=[[5e-324, 1.0], [0.1, 0.9]])
+        save_model(path, model)
+        loaded, _ = load_model(path)
+        for name in ("pi", "trans", "emit"):
+            assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes(), name
+        assert math.copysign(1.0, loaded.trans[0, 1]) == -1.0
+
+    def test_refuses_a_v1_file_naming_the_stage_that_rewrites_it(self, tmp_path):
+        path = tmp_path / "hmm_s2.json"
+        path.write_text(
+            '{"format": "driftrec-hmm-v1", "num_states": 1, "num_items": 1, "pi": [1.0], "trans": [[1.0]], '
+            '"emit": [[1.0]], "train_config": null, "meta": {}}'
+        )
+        message = f"{path}: format is 'driftrec-hmm-v1', not 'driftrec-hmm-v2'; rerun the train stage to rewrite it"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_model(path)

@@ -32,7 +32,7 @@ from driftrec.pipeline import (
 )
 from driftrec.recommend import pop_rank
 
-from conftest import data_rows
+from conftest import arrays_as_lists, data_rows
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "playlists_200.txt")
 _STAGES = (cmd_synthesize, cmd_train, cmd_detect, cmd_fit, cmd_recommend, cmd_evaluate)
@@ -649,8 +649,8 @@ class TestStaleArtifacts:
         config, out = cli_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
-        payload = json.loads((copy / name).read_text())
-        (copy / name).write_text(json.dumps(edit(payload)))
+        with arrays_as_lists(copy / name) as payload:
+            payload.update(edit(payload))
         n = len(data_rows(out / "benchmark.tsv"))
         m = int(re.search(r"num_items=(\d+)", (out / "benchmark.tsv").read_text()).group(1))
         assert main(["recommend", "--config", str(config), "--out", str(copy)]) == 2

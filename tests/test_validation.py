@@ -3,6 +3,8 @@ ValueError that names the field: counts (a bool, a float, too small),
 tolerances and rates (NaN), item indices (fractional, out of range) and
 ascending points."""
 
+import base64
+import json
 import math
 
 import numpy as np
@@ -16,15 +18,20 @@ from driftrec import (
     ItemFactors,
     MixedSequence,
     PlaylistCorpus,
+    FactorPair,
     TrainConfig,
     baum_welch_train,
     hmcd_detect_all,
     load_corpus,
+    load_factors,
+    load_model,
     ndcg_time_aware,
     partition,
     precision_recall_at,
     rank_by_scores,
     recommend_from_segments,
+    save_factors,
+    save_model,
     score_by_segment,
     sliding_window_detect,
     sliding_window_detect_all,
@@ -136,6 +143,37 @@ def test_invalid_input_names_the_field(call, field):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value).startswith(field + " ") or str(err.value).startswith(field + ":"), str(err.value)
+
+
+LOADERS = {
+    "load_model": (lambda path: save_model(path, model()), load_model, "emit"),
+    "load_factors": (lambda path: save_factors(path, FactorPair(p=np.ones((2, 2)), q=np.ones((3, 2)))), load_factors, "q"),
+}
+STORED_ARRAY_DEFECTS = {
+    "bad-base64": (lambda a: dict(a, data="not base64!"), "data is not base64 text"),
+    "wrong-byte-count": (
+        lambda a: dict(a, data=base64.b64encode(base64.b64decode(a["data"])[:-4]).decode()), "data holds"
+    ),
+    "shape-non-integer": (lambda a: dict(a, shape=[a["shape"][0], 1.5]), "shape entry: expected an integer"),
+    "shape-negative": (lambda a: dict(a, shape=[-a["shape"][0], a["shape"][1]]), "shape entry: must be >= 0"),
+    "shape-missing": (lambda a: {"data": a["data"]}, "expected an object with fields 'shape' and 'data'"),
+}
+
+
+@pytest.mark.parametrize("defect", STORED_ARRAY_DEFECTS)
+@pytest.mark.parametrize("loader", LOADERS)
+def test_malformed_stored_array_names_the_file_and_the_field(tmp_path, loader, defect):
+    save, load, field = LOADERS[loader]
+    edit, detail = STORED_ARRAY_DEFECTS[defect]
+    path = tmp_path / f"{loader}.json"
+    save(path)
+    payload = json.loads(path.read_text())
+    payload[field] = edit(payload[field])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as err:
+        load(path)
+    assert str(err.value).startswith(f"{path}: {field}"), str(err.value)
+    assert detail in str(err.value)
 
 
 def test_item_vectors_are_checked_only_where_the_sequence_reads_them():
