@@ -212,28 +212,23 @@ def save_benchmark(path: str | Path, mixed: list[MixedSequence], meta: dict) -> 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_rows(path: Path, what: str, parse) -> list:
-    """parse(*cells) of every tab-separated data row, skipping blank and '#'
-    lines; a malformed row names the file and line."""
-    out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if line.strip() and not line.startswith("#"):
-            try:
-                out.append(parse(*line.split("\t")))
-            except (ValueError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed {what} row ({exc})") from exc
-    return out
+def _malformed(path, what: str, line: int, detail) -> ValueError:
+    return ValueError(f"{path}:{line}: malformed {what} row ({detail})")
 
 
-def _benchmark_row(user_id, truth, sources, observed, holdout) -> MixedSequence:
-    s1, _, s2 = sources.partition(",")
-    return MixedSequence(
-        user_id=user_id,
-        items=np.array(observed.split(), dtype=np.int64),
-        truth_change=int(truth),
-        source_ids=(int(s1), int(s2)),
-        holdout=np.array(holdout.split(), dtype=np.int64),
-    )
+def _read_table(path, what: str, width: int) -> tuple[list[list[str]], list[int]]:
+    """The columns of a table's tab-separated data rows, from one split of
+    its text, and each row's line number.  Blank and '#' lines are skipped;
+    a row without exactly width fields is refused, naming the file and line."""
+    lines = Path(path).read_text().splitlines()
+    numbers = [n for n, line in enumerate(lines, start=1) if line.strip() and not line.startswith("#")]
+    rows = [lines[n - 1] for n in numbers]
+    fields = [row.count("\t") + 1 for row in rows]
+    if fields.count(width) != len(rows):
+        r = next(r for r, count in enumerate(fields) if count != width)
+        raise _malformed(path, what, numbers[r], f"expected {width} tab-separated fields, got {fields[r]}")
+    cells = "\t".join(rows).split("\t") if rows else []
+    return [cells[j::width] for j in range(width)], numbers
 
 
 def load_benchmark(path: str | Path) -> tuple[list[MixedSequence], dict]:
@@ -242,4 +237,20 @@ def load_benchmark(path: str | Path) -> tuple[list[MixedSequence], dict]:
     if not header.startswith("# driftrec-benchmark-v1"):
         raise ValueError(f"{path}: not a driftrec benchmark file")
     meta = dict(token.partition("=")[::2] for token in header.split()[2:])
-    return _parse_rows(path, "benchmark", _benchmark_row), meta
+    columns, lines = _read_table(path, "benchmark", 5)
+    mixed = []
+    for line, user_id, truth, sources, observed, holdout in zip(lines, *columns):
+        try:
+            s1, _, s2 = sources.partition(",")
+            mixed.append(
+                MixedSequence(
+                    user_id=user_id,
+                    items=np.array(observed.split(), dtype=np.int64),
+                    truth_change=int(truth),
+                    source_ids=(int(s1), int(s2)),
+                    holdout=np.array(holdout.split(), dtype=np.int64),
+                )
+            )
+        except (ValueError, TypeError) as exc:
+            raise _malformed(path, "benchmark", line, exc) from exc
+    return mixed, meta

@@ -35,14 +35,15 @@ from driftrec.changepoint import (
 )
 from driftrec.dataset import (
     HOLDOUT_SIZE,
-    _parse_rows,
+    _malformed,
+    _read_table,
     load_benchmark,
     load_corpus,
     save_benchmark,
     synthesize_mixed,
     to_interaction_sequences,
 )
-from driftrec.evaluation import aggregate_cpd, ranking_metrics
+from driftrec.evaluation import _mean_metrics, _relevance, aggregate_cpd
 from driftrec.factorization import FactorizationConfig, FactorPair, bpr_fit, load_factors, nmf_fit, save_factors
 from driftrec.hmm import (
     HmmModel,
@@ -249,28 +250,53 @@ def _check_users(path: Path, users, seqs) -> None:
         raise ValueError(f"{path.name} {what} benchmark.tsv (stale artifact?)")
 
 
-def _changepoint_row(user_id, T, truth, predicted, *_):
-    return user_id, (int(T), int(truth)), [] if predicted == "-" else [int(p) for p in predicted.split(",")]
-
-
-def _read_changepoints(path: Path, seqs, k: int, interior: bool = True) -> dict[str, list[int]]:
-    """user_id -> predicted indices ('-' marks none).  Each row's T and truth
-    must be benchmark.tsv's, so a table detected on another benchmark is refused.
+def _read_changepoints(path: Path, seqs, k: int, interior: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Every predicted point ('-' marks none) and the index in seqs of its
+    user, user by user in seqs order, ascending within each; a user listed
+    twice keeps its last row.  Each row's T and truth must be
+    benchmark.tsv's, so a table detected on another benchmark is refused.
     A row holds at most k points, as every detector writes.  Points must
     ascend strictly within [1, T), where partition can split at them, or
     within [0, T] when not interior: the RP baseline draws its split from
     [0, T], and displacement scores any of them."""
-    expected = {seq.user_id: (len(seq), seq.truth_change) for seq in seqs}
-    out = {}
-    for user_id, facts, points in _parse_rows(path, "change-point", _changepoint_row):
-        if expected.get(user_id, facts) != facts:
-            raise ValueError(f"{path.name}: user {user_id!r} has T, truth {facts}; benchmark.tsv has {expected[user_id]}")
-        lo, hi = (1, facts[0] - 1) if interior else (0, facts[0])
-        out[user_id] = _check_points(f"{path.name}: user {user_id!r} points", points, lo, hi)
-        if len(points) > k:
-            raise ValueError(f"{path.name}: user {user_id!r} has {len(points)} points, more than k = {k}")
-    _check_users(path, out, seqs)
-    return out
+    (users, T_col, truth_col, predicted, _, _), lines = _read_table(path, "change-point", 6)
+    listed = [p for p in predicted if p != "-"]
+    try:
+        T, truth = (np.array(col, dtype=np.int64) for col in (T_col, truth_col))
+        points = np.array(",".join(listed).split(",") if listed else [], dtype=np.int64)
+    except (ValueError, OverflowError):
+        for line, *cells in zip(lines, T_col, truth_col, predicted):
+            try:
+                np.array(cells[:2] + ([] if cells[2] == "-" else cells[2].split(",")), dtype=np.int64)
+            except (ValueError, OverflowError) as exc:
+                raise _malformed(path, "change-point", line, exc) from None
+    counts = np.array([0 if p == "-" else p.count(",") + 1 for p in predicted], dtype=np.int64)
+    row = np.repeat(np.arange(len(users)), counts)
+    # each row's user as an index into seqs (-1 for one benchmark.tsv lacks) and its T and truth there
+    known = {seq.user_id: (i, len(seq), seq.truth_change) for i, seq in enumerate(seqs)}
+    owner, bench_T, bench_truth = np.array([known.get(u, (-1, 0, 0)) for u in users], dtype=np.int64).reshape(-1, 3).T
+    lo, hi = (1, T - 1) if interior else (0, T)
+    # flag each row the row-by-row checks below refuse; they name its first defect
+    bad = (owner >= 0) & ((T != bench_T) | (truth != bench_truth)) | (counts > k)
+    stray = (points < lo) | (points > hi[row])
+    stray[1:] |= (points[1:] <= points[:-1]) & (row[1:] == row[:-1])
+    bad[row[stray]] = True
+    for r in np.flatnonzero(bad):
+        user, facts = users[r], (int(T[r]), int(truth[r]))
+        expected = (int(bench_T[r]), int(bench_truth[r])) if owner[r] >= 0 else facts
+        if expected != facts:
+            raise ValueError(f"{path.name}: user {user!r} has T, truth {facts}; benchmark.tsv has {expected}")
+        mine = points[row == r].tolist()
+        _check_points(f"{path.name}: user {user!r} points", mine, lo, int(hi[r]))
+        if len(mine) > k:
+            raise ValueError(f"{path.name}: user {user!r} has {len(mine)} points, more than k = {k}")
+    last = {user: r for r, user in enumerate(users)}
+    _check_users(path, last, seqs)
+    kept = np.zeros(len(users), dtype=bool)
+    kept[list(last.values())] = True
+    points, row = points[kept[row]], row[kept[row]]
+    order = np.argsort(owner[row], kind="stable")
+    return points[order], owner[row][order]
 
 
 def _segments_by_user(out: Path, seqs, h: int, k: int) -> dict[str, list[np.ndarray]]:
@@ -279,10 +305,11 @@ def _segments_by_user(out: Path, seqs, h: int, k: int) -> dict[str, list[np.ndar
     Detectors may return fewer than k points (or none at all, flagged);
     trailing empty segments keep every user's row count identical.
     """
-    changepoints = _read_changepoints(_require(out / f"changepoints_HMCD-S{h}.tsv"), seqs, k)
+    points, owner = _read_changepoints(_require(out / f"changepoints_HMCD-S{h}.tsv"), seqs, k)
+    cuts = np.split(points, np.searchsorted(owner, np.arange(1, len(seqs))))
     segments = {}
-    for seq in seqs:
-        segs = partition(seq, changepoints[seq.user_id])
+    for seq, cut in zip(seqs, cuts):
+        segs = partition(seq, cut.tolist())
         segments[seq.user_id] = segs + [np.array([], dtype=np.int64)] * (k + 1 - len(segs))
     return segments
 
@@ -308,22 +335,29 @@ def _run_job(fn, job):
     return fn(_shared, *job)
 
 
-def _map_jobs(fn, jobs, shared) -> list:
+def _map_jobs(fn, jobs, shared, key=lambda job: 0) -> list:
     """[fn(shared, *job) for job in jobs], in job order, on one forked
     worker per available CPU.
 
-    Forked workers inherit shared rather than a pickled copy of it; fn must
-    be a module-level function, so it pickles by reference.  With one
-    worker the jobs run inline.  The earliest failing job's exception is
-    raised here, as inline.
+    The jobs start in ascending key(job) order, ties in job order: a key
+    that puts the longest jobs first lets the short ones fill in behind
+    them.  Forked workers inherit shared rather than a
+    pickled copy of it; fn must be a module-level function, so it pickles
+    by reference.  With one worker the jobs run inline, in the same order.
+    The exception of the first failing job in that order is raised here,
+    as inline.
     """
+    order = sorted(range(len(jobs)), key=lambda i: key(jobs[i]))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(jobs), cpus)
     if workers <= 1:
-        return [fn(shared, *job) for job in jobs]
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(shared,)) as pool:
-        return list(pool.map(functools.partial(_run_job, fn), jobs))
+        done = [fn(shared, *jobs[i]) for i in order]
+    else:
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(shared,)) as pool:
+            done = list(pool.map(functools.partial(_run_job, fn), [jobs[i] for i in order]))
+    by_job = dict(zip(order, done))
+    return [by_job[i] for i in range(len(jobs))]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +402,8 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
     Expectation maximization only climbs to a local optimum, so each model
     is the best of hmm_restarts independently seeded runs by final corpus
     log-likelihood.  Ties keep the earliest restart.  The runs share
-    nothing and go through _map_jobs.
+    nothing and go through _map_jobs, the largest state count first, as
+    its E-steps cost the most.
     """
     out, provenance = _out(cfg)
     seqs, _, m = _load_sequences(out)
@@ -379,7 +414,7 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
         for h in cfg.hidden_state_counts
         for r in restarts
     ]
-    results = _map_jobs(_train_one, jobs, (seqs, m))
+    results = _map_jobs(_train_one, jobs, (seqs, m), key=lambda job: -job[0])
     paths = []
     for i, h in enumerate(cfg.hidden_state_counts):
         first = i * len(restarts)
@@ -407,6 +442,13 @@ def _detect_one(shared, label: str) -> tuple[float | None, list]:
     return None, [([random_partition(seq, stable_seed(cfg.seed, f"rp:{seq.user_id}"))], []) for seq in seqs]
 
 
+def _detect_start_order(job) -> tuple[bool, int]:
+    """SW first, then HMCD by descending state count, then CUSUM and RP: the
+    longest detectors first, as measured on the benchmark workloads."""
+    label = job[0]
+    return label != "SW", -int(label[6:]) if label.startswith("HMCD-S") else 0
+
+
 def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
     """Run every configured detector over the benchmark, one report each.
 
@@ -417,7 +459,7 @@ def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
     seqs, _, m = _load_sequences(out)
     columns = ("user_id", "T", "truth", "predicted", "scores", "method")
     labels = cfg.detector_labels()
-    results = _map_jobs(_detect_one, [(label,) for label in labels], (cfg, out, seqs, m))
+    results = _map_jobs(_detect_one, [(label,) for label in labels], (cfg, out, seqs, m), key=_detect_start_order)
     paths = []
     for label, (tau, per_seq) in zip(labels, results):
         rows = [
@@ -543,39 +585,63 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     return _map_jobs(_recommend_one, jobs, (cfg, out, provenance, seqs, m, popularity, segments_of))
 
 
-def _read_recommendations(path: Path, seqs, m: int) -> dict[str, list[int]]:
-    """user_id -> ranked items, each an index in [0, m).  A user's rows must
-    rank 1, 2, ... in file order, so a list is never scored out of order,
-    and form a valid Recommendation: finite scores that never rise, and no
-    repeated item."""
-    ranked: dict[str, list[int]] = {}
-    scores: dict[str, list[str]] = {}
-
-    def row(user, rank, item, score):
-        items = ranked.setdefault(user, [])
-        items.append(int(item))
-        scores.setdefault(user, []).append(score)
-        if rank != str(len(items)):
-            raise ValueError(f"user {user!r} has rank {rank!r} where rank {len(items)} is due")
-
-    _parse_rows(path, "recommendation", row)
-    users = list(ranked)
-    _index_array(*_joined([ranked[u] for u in users], lambda r: f"{path.name}: user {users[r]!r}"), m)
-    for user, items in ranked.items():
-        try:
-            Recommendation(user, items, list(map(float, scores[user])))
-        except ValueError as exc:
-            raise ValueError(f"{path.name}: user {user!r}: {exc}") from None
-    _check_users(path, ranked, seqs)
-    return ranked
+def _read_recommendations(path: Path, seqs, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's user, as an index into seqs, its rank and its item, an
+    index in [0, m).  A user's rows must rank 1, 2, ... in file order, so a
+    list is never scored out of order, and form a valid Recommendation:
+    finite scores that never rise, and no repeated item.  The checks run on
+    whole columns; on a defect, the row-by-row and then user-by-user checks
+    below run to name the first one."""
+    (users, ranks, item_col, score_col), lines = _read_table(path, "recommendation", 4)
+    # the distinct users in order of first appearance; codes[r] is row r's user's place there
+    index: dict[str, int] = {}
+    codes = np.array([index.setdefault(user, len(index)) for user in users], dtype=np.int64)
+    distinct = list(index)
+    # each user's rows, users in order of first appearance, rows in file order
+    grouped = np.argsort(codes, kind="stable")
+    sizes = np.bincount(codes, minlength=len(distinct))
+    due = np.empty_like(codes)
+    due[grouped] = np.arange(len(codes)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
+    try:
+        items = np.array(item_col, dtype=np.int64)
+    except (ValueError, OverflowError):
+        items = None
+    if items is None or ranks != list(map(str, due.tolist())):
+        for line, user, rank, item, n in zip(lines, users, ranks, item_col, due.tolist()):
+            try:
+                np.array(item, dtype=np.int64)
+                if rank != str(n):
+                    raise ValueError(f"user {user!r} has rank {rank!r} where rank {n} is due")
+            except (ValueError, OverflowError) as exc:
+                raise _malformed(path, "recommendation", line, exc) from None
+    _index_array(items[grouped], lambda i: f"{path.name}: user {distinct[codes[grouped[i]]]!r}", m)
+    try:
+        scores = np.array(score_col, dtype=float)
+    except ValueError:
+        scores = np.full(len(score_col), np.nan)  # refused below, as a NaN score is
+    keys = np.sort(codes * m + items)
+    ranked_scores, ranked_codes = scores[grouped], codes[grouped]
+    rising = (ranked_scores[1:] > ranked_scores[:-1]) & (ranked_codes[1:] == ranked_codes[:-1])
+    if not np.isfinite(scores).all() or (keys[1:] == keys[:-1]).any() or rising.any():
+        for user, rows in zip(distinct, np.split(grouped, np.cumsum(sizes)[:-1])):
+            try:
+                Recommendation(user, items[rows].tolist(), [float(score_col[r]) for r in rows])
+            except ValueError as exc:
+                raise ValueError(f"{path.name}: user {user!r}: {exc}") from None
+    _check_users(path, index, seqs)
+    position = {seq.user_id: i for i, seq in enumerate(seqs)}
+    return np.array([position[user] for user in distinct], dtype=np.int64)[codes], due, items
 
 
 def _evaluate_one(shared, label: str) -> tuple[dict, dict, dict]:
     """Ranker label's mean precision, recall and NDCG, each {N: mean}, from
     its recommendations file against the held-out tails."""
-    out, seqs, holdout, m, n_grid = shared
-    ranked = _read_recommendations(_require(out / f"recommendations_{label}.tsv"), seqs, m)
-    return ranking_metrics(ranked, holdout, n_grid)
+    out, seqs, m, n_grid, metric_row, relevance = shared
+    owner, ranks, items = _read_recommendations(_require(out / f"recommendations_{label}.tsv"), seqs, m)
+    top = ranks <= n_grid[-1]
+    ranked = np.full((len(seqs), n_grid[-1]), -1, dtype=np.int64)
+    ranked[metric_row[owner[top]], ranks[top] - 1] = items[top]
+    return _mean_metrics(ranked, relevance, n_grid)
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
@@ -588,13 +654,17 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     seqs, holdout, m = _load_sequences(out)
 
     # displacement of the point nearest the truth (earlier on a tie); none counts as the last index
+    users = [seq.user_id for seq in seqs]
+    truths = np.array([seq.truth_change for seq in seqs], dtype=np.int64)
+    last_index = np.array([len(seq) - 1 for seq in seqs], dtype=np.int64)
     cpd_inputs = {}
     for label in cfg.detector_labels():
-        points = _read_changepoints(_require(out / f"changepoints_{label}.tsv"), seqs, cfg.k, interior=False)
-        cpd_inputs[label] = {}
-        for seq in seqs:
-            pts, truth = points[seq.user_id], seq.truth_change
-            cpd_inputs[label][seq.user_id] = (truth, min(pts, key=lambda t: abs(t - truth)) if pts else len(seq) - 1)
+        points, owner = _read_changepoints(_require(out / f"changepoints_{label}.tsv"), seqs, cfg.k, interior=False)
+        nearest = np.lexsort((np.abs(points - truths[owner]), owner))
+        nearest = nearest[np.diff(owner[nearest], prepend=-1) != 0]
+        predicted = last_index.copy()
+        predicted[owner[nearest]] = points[nearest]
+        cpd_inputs[label] = dict(zip(users, zip(truths.tolist(), predicted.tolist())))
     mean_delta = aggregate_cpd(cpd_inputs)
     _write_rows(
         out / "cpd_table.tsv",
@@ -616,7 +686,13 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
 
     # ranking quality against the held-out tail
     labels = cfg.ranker_labels()
-    results = _map_jobs(_evaluate_one, [(label,) for label in labels], (out, seqs, holdout, m, cfg.n_grid))
+    # the metrics run over users in sorted order; metric_row[i] is seqs[i]'s place there
+    by_user = sorted(range(len(seqs)), key=lambda i: users[i])
+    metric_row = np.empty(len(seqs), dtype=np.int64)
+    metric_row[by_user] = np.arange(len(seqs))
+    relevance = _relevance([holdout[users[i]] for i in by_user])
+    shared = (out, seqs, m, cfg.n_grid, metric_row, relevance)
+    results = _map_jobs(_evaluate_one, [(label,) for label in labels], shared)
     tables_of = {label: dict(zip(("precision", "recall", "ndcg"), tables)) for label, tables in zip(labels, results)}
     metric_rows = [
         (label, name, str(N), _fmt(table[N]))

@@ -1,8 +1,13 @@
 """Scalar references that the batched library code is checked against: the
 per-triple pairwise-ranking loss and gradient behind bpr_fit's level updates,
-and the per-sequence sliding-window split behind sliding_window_detect_all."""
+the per-sequence sliding-window split behind sliding_window_detect_all, and
+the per-user ranking walk behind the evaluation module's array metrics."""
+
+import math
 
 import numpy as np
+
+from driftrec.evaluation import _ideal_dcg
 
 
 def sigmoid(x: float) -> float:
@@ -59,3 +64,23 @@ def sliding_window_reference(items, item_vectors):
     intra_mean = np.divide((left + right) / 2.0, intra_pairs, out=np.zeros_like(n1), where=intra_pairs > 0)
     objective = cross / (n1 * n2) - intra_mean
     return int(t[np.argmax(objective)]), False
+
+
+def ranking_walk(recommended, truth, n_grid) -> list[tuple[float, float, float]]:
+    """(precision, recall, NDCG) at each N of n_grid for one user, from one walk
+    down the list.  A truth item counts once; a repeated recommendation is one
+    hit and gains only at its first rank."""
+    distinct = dict.fromkeys(int(item) for item in truth)
+    L = len(distinct)
+    if not L:
+        raise ValueError("truth must not be empty")
+    relevance = {item: L - j for j, item in enumerate(distinct)}
+    found, hits, dcg, gain = set(), [0], [0.0], 0.0
+    for rank, item in enumerate(map(int, recommended[: n_grid[-1]]), start=1):
+        if item in relevance and item not in found:
+            found.add(item)
+            gain += relevance[item] / math.log2(rank + 1)
+        hits.append(len(found))
+        dcg.append(gain)
+    at = [min(N, len(hits) - 1) for N in n_grid]
+    return [(hits[k] / N, hits[k] / L, dcg[k] / _ideal_dcg(L, min(N, L))) for N, k in zip(n_grid, at)]

@@ -10,6 +10,7 @@ from driftrec.evaluation import (
     precision_recall_at,
     ranking_metrics,
 )
+from oracles import ranking_walk
 
 
 # The per-call definitions the one-walk metrics replaced, kept as the oracle.
@@ -201,21 +202,31 @@ class TestOneWalk:
         assert ndcg_time_aware([4, 4], [4, 7], 2) == pytest.approx(dcg / (2 / math.log2(2) + 1 / math.log2(3)))
 
     def test_ranking_metrics_bit_equal_to_mean_of_reference(self):
+        """The array metrics against the per-user walk, on a grid from 1 and
+        one from 3: each mean is np.mean over the walk's values in sorted
+        user order, bit for bit, and each scalar metric is the walk's value."""
         rng = np.random.default_rng(5)
         ranked = {case: ranked for case, (ranked, _) in self.CASES.items()}
         truth = {case: truth for case, (_, truth) in self.CASES.items()}
+        # a list shorter than max(grid), with repeated recommended and repeated truth items
+        ranked["repeats and gaps"], truth["repeats and gaps"] = [7, 7, 3, 7, 3], [3, 3, 9, 7, 9]
         for u in range(300):
             ranked[f"r{u}"] = rng.integers(0, 40, size=int(rng.integers(1, 16))).tolist()
             truth[f"r{u}"] = rng.integers(0, 40, size=int(rng.integers(1, 12)))
         users = sorted(truth)
-        precision, recall, ndcg = ranking_metrics(ranked, truth, self.GRID)
-        assert list(precision) == list(recall) == list(ndcg) == self.GRID
-        for N in self.GRID:
-            per_user = np.array([reference_metrics(ranked[u], truth[u], N) for u in users])
-            assert per_user.max() <= 1.0, N
-            expected = [float(np.mean(per_user[:, k].tolist())) for k in range(3)]
-            assert bits([precision[N], recall[N], ndcg[N]]) == bits(expected), N
-        assert pr_curve(ranked, truth, self.GRID) == [(precision[N], recall[N]) for N in self.GRID]
+        for grid in (self.GRID, [3, 7, 13]):
+            per_user = np.array([ranking_walk(ranked[u], truth[u], grid) for u in users])
+            assert per_user.max() <= 1.0, grid
+            rows = np.ascontiguousarray(per_user.transpose(2, 1, 0))  # (metric, N, user)
+            got = ranking_metrics(ranked, truth, grid)
+            assert [list(table) for table in got] == [grid] * 3
+            for table, at_n in zip(got, rows):
+                assert bits(table.values()) == bits(np.mean(row) for row in at_n), grid
+            assert pr_curve(ranked, truth, grid) == [(got[0][N], got[1][N]) for N in grid]
+            for u in users[:20]:
+                for N, walked in zip(grid, ranking_walk(ranked[u], truth[u], grid)):
+                    scalar = (*precision_recall_at(ranked[u], truth[u], N), ndcg_time_aware(ranked[u], truth[u], N))
+                    assert bits(scalar) == bits(walked), (u, N)
 
     def test_ranking_metrics_rejects_bad_input(self):
         with pytest.raises(ValueError, match="^n_grid entry: must be >= 1, got 0$"):

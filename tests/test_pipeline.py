@@ -17,6 +17,7 @@ import yaml
 import driftrec.pipeline
 from driftrec.cli import main
 from driftrec.dataset import load_benchmark, to_interaction_sequences
+from driftrec.hmm import InteractionSequence, load_model
 from driftrec.evaluation import ndcg_time_aware, pr_curve, precision_recall_at
 from driftrec.pipeline import (
     ExperimentConfig,
@@ -386,6 +387,27 @@ def test_cpu_count_changes_no_output(tmp_path, monkeypatch):
     assert written[2] == written[1]
 
 
+def test_train_and_detect_start_their_longest_jobs_first(tmp_path, monkeypatch):
+    """Restarts start by descending state count; detectors with SW, then HMCD
+    by descending state count, then CUSUM and RP.  Only the start order
+    changes: the files are still written in label order."""
+    cfg = small_config(tmp_path / "out", mixed_count=12, hidden_state_counts=[2, 5], bpr_epochs=2)
+    use_cpus(monkeypatch, 1)
+    cmd_synthesize(cfg)
+    started = []
+    for name in ("_train_one", "_detect_one"):
+        job = getattr(driftrec.pipeline, name)
+        recorded = lambda shared, *args, job=job: started.append(args[0]) or job(shared, *args)  # noqa: E731
+        monkeypatch.setattr(driftrec.pipeline, name, recorded)
+    assert [load_model(path)[0].num_states for path in cmd_train(cfg)] == [2, 5]
+    tables = cmd_detect(cfg)
+    assert [path.name for path in tables] == [f"changepoints_{label}.tsv" for label in cfg.detector_labels()]
+    assert started == [5, 5, 2, 2, "SW", "HMCD-S5", "HMCD-S2", "CUSUM", "RP"]
+    # only CUSUM tunes a threshold, and only HMCD scores its points
+    assert ["tau=" in path.read_text().splitlines()[0] for path in tables] == [False, False, True, False, False]
+    assert [data_rows(path)[0][4] != "-" for path in tables] == [True, True, False, False, False]
+
+
 def test_a_workers_error_is_raised_as_inline(cli_run, tmp_path, monkeypatch, capsys):
     """A job that fails on a worker raises what it raises inline: fit's job
     over a stale detection table, detect's second HMCD job over a
@@ -701,6 +723,104 @@ class TestStaleArtifacts:
         assert self.run_edited(cli_run, tmp_path, "evaluate", name, self.set_cell(row, column, value)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and found.format(user=user) in err
+
+    @pytest.mark.parametrize(
+        "edits, found",
+        [
+            # user 1's second row out of rank order, and a later row of the same user with a non-integer item
+            (
+                {(1, 1, 1): "7", (1, 4, 2): "x"},
+                ":{line}: malformed recommendation row (user {u1!r} has rank '7' where rank 2 is due)",
+            ),
+            # user 1's scores rise, and user 2's first score is not a number
+            (
+                {(1, 1, 3): "1e9", (2, 0, 3): "banana"},
+                "recommendations_PopRank.tsv: user {u1!r}: scores must be non-increasing",
+            ),
+            # user 2 repeats an item, and user 1's first item lies outside the vocabulary
+            (
+                {(2, 1, 2): None, (1, 0, 2): "99999"},
+                "recommendations_PopRank.tsv: user {u1!r} has item 99999; items must lie in [",
+            ),
+        ],
+        ids=["rows-in-file-order", "users-in-file-order", "items-before-rankings"],
+    )
+    def test_the_first_defect_is_named(self, cli_run, tmp_path, capsys, edits, found):
+        """With two defects, the one that comes first is named: rows in file
+        order, then items out of range, then each user's ranking in order of
+        first appearance.  edits maps (user, row of that user, column) to a
+        new cell, None for the user's first item."""
+        name = "recommendations_PopRank.tsv"
+        rows = data_rows(cli_run[1] / name)
+        users = list(dict.fromkeys(row[0] for row in rows))
+        per_user = len(rows) // len(users)
+
+        def edit(lines):
+            for (user, row, column), value in edits.items():
+                cells = lines[user * per_user + row].split("\t")
+                cells[column] = lines[user * per_user].split("\t")[2] if value is None else value
+                lines[user * per_user + row] = "\t".join(cells)
+            return lines
+
+        assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and found.format(u1=users[1], line=per_user + 4) in err, err
+
+
+def write_changepoints(path, rows):
+    path.write_text("# config=x seed=0\n# user_id\tT\ttruth\tpredicted\tscores\tmethod\n")
+    with open(path, "a") as fh:
+        fh.writelines(f"{user}\t{T}\t{truth}\t{points}\t-\tX\n" for user, T, truth, points in rows)
+
+
+_TWO_USERS = [
+    InteractionSequence("a", np.arange(40), truth_change=20),
+    InteractionSequence("b", np.arange(30), truth_change=10),
+]
+
+
+@pytest.mark.parametrize(
+    "points, found",
+    [
+        ("5,3", "points [5, 3] must ascend strictly within [1, 29]"),
+        ("3,3", "points [3, 3] must ascend strictly within [1, 29]"),
+        ("3,30", "points [3, 30] must ascend strictly within [1, 29]"),
+        ("0,3", "points entry: must be >= 1, got 0"),
+        ("2,3,4", "has 3 points, more than k = 2"),
+    ],
+)
+def test_each_row_of_up_to_k_points_is_checked(tmp_path, points, found):
+    path = tmp_path / "changepoints_X.tsv"
+    write_changepoints(path, [("a", 40, 20, "5,30"), ("b", 30, 10, points)])
+    with pytest.raises(ValueError, match=re.escape(f"changepoints_X.tsv: user 'b' {found}")):
+        driftrec.pipeline._read_changepoints(path, _TWO_USERS, k=2)
+
+
+def test_changepoints_come_back_in_benchmark_order(tmp_path):
+    """Points are grouped user by user in benchmark order whatever the file
+    order, and a user listed twice keeps its last row."""
+    path = tmp_path / "changepoints_X.tsv"
+    write_changepoints(path, [("b", 30, 10, "4,9"), ("a", 40, 20, "-"), ("a", 40, 20, "7,39")])
+    points, owner = driftrec.pipeline._read_changepoints(path, _TWO_USERS, k=2)
+    assert points.tolist() == [7, 39, 4, 9] and owner.tolist() == [0, 0, 1, 1]
+
+
+def test_interleaved_users_evaluate_as_in_blocks(cli_run, tmp_path):
+    """Ranks count per user in file order, so a recommendations table whose
+    first two users' rows alternate scores the same as the one written."""
+    config, out = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    name = "recommendations_NMF.tsv"
+    lines = (copy / name).read_text().splitlines()
+    header, rows = lines[:2], lines[2:]
+    first, second = list(dict.fromkeys(row.split("\t")[0] for row in rows))[:2]
+    mine = [[row for row in rows if row.split("\t")[0] == user] for user in (first, second)]
+    interleaved = [row for pair in zip(*mine) for row in pair]
+    assert len(interleaved) == 2 * len(mine[0]) == 2 * len(mine[1])
+    (copy / name).write_text("\n".join(header + interleaved + rows[len(interleaved) :]) + "\n")
+    assert main(["evaluate", "--config", str(config), "--out", str(copy)]) == 0
+    assert (copy / "ranking_metrics.tsv").read_bytes() == (out / "ranking_metrics.tsv").read_bytes()
 
 
 def edit_benchmark_item(column, value):
