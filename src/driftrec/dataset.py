@@ -231,26 +231,50 @@ def _read_table(path, what: str, width: int) -> tuple[list[list[str]], list[int]
     return [cells[j::width] for j in range(width)], numbers
 
 
+def _int_lists(cells) -> list[np.ndarray] | None:
+    """Each cell's space-separated integers, from one conversion of the
+    whole column, or None unless every cell is a list of plain decimal
+    numbers, one space apart, that fit int64."""
+    text = " ".join(cells).encode()
+    # digits and spaces only: fromstring would read a sign or another
+    # separator where the row-by-row parse refuses it
+    if not text or text.translate(None, b"0123456789 "):
+        return None
+    ends = np.cumsum([cell.count(" ") + 1 for cell in cells]).tolist()
+    values = np.fromstring(text, dtype=np.int64, sep=" ")
+    # fromstring skips an empty entry and saturates a value past int64
+    if len(values) != ends[-1] or values.max() == np.iinfo(np.int64).max:
+        return None
+    # a copy per cell, as a row-by-row parse makes: views would keep the
+    # whole column alive, which raised the benchmark's peak RSS by about 1 MB
+    return [values[a:b].copy() for a, b in zip([0, *ends], ends)]
+
+
 def load_benchmark(path: str | Path) -> tuple[list[MixedSequence], dict]:
+    """The benchmark's records and its header's key=value pairs.  The items
+    and the holdout column are each converted in one call; a column that is
+    not all plain digit lists is parsed row by row, so an error names the
+    line of the first bad row."""
     with open(path) as fh:
         header = fh.readline()
     if not header.startswith("# driftrec-benchmark-v1"):
         raise ValueError(f"{path}: not a driftrec benchmark file")
     meta = dict(token.partition("=")[::2] for token in header.split()[2:])
     columns, lines = _read_table(path, "benchmark", 5)
+    items, holdouts = _int_lists(columns[3]), _int_lists(columns[4])
     mixed = []
-    for line, user_id, truth, sources, observed, holdout in zip(lines, *columns):
+    for r, (line, user_id, truth, sources, observed, holdout) in enumerate(zip(lines, *columns)):
         try:
             s1, _, s2 = sources.partition(",")
             mixed.append(
                 MixedSequence(
                     user_id=user_id,
-                    items=np.array(observed.split(), dtype=np.int64),
+                    items=np.array(observed.split(), dtype=np.int64) if items is None else items[r],
                     truth_change=int(truth),
                     source_ids=(int(s1), int(s2)),
-                    holdout=np.array(holdout.split(), dtype=np.int64),
+                    holdout=np.array(holdout.split(), dtype=np.int64) if holdouts is None else holdouts[r],
                 )
             )
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:
             raise _malformed(path, "benchmark", line, exc) from exc
     return mixed, meta

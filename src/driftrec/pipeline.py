@@ -59,12 +59,14 @@ from driftrec.hmm import (
     total_log_likelihood,
 )
 from driftrec.recommend import (
+    _BLOCK_ROWS,
     Recommendation,
+    _last_usable_segment,
+    _list_popularity,
+    _rank_block,
     factors_from_pair,
     hmm_item_factors,
-    item_popularity,
-    rank_by_scores,
-    recommend_from_segments,
+    score_by_segment,
 )
 
 _BASELINE_DETECTORS = ("CUSUM", "SW", "RP")
@@ -233,9 +235,10 @@ def _load_sequences(out: Path):
     if not meta.get("num_items", "").isdigit():
         raise ValueError(f"{path}: header lacks an integer num_items")
     m = int(meta["num_items"])
-    for part in ("items", "holdout"):
-        arrays = [getattr(mx, part) for mx in mixed]
-        _index_array(*_joined(arrays, lambda r: f"{path.name}: user {mixed[r].user_id!r} {part}"), m)
+    # one check of every items array, then every holdout
+    arrays = [mx.items for mx in mixed] + [mx.holdout for mx in mixed]
+    n = len(mixed)
+    _index_array(*_joined(arrays, lambda r: f"{path.name}: user {mixed[r % n].user_id!r} {('items', 'holdout')[r // n]}"), m)
     seqs, holdout = to_interaction_sequences(mixed)
     return seqs, holdout, m
 
@@ -524,11 +527,13 @@ def _load_pair(path: Path, m: int, n: int | None = None) -> FactorPair:
 
 
 def _recommend_one(shared, label: str) -> Path:
-    """Rank every user for ranker label and write its recommendations file:
-    SMF-S{h} and HMMR-S{h} from the last HMCD segment, NMF and BPR-MF by
-    their factor products, PopRank by popularity."""
+    """Rank every user for ranker label, _BLOCK_ROWS users at a time, and
+    write its recommendations file.  A block's scores are its users'
+    score_by_segment rows for SMF-S{h} and HMMR-S{h}, from the last usable
+    HMCD segment; their factor products for NMF and BPR-MF; the popularity
+    row for PopRank."""
     cfg, out, provenance, seqs, m, popularity, segments_of = shared
-    N = max(cfg.n_grid)
+    fallback = [False] * len(seqs)
     if label.startswith(("SMF-S", "HMMR-S")):
         h = int(label.partition("-S")[2])
         if label.startswith("SMF-S"):
@@ -541,27 +546,43 @@ def _recommend_one(shared, label: str) -> Path:
             factors = hmm_item_factors(model)
         segments = segments_of[h]
         factors.reserve(cfg.l, segments.values())
-        recs = [
-            recommend_from_segments(
-                factors, segments[seq.user_id], seq.items, popularity, l=cfg.l, N=N, user_id=seq.user_id
-            )
-            for seq in seqs
-        ]
+        last = [_last_usable_segment(segments[seq.user_id]) for seq in seqs]
+        fallback = [used for _, used in last]
+
+        def block(a, b):
+            return np.stack([score_by_segment(factors, segment, cfg.l) for segment, _ in last[a:b]])
+
     elif label == "PopRank":
-        recs = [rank_by_scores(popularity, popularity, seq.items, N, user_id=seq.user_id) for seq in seqs]
+
+        def block(a, b):
+            return np.broadcast_to(popularity, (b - a, m))
+
     else:
         pair = _load_pair(out / ("factors_nmf.json" if label == "NMF" else "factors_bpr.json"), m, len(seqs))
-        recs = [
-            rank_by_scores(pair.p[u] @ pair.q.T, popularity, seq.items, N, user_id=seq.user_id)
-            for u, seq in enumerate(seqs)
+
+        def block(a, b):
+            # one gemv per user, as p[u] @ q.T runs; a block's gemm may sum
+            # in another order and differ in the last bit
+            return np.matmul(pair.p[a:b, None, :], pair.q.T)[:, 0]
+
+    lines = ["# user_id\trank\titem\tscore"]
+    for a in range(0, len(seqs), _BLOCK_ROWS):
+        users = seqs[a : a + _BLOCK_ROWS]
+        recs = _rank_block(
+            block(a, a + len(users)),
+            popularity,
+            [seq.items for seq in users],
+            max(cfg.n_grid),
+            [seq.user_id for seq in users],
+            fallback[a : a + len(users)],
+        )
+        lines += [
+            f"{rec.user_id}\t{rank}\t{item}\t{score!r}"
+            for rec in recs
+            for rank, (item, score) in enumerate(zip(rec.ranked_items, rec.scores), start=1)
         ]
-    rows = [
-        (rec.user_id, str(rank), str(int(item)), _fmt(score))
-        for rec in recs
-        for rank, (item, score) in enumerate(zip(rec.ranked_items, rec.scores), start=1)
-    ]
     path = out / f"recommendations_{label}.tsv"
-    _write_rows(path, dict(provenance, method=label), ("user_id", "rank", "item", "score"), rows)
+    _write_lines(path, dict(provenance, method=label), lines)
     return path
 
 
@@ -574,7 +595,7 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     """
     out, provenance = _out(cfg)
     seqs, _, m = _load_sequences(out)
-    popularity = item_popularity(_user_matrix(seqs, m))
+    popularity = _list_popularity([seq.items for seq in seqs], m)
     # one read of each state count's detections, shared by its SMF and HMMR rankers
     segments_of = {
         h: _segments_by_user(out, seqs, h, cfg.k)

@@ -23,6 +23,12 @@ stable sort.  A table row keeps the items above its width-th similarity
 plus the lowest-index items tied with it, then sorts only those.  A top-N
 list keeps the unseen items scoring at least the N-th best, all of its
 ties included, then sorts only those by score, popularity and index.
+
+One function ranks a block of users: one partition along the item axis
+finds every row's N-th best score, and one lexsort over (item,
+-popularity, -score, row) orders the kept entries of every row at once.
+rank_by_scores, recommend_from_segments and hmmr_recommend each rank a
+block of one user; the recommend stage ranks _BLOCK_ROWS users at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .factorization import FactorPair, _as_matrix
 from .hmm import _ROW_SUM_TOL, HmmModel, _check_count, _check_entries, _index_array
 
 _BLOCK_ROWS = 256
+_LARGEST = np.finfo(float).max
 
 
 def _stable_prefix(key: np.ndarray, width: int) -> np.ndarray:
@@ -120,15 +127,22 @@ class ItemFactors:
         """Widen the table once for ranking every one of these users at l,
         so a run of ever-longer segments does not widen it again and again.
         The width adds the most distinct items in any user's last usable
-        segment, counted for all users by one np.unique over (user, item) keys."""
+        segment, counted for all users by one sort of (user, item) keys."""
         segments = [_last_usable_segment(segs)[0] for segs in segment_lists]
-        distinct = 0
-        if segments:
-            m = len(self.vectors)
-            items = _index_array(np.concatenate(segments), "segment", m)
-            users = np.repeat(np.arange(len(segments)), [len(seg) for seg in segments])
-            distinct = int(np.bincount(np.unique(users * m + items) // m).max())
+        m = len(self.vectors)
+        distinct = int(np.bincount(_distinct_keys(segments, m, "segment") // m).max()) if segments else 0
         self.neighbors(l + distinct)
+
+
+def _distinct_keys(item_lists, m: int, name: str) -> np.ndarray:
+    """The sorted distinct keys r * m + item, for each item of item_lists[r]
+    (a whole number in [0, m), else a ValueError naming the field `name`)."""
+    items = _index_array(np.concatenate(item_lists) if item_lists else np.zeros(0, np.int64), name, m)
+    keys = np.sort(np.repeat(np.arange(len(item_lists)), [len(lst) for lst in item_lists]) * m + items)
+    # a sort and a mask: np.unique takes over ten times longer on tens of thousands of keys
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    return keys[distinct]
 
 
 @dataclass(frozen=True)
@@ -214,6 +228,12 @@ def item_popularity(matrix) -> np.ndarray:
     return (_as_matrix(matrix) > 0).sum(axis=0).astype(float)
 
 
+def _list_popularity(item_lists, m: int) -> np.ndarray:
+    """How many of the item lists contain each of the m items: the
+    item_popularity of their incidence matrix, counted without building it."""
+    return np.bincount(_distinct_keys(item_lists, m, "items") % m, minlength=m).astype(float)
+
+
 def _last_usable_segment(segments) -> tuple:
     for ordinal in range(len(segments) - 1, -1, -1):
         if len(segments[ordinal]) > 0:
@@ -221,31 +241,54 @@ def _last_usable_segment(segments) -> tuple:
     raise ValueError("every segment is empty")
 
 
-def _rank(scores, popularity, exclude, N, user_id, used_fallback) -> Recommendation:
+def _rank_block(scores, popularity, training_items, N, user_ids, used_fallback) -> list[Recommendation]:
+    """Top-N unseen items for each row of a B x m block of finite scores.
+
+    Row r drops training_items[r] and ranks the rest by score desc, then
+    popularity desc, then index asc, as one lexsort of every unseen item
+    would.  Only the unseen items scoring at least a row's N-th best can
+    reach its top N, so one partition finds each row's N-th score and one
+    lexsort orders only those items, every tie with it included.  The
+    partition finds the N-th smallest of the negated scores: on rows where
+    most items tie at zero votes, numpy's introselect finds that several
+    times faster than the N-th largest of the scores themselves.
+    """
     _check_count("N", N)
-    m = len(scores)
+    neg = np.negative(scores, dtype=float)
+    B, m = neg.shape
     popularity = np.asarray(popularity, dtype=float)
     if popularity.shape != (m,):
         raise ValueError(f"popularity must have shape ({m},)")
     if not np.isfinite(popularity).all():
         raise ValueError("popularity must be finite")
-    mask = np.ones(m, dtype=bool)
-    mask[_index_array(exclude, "training_items", m)] = False
-    cand = np.flatnonzero(mask)
-    s = scores[cand]
-    if len(cand) > N:
-        # only scores at or above the N-th largest can reach the top N; all
-        # of its ties stay, so the popularity and index tie-breaks see them
-        keep = s >= np.partition(s, s.size - N)[s.size - N]
-        cand, s = cand[keep], s[keep]
-    # primary: score desc; then popularity desc; then index asc
-    top = cand[np.lexsort((cand, -popularity[cand], -s))[:N]]
-    return Recommendation(
-        user_id=user_id,
-        ranked_items=top.tolist(),
-        scores=scores[top].tolist(),
-        used_fallback=used_fallback,
-    )
+    seen = _index_array(np.concatenate(training_items), "training_items", m)
+    # array methods rather than their np.* wrappers: a served request ranks
+    # a block of one, where each wrapper's call costs as much as its work
+    neg[np.arange(B).repeat([len(items) for items in training_items]), seen] = np.inf
+    # only an excluded item is inf, so a bar at the largest float keeps every
+    # unseen item of a row with N or fewer and no excluded one
+    bar = _LARGEST
+    if N < m:
+        nth = neg.copy()
+        nth.partition(N - 1, axis=1)
+        bar = np.minimum(nth[:, N - 1, None], bar)
+    rows, cols = (neg <= bar).nonzero()
+    kept = neg[rows, cols]
+    order = np.lexsort((cols, -popularity[cols], kept, rows))
+    # rows ascend and lead the sort, so row r's entries fill
+    # order[bounds[r]:bounds[r + 1]], best first; it keeps the first N
+    bounds = rows.searchsorted(np.arange(B + 1)).tolist()
+    ends = [min(b, a + N) for a, b in zip(bounds, bounds[1:])]
+    items, values = cols[order].tolist(), np.negative(kept[order]).tolist()
+    return [
+        Recommendation(user_id=user, ranked_items=items[a:b], scores=values[a:b], used_fallback=fallback)
+        for user, fallback, a, b in zip(user_ids, used_fallback, bounds, ends)
+    ]
+
+
+def _rank(scores, popularity, exclude, N, user_id, used_fallback) -> Recommendation:
+    """One user's top N: a block of one."""
+    return _rank_block(scores[None], popularity, [exclude], N, [user_id], [used_fallback])[0]
 
 
 def rank_by_scores(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -244,6 +245,46 @@ class TestBenchmarkFile:
         path = tmp_path / "x.tsv"
         path.write_text("# driftrec-benchmark-v1 seed=1\nu0\tbroken\n")
         with pytest.raises(ValueError, match=":2"):
+            load_benchmark(path)
+
+    def test_irregular_spacing_reads_row_by_row_to_the_same_records(self, tmp_path):
+        """Items not written one space apart cannot be read in one conversion
+        of the column; they are read row by row, to the same records."""
+        mixed = self._mixed()
+        path = tmp_path / "bench.tsv"
+        save_benchmark(path, mixed, {"seed": "21"})
+        lines = path.read_text().splitlines()
+        # line index: (column, what separates its items), each with a leading and a trailing space
+        for index, (column, sep) in {1: (3, "  "), 4: (4, " \x1f"), 7: (3, " +")}.items():
+            fields = lines[index].split("\t")
+            fields[column] = " " + fields[column].replace(" ", sep) + " "
+            lines[index] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        loaded, _ = load_benchmark(path)
+        for orig, back in zip(mixed, loaded):
+            np.testing.assert_array_equal(orig.items, back.items)
+            np.testing.assert_array_equal(orig.holdout, back.holdout)
+
+    @pytest.mark.parametrize(
+        "token, detail",
+        [
+            ("-3", "items has item -3"),
+            ("3.0", "invalid literal for int() with base 10: '3.0'"),
+            ("1-2", "invalid literal for int() with base 10: '1-2'"),
+            ("99999999999999999999", "too large"),
+        ],
+    )
+    def test_malformed_item_names_its_line(self, tmp_path, token, detail):
+        """A row the one-conversion read refuses is parsed alone, so the
+        error names its line; a value past int64 included."""
+        path = tmp_path / "bench.tsv"
+        save_benchmark(path, self._mixed(), {"seed": "21"})
+        lines = path.read_text().splitlines()
+        fields = lines[3].split("\t")
+        fields[3] += " " + token
+        lines[3] = "\t".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=rf":4: malformed benchmark row \(.*{re.escape(detail)}"):
             load_benchmark(path)
 
 

@@ -387,6 +387,23 @@ def test_cpu_count_changes_no_output(tmp_path, monkeypatch):
     assert written[2] == written[1]
 
 
+def test_block_size_changes_no_recommendation(cli_run, tmp_path, monkeypatch):
+    """The recommend stage ranks _BLOCK_ROWS users at a time.  Blocks of one
+    user, of seven (which leave a last block of five of the twelve users)
+    and of the default size write the same recommendations files."""
+    config, out = cli_run
+    default = driftrec.pipeline._BLOCK_ROWS
+    written = {}
+    for rows in (1, 7, default):
+        copy = tmp_path / f"rows{rows}"
+        shutil.copytree(out, copy)
+        monkeypatch.setattr(driftrec.pipeline, "_BLOCK_ROWS", rows)
+        assert main(["recommend", "--config", str(config), "--out", str(copy)]) == 0
+        written[rows] = {p.name: p.read_bytes() for p in copy.glob("recommendations_*.tsv")}
+    assert len(written[1]) == 5
+    assert written[1] == written[7] == written[default]
+
+
 def test_train_and_detect_start_their_longest_jobs_first(tmp_path, monkeypatch):
     """Restarts start by descending state count; detectors with SW, then HMCD
     by descending state count, then CUSUM and RP.  Only the start order

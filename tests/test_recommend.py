@@ -570,6 +570,94 @@ class TestRankSelection:
             rank_by_scores(np.array([1.0, bad, 0.0]), np.zeros(3), training_items=[], N=2)
 
 
+def rank_block(scores, popularity, excludes, N):
+    """_rank_block over the rows of scores, user ids u0, u1, ..."""
+    users = [f"u{r}" for r in range(len(scores))]
+    return driftrec.recommend._rank_block(scores, popularity, excludes, N, users, [False] * len(scores))
+
+
+class TestRankBlock:
+    def _block(self, rng, m):
+        """Rows with ties at the N-th score, -0.0 beside 0.0, all-zero and
+        distinct scores; excludes with none, some (repeated), all but four
+        (fewer than N unseen) and every item."""
+        scores = np.vstack(
+            [
+                rng.integers(0, 4, m).astype(float),
+                rng.choice([-0.0, 0.0, 1.0], m),
+                rng.choice([-0.0, 0.0], m),
+                np.zeros(m),
+                rng.normal(size=m),
+                rng.integers(0, 3, m).astype(float),
+                rng.choice([-1.0, -0.0, 0.0], m),
+            ]
+        )
+        excludes = [
+            [],
+            np.repeat(rng.choice(m, 10, replace=False), 2),
+            rng.choice(m, m - 4, replace=False),
+            np.arange(m),
+            rng.choice(m, 7, replace=False),
+            [],
+            rng.choice(m, m - 1, replace=False),
+        ]
+        return scores, excludes
+
+    def test_each_row_matches_full_lexsort(self):
+        """Each row's items and scores bit-equal to a full lexsort of its
+        unseen items, at N = 1, below m, at m and past m."""
+        rng = np.random.default_rng(89)
+        m = 40
+        scores, excludes = self._block(rng, m)
+        for popularity in (rng.integers(0, 3, m).astype(float), np.zeros(m)):
+            for N in (1, 5, 10, m, m + 5):
+                recs = rank_block(scores, popularity, excludes, N)
+                assert [rec.user_id for rec in recs] == [f"u{r}" for r in range(len(scores))]
+                for rec, row, exclude in zip(recs, scores, excludes):
+                    items, want = full_lexsort_rank(row, popularity, exclude, N)
+                    np.testing.assert_array_equal(rec.ranked_items, items)
+                    assert_bits_equal(rec.scores, want)
+
+    def test_blocks_of_any_size_rank_alike(self):
+        """37 users ranked in blocks of 1, 8 (the last one 5 users) and 37
+        give the same lists, each the full lexsort's, and keep their flags."""
+        rng = np.random.default_rng(91)
+        m = 50
+        scores, excludes = self._block(rng, m)
+        scores = np.vstack([scores] * 5 + [rng.integers(0, 2, (2, m))])
+        excludes = excludes * 5 + [[], [3, 3, 4]]
+        popularity = rng.integers(0, 4, m).astype(float)
+        fallback = [r % 3 == 0 for r in range(len(scores))]
+        ranked = {}
+        for rows in (1, 8, 37):
+            ranked[rows] = [
+                rec
+                for a in range(0, 37, rows)
+                for rec in driftrec.recommend._rank_block(
+                    scores[a : a + rows], popularity, excludes[a : a + rows], 10,
+                    [f"u{r}" for r in range(a, min(a + rows, 37))], fallback[a : a + rows],
+                )
+            ]
+        assert ranked[1] == ranked[8] == ranked[37]
+        assert [rec.used_fallback for rec in ranked[8]] == fallback
+        for rec, row, exclude in zip(ranked[8], scores, excludes):
+            items, want = full_lexsort_rank(row, popularity, exclude, 10)
+            np.testing.assert_array_equal(rec.ranked_items, items)
+            assert_bits_equal(rec.scores, want)
+
+    def test_per_user_factor_products_in_one_matmul(self):
+        """np.matmul(p[:, None, :], q.T) runs one vector-matrix product per
+        user, so its rows are bit-equal to p[u] @ q.T; the recommend stage
+        scores NMF and BPR-MF blocks this way."""
+        rng = np.random.default_rng(97)
+        for n, m, d in ((300, 593, 10), (37, 2000, 16), (5, 7, 3)):
+            p, q = rng.random((n, d)), rng.normal(size=(m, d))
+            for a, b in ((0, n), (1, n - 1)):
+                block = np.matmul(p[a:b, None, :], q.T)[:, 0]
+                for u in range(a, b):
+                    assert_bits_equal(block[u - a], p[u] @ q.T)
+
+
 class TestPopRank:
     def _matrix(self):
         # frequencies per column: [5, 3, 3, 1]
@@ -599,3 +687,17 @@ class TestPopRank:
         pop = item_popularity(M)
         manual = [sum(1 for u in range(30) if M[u, i] > 0) for i in range(12)]
         np.testing.assert_array_equal(pop, manual)
+
+    def test_popularity_of_lists_counts_each_list_once(self):
+        """Item lists with repeated items count each item once per list, as
+        item_popularity counts the rows of their incidence matrix."""
+        lists = [np.array([0, 0, 3, 3, 3]), np.array([3]), np.array([], dtype=np.int64), np.array([1, 0, 1])]
+        np.testing.assert_array_equal(driftrec.recommend._list_popularity(lists, 5), [2.0, 1.0, 0.0, 2.0, 0.0])
+        rng = np.random.default_rng(67)
+        lists = [rng.integers(0, 12, rng.integers(1, 30)) for _ in range(40)]
+        M = np.zeros((40, 12))
+        for r, items in enumerate(lists):
+            M[r, items] = 1.0
+        np.testing.assert_array_equal(driftrec.recommend._list_popularity(lists, 12), item_popularity(M))
+        with pytest.raises(ValueError, match="items has item 12"):
+            driftrec.recommend._list_popularity([[0, 12]], 12)
