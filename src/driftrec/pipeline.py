@@ -41,7 +41,6 @@ from driftrec.dataset import (
     load_corpus,
     save_benchmark,
     synthesize_mixed,
-    to_interaction_sequences,
 )
 from driftrec.evaluation import _mean_metrics, _relevance, aggregate_cpd
 from driftrec.factorization import FactorizationConfig, FactorPair, bpr_fit, load_factors, nmf_fit, save_factors
@@ -228,8 +227,8 @@ def _write_rows(path: Path, header: dict, columns, rows) -> None:
 
 
 def _load_sequences(out: Path):
-    """benchmark.tsv's sequences, holdouts and num_items; an item of either
-    outside [0, num_items) is refused, naming the user."""
+    """benchmark.tsv's records and num_items; an item of a record's items or
+    holdout outside [0, num_items) is refused, naming the user."""
     path = _require(out / "benchmark.tsv")
     mixed, meta = load_benchmark(path)
     if not meta.get("num_items", "").isdigit():
@@ -239,24 +238,29 @@ def _load_sequences(out: Path):
     arrays = [mx.items for mx in mixed] + [mx.holdout for mx in mixed]
     n = len(mixed)
     _index_array(*_joined(arrays, lambda r: f"{path.name}: user {mixed[r % n].user_id!r} {('items', 'holdout')[r // n]}"), m)
-    seqs, holdout = to_interaction_sequences(mixed)
-    return seqs, holdout, m
+    return mixed, m
 
 
-def _check_users(path: Path, users, seqs) -> None:
-    """Reject an artifact whose users differ from benchmark.tsv's, naming the first."""
-    expected = {seq.user_id for seq in seqs}
-    missing = [seq.user_id for seq in seqs if seq.user_id not in users]
-    extra = [u for u in users if u not in expected]
+def _check_users(path: Path, listed: list[str], expected: list[str], lines: list[int]) -> None:
+    """Reject a table whose users, in its order, are not expected, naming the
+    first user it lacks, else the first it should not have, else one out of place."""
+    if listed == expected:
+        return
+    listed_set, expected_set = set(listed), set(expected)
+    missing = [u for u in expected if u not in listed_set]
+    extra = [u for u in listed if u not in expected_set]
     if missing or extra:
         what = f"lacks user {missing[0]!r} of" if missing else f"has user {extra[0]!r} not in"
         raise ValueError(f"{path.name} {what} benchmark.tsv (stale artifact?)")
+    i = next((i for i, (user, due) in enumerate(zip(listed, expected)) if user != due), len(expected))
+    due = f"user {expected[i]!r}" if i < len(expected) else "no user"
+    raise ValueError(f"{path.name}:{lines[i]}: user {listed[i]!r} where {due} is due (users run in benchmark.tsv order)")
 
 
 def _read_changepoints(path: Path, seqs, k: int, interior: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """Every predicted point ('-' marks none) and the index in seqs of its
-    user, user by user in seqs order, ascending within each; a user listed
-    twice keeps its last row.  Each row's T and truth must be
+    user, ascending within each.  The rows list the users of seqs once
+    each, in seqs order, as detect writes them.  Each row's T and truth must be
     benchmark.tsv's, so a table detected on another benchmark is refused.
     A row holds at most k points, as every detector writes.  Points must
     ascend strictly within [1, T), where partition can split at them, or
@@ -273,33 +277,25 @@ def _read_changepoints(path: Path, seqs, k: int, interior: bool = True) -> tuple
                 np.array(cells[:2] + ([] if cells[2] == "-" else cells[2].split(",")), dtype=np.int64)
             except (ValueError, OverflowError) as exc:
                 raise _malformed(path, "change-point", line, exc) from None
+    _check_users(path, users, [seq.user_id for seq in seqs], lines)
     counts = np.array([0 if p == "-" else p.count(",") + 1 for p in predicted], dtype=np.int64)
     row = np.repeat(np.arange(len(users)), counts)
-    # each row's user as an index into seqs (-1 for one benchmark.tsv lacks) and its T and truth there
-    known = {seq.user_id: (i, len(seq), seq.truth_change) for i, seq in enumerate(seqs)}
-    owner, bench_T, bench_truth = np.array([known.get(u, (-1, 0, 0)) for u in users], dtype=np.int64).reshape(-1, 3).T
+    bench_T, bench_truth = np.array([(len(seq), seq.truth_change) for seq in seqs], dtype=np.int64).reshape(-1, 2).T
     lo, hi = (1, T - 1) if interior else (0, T)
     # flag each row the row-by-row checks below refuse; they name its first defect
-    bad = (owner >= 0) & ((T != bench_T) | (truth != bench_truth)) | (counts > k)
+    bad = (T != bench_T) | (truth != bench_truth) | (counts > k)
     stray = (points < lo) | (points > hi[row])
     stray[1:] |= (points[1:] <= points[:-1]) & (row[1:] == row[:-1])
     bad[row[stray]] = True
     for r in np.flatnonzero(bad):
-        user, facts = users[r], (int(T[r]), int(truth[r]))
-        expected = (int(bench_T[r]), int(bench_truth[r])) if owner[r] >= 0 else facts
+        user, facts, expected = users[r], (int(T[r]), int(truth[r])), (int(bench_T[r]), int(bench_truth[r]))
         if expected != facts:
             raise ValueError(f"{path.name}: user {user!r} has T, truth {facts}; benchmark.tsv has {expected}")
         mine = points[row == r].tolist()
         _check_points(f"{path.name}: user {user!r} points", mine, lo, int(hi[r]))
         if len(mine) > k:
             raise ValueError(f"{path.name}: user {user!r} has {len(mine)} points, more than k = {k}")
-    last = {user: r for r, user in enumerate(users)}
-    _check_users(path, last, seqs)
-    kept = np.zeros(len(users), dtype=bool)
-    kept[list(last.values())] = True
-    points, row = points[kept[row]], row[kept[row]]
-    order = np.argsort(owner[row], kind="stable")
-    return points[order], owner[row][order]
+    return points, row
 
 
 def _segments_by_user(out: Path, seqs, h: int, k: int) -> dict[str, list[np.ndarray]]:
@@ -409,7 +405,7 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
     its E-steps cost the most.
     """
     out, provenance = _out(cfg)
-    seqs, _, m = _load_sequences(out)
+    seqs, m = _load_sequences(out)
     restarts = range(cfg.hmm_restarts)
     em = dict(max_iters=cfg.hmm_max_iters, log_lik_tol=cfg.hmm_tol)
     jobs = [
@@ -459,7 +455,7 @@ def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
     in detector order.
     """
     out, provenance = _out(cfg)
-    seqs, _, m = _load_sequences(out)
+    seqs, m = _load_sequences(out)
     columns = ("user_id", "T", "truth", "predicted", "scores", "method")
     labels = cfg.detector_labels()
     results = _map_jobs(_detect_one, [(label,) for label in labels], (cfg, out, seqs, m), key=_detect_start_order)
@@ -482,17 +478,22 @@ def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
     return paths
 
 
+def _factors_path(out: Path, label: str) -> Path:
+    """Ranker label's factors file: factors_smf_s{h}.json, factors_nmf.json or factors_bpr.json."""
+    name = {"NMF": "nmf", "BPR-MF": "bpr"}.get(label) or f"smf_s{label[5:]}"
+    return out / f"factors_{name}.json"
+
+
 def _fit_one(shared, label: str, fc: FactorizationConfig) -> Path:
     """Factorize ranker label's matrix and write its factors file: NMF of
     the HMCD segments for SMF-S{h}, NMF or BPR of the user matrix raw."""
     cfg, out, provenance, seqs, m, raw = shared
     if label.startswith("SMF-S"):
-        h = int(label[5:])
-        matrix = build_segmented_matrix(_segments_by_user(out, seqs, h, cfg.k), m)
-        fit, path = nmf_fit, out / f"factors_smf_s{h}.json"
+        matrix = build_segmented_matrix(_segments_by_user(out, seqs, int(label[5:]), cfg.k), m)
     else:
         matrix = raw
-        fit, path = (nmf_fit, out / "factors_nmf.json") if label == "NMF" else (bpr_fit, out / "factors_bpr.json")
+    fit = bpr_fit if label == "BPR-MF" else nmf_fit
+    path = _factors_path(out, label)
     save_factors(path, fit(matrix, fc), meta=dict(provenance, model=label))
     return path
 
@@ -501,7 +502,7 @@ def cmd_fit(cfg: ExperimentConfig) -> list[Path]:
     """Factorize the segmented matrices plus the raw matrix for the
     baselines, each factorization one job of _map_jobs."""
     out, provenance = _out(cfg)
-    seqs, _, m = _load_sequences(out)
+    seqs, m = _load_sequences(out)
     nmf = dict(d=cfg.d, max_iters=cfg.nmf_max_iters)
     jobs = [
         (f"SMF-S{h}", FactorizationConfig(**nmf, seed=stable_seed(cfg.seed, f"nmf:smf-s{h}")))
@@ -537,7 +538,7 @@ def _recommend_one(shared, label: str) -> Path:
     if label.startswith(("SMF-S", "HMMR-S")):
         h = int(label.partition("-S")[2])
         if label.startswith("SMF-S"):
-            factors = factors_from_pair(_load_pair(out / f"factors_smf_s{h}.json", m), "nmf")
+            factors = factors_from_pair(_load_pair(_factors_path(out, label), m), "nmf")
         else:
             path = _require(out / f"hmm_s{h}.json")
             model, _ = load_model(path)
@@ -558,7 +559,7 @@ def _recommend_one(shared, label: str) -> Path:
             return np.broadcast_to(popularity, (b - a, m))
 
     else:
-        pair = _load_pair(out / ("factors_nmf.json" if label == "NMF" else "factors_bpr.json"), m, len(seqs))
+        pair = _load_pair(_factors_path(out, label), m, len(seqs))
 
         def block(a, b):
             # one gemv per user, as p[u] @ q.T runs; a block's gemm may sum
@@ -594,7 +595,7 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     segments are read here, once, before the jobs start.
     """
     out, provenance = _out(cfg)
-    seqs, _, m = _load_sequences(out)
+    seqs, m = _load_sequences(out)
     popularity = _list_popularity([seq.items for seq in seqs], m)
     # one read of each state count's detections, shared by its SMF and HMMR rankers
     segments_of = {
@@ -608,21 +609,19 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
 
 def _read_recommendations(path: Path, seqs, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's user, as an index into seqs, its rank and its item, an
-    index in [0, m).  A user's rows must rank 1, 2, ... in file order, so a
-    list is never scored out of order, and form a valid Recommendation:
-    finite scores that never rise, and no repeated item.  The checks run on
-    whole columns; on a defect, the row-by-row and then user-by-user checks
-    below run to name the first one."""
+    index in [0, m).  Each user's rows run together, users in seqs order, as
+    recommend writes them; a user who has seen every item has no run.  A
+    run must rank 1, 2, ... in file order, so a list is never scored out of
+    order, and form a valid Recommendation: finite scores that never rise,
+    and no repeated item.  The checks run on whole columns; on a defect,
+    the row-by-row and then run-by-run checks below name the first one,
+    and the users are checked last."""
     (users, ranks, item_col, score_col), lines = _read_table(path, "recommendation", 4)
-    # the distinct users in order of first appearance; codes[r] is row r's user's place there
-    index: dict[str, int] = {}
-    codes = np.array([index.setdefault(user, len(index)) for user in users], dtype=np.int64)
-    distinct = list(index)
-    # each user's rows, users in order of first appearance, rows in file order
-    grouped = np.argsort(codes, kind="stable")
-    sizes = np.bincount(codes, minlength=len(distinct))
-    due = np.empty_like(codes)
-    due[grouped] = np.arange(len(codes)) - np.repeat(np.cumsum(sizes) - sizes, sizes) + 1
+    # a run starts at the first row and wherever the user changes; run[r] is row r's run
+    new = np.array([user != before for user, before in zip(users, [None, *users])], dtype=bool)
+    run = np.cumsum(new) - 1
+    starts = np.flatnonzero(new)
+    due = np.arange(len(users)) - starts[run] + 1
     try:
         items = np.array(item_col, dtype=np.int64)
     except (ValueError, OverflowError):
@@ -635,23 +634,23 @@ def _read_recommendations(path: Path, seqs, m: int) -> tuple[np.ndarray, np.ndar
                     raise ValueError(f"user {user!r} has rank {rank!r} where rank {n} is due")
             except (ValueError, OverflowError) as exc:
                 raise _malformed(path, "recommendation", line, exc) from None
-    _index_array(items[grouped], lambda i: f"{path.name}: user {distinct[codes[grouped[i]]]!r}", m)
+    _index_array(items, lambda r: f"{path.name}: user {users[r]!r}", m)
     try:
         scores = np.array(score_col, dtype=float)
     except ValueError:
         scores = np.full(len(score_col), np.nan)  # refused below, as a NaN score is
-    keys = np.sort(codes * m + items)
-    ranked_scores, ranked_codes = scores[grouped], codes[grouped]
-    rising = (ranked_scores[1:] > ranked_scores[:-1]) & (ranked_codes[1:] == ranked_codes[:-1])
+    keys = np.sort(run * m + items)
+    rising = (scores[1:] > scores[:-1]) & (run[1:] == run[:-1])
     if not np.isfinite(scores).all() or (keys[1:] == keys[:-1]).any() or rising.any():
-        for user, rows in zip(distinct, np.split(grouped, np.cumsum(sizes)[:-1])):
+        for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(users)]):
             try:
-                Recommendation(user, items[rows].tolist(), [float(score_col[r]) for r in rows])
+                Recommendation(users[a], items[a:b].tolist(), [float(score) for score in score_col[a:b]])
             except ValueError as exc:
-                raise ValueError(f"{path.name}: user {user!r}: {exc}") from None
-    _check_users(path, index, seqs)
-    position = {seq.user_id: i for i, seq in enumerate(seqs)}
-    return np.array([position[user] for user in distinct], dtype=np.int64)[codes], due, items
+                raise ValueError(f"{path.name}: user {users[a]!r}: {exc}") from None
+    # testing the length first spares np.unique every user shorter than m
+    has_run = [i for i, seq in enumerate(seqs) if len(seq) < m or len(np.unique(seq.items)) < m]
+    _check_users(path, [users[a] for a in starts], [seqs[i].user_id for i in has_run], [lines[a] for a in starts])
+    return np.array(has_run, dtype=np.int64)[run], due, items
 
 
 def _evaluate_one(shared, label: str) -> tuple[dict, dict, dict]:
@@ -672,7 +671,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     _map_jobs; the tables and the summary are written here, in ranker order.
     """
     out, provenance = _out(cfg)
-    seqs, holdout, m = _load_sequences(out)
+    seqs, m = _load_sequences(out)
 
     # displacement of the point nearest the truth (earlier on a tie); none counts as the last index
     users = [seq.user_id for seq in seqs]
@@ -711,7 +710,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     by_user = sorted(range(len(seqs)), key=lambda i: users[i])
     metric_row = np.empty(len(seqs), dtype=np.int64)
     metric_row[by_user] = np.arange(len(seqs))
-    relevance = _relevance([holdout[users[i]] for i in by_user])
+    relevance = _relevance([seqs[i].holdout for i in by_user])
     shared = (out, seqs, m, cfg.n_grid, metric_row, relevance)
     results = _map_jobs(_evaluate_one, [(label,) for label in labels], shared)
     tables_of = {label: dict(zip(("precision", "recall", "ndcg"), tables)) for label, tables in zip(labels, results)}

@@ -16,9 +16,9 @@ import yaml
 
 import driftrec.pipeline
 from driftrec.cli import main
-from driftrec.dataset import load_benchmark, to_interaction_sequences
+from driftrec.dataset import load_benchmark, save_benchmark, to_interaction_sequences
 from driftrec.hmm import InteractionSequence, load_model
-from driftrec.evaluation import ndcg_time_aware, pr_curve, precision_recall_at
+from driftrec.evaluation import ndcg_time_aware, pr_curve, precision_recall_at, ranking_metrics
 from driftrec.pipeline import (
     ExperimentConfig,
     cmd_detect,
@@ -631,6 +631,37 @@ class TestStaleArtifacts:
         assert self.run_edited(cli_run, tmp_path, stage, name, self.set_cell(0, 3, lambda rows: "2,3")) == 2
         assert f"error: {name}: user {user!r} has 2 points, more than k = 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit, line, user, due",
+        [
+            (lambda rows: rows[:1] + rows, 4, 0, "user {1!r}"),
+            (lambda rows: rows + rows[-1:], 15, -1, "no user"),
+            (lambda rows: [rows[1], rows[0]] + rows[2:], 3, 1, "user {0!r}"),
+        ],
+        ids=["user-listed-twice", "last-user-listed-again", "two-users-swapped"],
+    )
+    def test_changepoint_users_must_run_in_benchmark_order(self, cli_run, tmp_path, capsys, edit, line, user, due):
+        name = "changepoints_HMCD-S2.tsv"
+        users = [row[0] for row in data_rows(cli_run[1] / name)]
+        assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
+        found = f"{name}:{line}: user {users[user]!r} where {due.format(*users)} is due (users run in benchmark.tsv order)"
+        assert capsys.readouterr().err == f"error: {found}\n"
+
+    def test_interleaved_runs_are_refused(self, cli_run, tmp_path, capsys):
+        """A user's rows run together: a table whose first two users' rows
+        alternate is refused at the first user's second row."""
+        name = "recommendations_NMF.tsv"
+        first, second = list(dict.fromkeys(row[0] for row in data_rows(cli_run[1] / name)))[:2]
+
+        def edit(rows):
+            mine = [[row for row in rows if row.split("\t")[0] == user] for user in (first, second)]
+            return [row for pair in zip(*mine) for row in pair] + rows[len(mine[0]) + len(mine[1]) :]
+
+        assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
+        found = f"/{name}:5: malformed recommendation row (user {first!r} has rank '2' where rank 1 is due)\n"
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(found)
+
     def test_items_outside_the_vocabulary_are_refused(self, cli_run, tmp_path, capsys):
         name = "recommendations_NMF.tsv"
         user = data_rows(cli_run[1] / name)[0][0]
@@ -813,31 +844,46 @@ def test_each_row_of_up_to_k_points_is_checked(tmp_path, points, found):
         driftrec.pipeline._read_changepoints(path, _TWO_USERS, k=2)
 
 
-def test_changepoints_come_back_in_benchmark_order(tmp_path):
-    """Points are grouped user by user in benchmark order whatever the file
-    order, and a user listed twice keeps its last row."""
-    path = tmp_path / "changepoints_X.tsv"
-    write_changepoints(path, [("b", 30, 10, "4,9"), ("a", 40, 20, "-"), ("a", 40, 20, "7,39")])
-    points, owner = driftrec.pipeline._read_changepoints(path, _TWO_USERS, k=2)
-    assert points.tolist() == [7, 39, 4, 9] and owner.tolist() == [0, 0, 1, 1]
+def test_a_user_who_has_seen_every_item_is_scored_with_an_empty_list(tmp_path):
+    """Recommend writes no rows for a user who has seen every item, and
+    evaluate scores that user as ranking_metrics scores an empty list.
 
-
-def test_interleaved_users_evaluate_as_in_blocks(cli_run, tmp_path):
-    """Ranks count per user in file order, so a recommendations table whose
-    first two users' rows alternate scores the same as the one written."""
-    config, out = cli_run
-    copy = tmp_path / "out"
-    shutil.copytree(out, copy)
-    name = "recommendations_NMF.tsv"
-    lines = (copy / name).read_text().splitlines()
-    header, rows = lines[:2], lines[2:]
-    first, second = list(dict.fromkeys(row.split("\t")[0] for row in rows))[:2]
-    mine = [[row for row in rows if row.split("\t")[0] == user] for user in (first, second)]
-    interleaved = [row for pair in zip(*mine) for row in pair]
-    assert len(interleaved) == 2 * len(mine[0]) == 2 * len(mine[1])
-    (copy / name).write_text("\n".join(header + interleaved + rows[len(interleaved) :]) + "\n")
-    assert main(["evaluate", "--config", str(config), "--out", str(copy)]) == 0
-    assert (copy / "ranking_metrics.tsv").read_bytes() == (out / "ranking_metrics.tsv").read_bytes()
+    Two pools of six items; an even playlist cycles through all six of its
+    pool, an odd one through three, so a user spliced from two even
+    playlists has seen all twelve.  Each other user's holdout is then set to
+    the items they have not seen, so the rankings score above zero and a
+    list scored for the wrong user would show."""
+    corpus = tmp_path / "playlists.txt"
+    corpus.write_text(
+        "".join(" ".join(f"it{6 * (p >= 20) + j % (6 - 3 * (p % 2))}" for j in range(60)) + "\n" for p in range(40))
+    )
+    config = tmp_path / "exp.yaml"
+    settings = dict(corpus=str(corpus), out_dir=str(tmp_path / "out"), mixed_count=30, min_window=25, pool_split=20)
+    settings.update(hidden_state_counts=[2], d=3, l=3, n_grid=[1, 5], hmm_max_iters=5, nmf_max_iters=5, bpr_epochs=1, seed=1)
+    config.write_text(yaml.safe_dump(settings))
+    out = tmp_path / "out"
+    assert main(["run-all", "--config", str(config)]) == 0
+    mixed, meta = load_benchmark(out / "benchmark.tsv")
+    m = int(meta["num_items"])
+    full = {mx.user_id for mx in mixed if len(np.unique(mx.items)) == m}
+    assert len(full) == 6
+    mixed = [
+        mx if mx.user_id in full else dataclasses.replace(mx, holdout=np.resize(np.setdiff1d(np.arange(m), mx.items), 10))
+        for mx in mixed
+    ]
+    save_benchmark(out / "benchmark.tsv", mixed, meta)
+    assert main(["evaluate", "--config", str(config)]) == 0
+    truth = {mx.user_id: mx.holdout for mx in mixed}
+    expected = []
+    for label in ExperimentConfig.from_yaml(config).ranker_labels():
+        ranked = {mx.user_id: [] for mx in mixed}
+        for user_id, _, item, _ in data_rows(out / f"recommendations_{label}.tsv"):
+            ranked[user_id].append(int(item))
+        assert {user for user, items in ranked.items() if not items} == full, label
+        tables = dict(zip(("precision", "recall", "ndcg"), ranking_metrics(ranked, truth, settings["n_grid"])))
+        expected += [[label, name, str(N), repr(table[N])] for N in settings["n_grid"] for name, table in tables.items()]
+    rows = data_rows(out / "ranking_metrics.tsv")
+    assert rows == expected and any(float(row[3]) > 0 for row in rows)
 
 
 def edit_benchmark_item(column, value):
