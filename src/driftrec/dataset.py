@@ -213,7 +213,8 @@ def save_benchmark(path: str | Path, mixed: list[MixedSequence], meta: dict) -> 
 
 
 def _malformed(path, what: str, line: int, detail) -> ValueError:
-    return ValueError(f"{path}:{line}: malformed {what} row ({detail})")
+    """The error for a bad row, naming the table by its file name."""
+    return ValueError(f"{Path(path).name}:{line}: malformed {what} row ({detail})")
 
 
 def _read_table(path, what: str, width: int) -> tuple[list[list[str]], list[int]]:
@@ -254,7 +255,8 @@ def load_benchmark(path: str | Path) -> tuple[list[MixedSequence], dict]:
     """The benchmark's records and its header's key=value pairs.  The items
     and the holdout column are each converted in one call; a column that is
     not all plain digit lists is parsed row by row, so an error names the
-    line of the first bad row."""
+    line of the first bad row.  A user id listed twice is refused, naming
+    both lines."""
     with open(path) as fh:
         header = fh.readline()
     if not header.startswith("# driftrec-benchmark-v1"):
@@ -277,4 +279,8 @@ def load_benchmark(path: str | Path) -> tuple[list[MixedSequence], dict]:
             )
         except (ValueError, TypeError, OverflowError) as exc:
             raise _malformed(path, "benchmark", line, exc) from exc
+    first: dict[str, int] = {}
+    for line, user_id in zip(lines, columns[0]):
+        if first.setdefault(user_id, line) != line:
+            raise ValueError(f"{Path(path).name}:{line}: user {user_id!r} is listed again (first on line {first[user_id]})")
     return mixed, meta

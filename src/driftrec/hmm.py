@@ -14,6 +14,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -205,11 +206,31 @@ class TrainConfig:
 def viterbi_decode(model: HmmModel, seq: InteractionSequence) -> DecodedPath:
     """Most likely hidden state path for the observed sequence.
 
-    A batch of one for viterbi_decode_all: ties are broken toward the
-    lowest state index, and ValueError is raised if every path has
-    probability zero.
+    viterbi_decode_all's result for a corpus of one, which it decodes with
+    its one-sequence recursion: ties are broken toward the lowest state
+    index, and ValueError is raised if every path has probability zero.
     """
     return viterbi_decode_all(model, [seq])[0]
+
+
+# each model's log tables, computed on first use; a model is frozen, so they never go stale
+_LOG_TABLES: "weakref.WeakKeyDictionary[HmmModel, tuple[np.ndarray, ...]]" = weakref.WeakKeyDictionary()
+
+
+def _log_tables(model: HmmModel) -> tuple[np.ndarray, ...]:
+    """The model's log(pi), log(trans), log(trans).T and log(emit).T, the
+    transposes contiguous, all read-only; computed on the first call for
+    the model.  Row i of log(emit).T holds every state's log probability
+    of emitting item i."""
+    tables = _LOG_TABLES.get(model)
+    if tables is None:
+        with np.errstate(divide="ignore"):
+            log_trans = np.log(model.trans)
+            tables = (np.log(model.pi), log_trans, log_trans.T.copy(), np.log(model.emit).T.copy())
+        for table in tables:
+            table.setflags(write=False)
+        _LOG_TABLES[model] = tables
+    return tables
 
 
 def viterbi_decode_all(
@@ -217,24 +238,25 @@ def viterbi_decode_all(
 ) -> list[DecodedPath]:
     """Most likely hidden state path of every sequence, in corpus order.
 
-    One log-space Viterbi recursion (Rabiner, 1989) runs over the packed,
-    length-sorted corpus.  Ties are broken toward the lowest state index,
-    both in the per-step backpointers and in the final state, so decoding
-    is deterministic and each path is the one a corpus of one would give.
-    Raises ValueError naming the first sequence, in corpus order, whose
-    every path has probability zero.
+    A log-space Viterbi recursion (Rabiner, 1989).  A corpus of one runs
+    a one-sequence recursion; a larger corpus runs one recursion over the
+    packed, length-sorted corpus.  Both read the model's cached log tables
+    and make the same floating-point additions, and ties are broken toward
+    the lowest state index, both in the per-step backpointers and in the
+    final state, so decoding is deterministic and each path is bit for bit
+    the one a corpus of one gives.  Raises ValueError naming the first
+    sequence, in corpus order, whose every path has probability zero.
     """
+    if len(corpus) == 1:
+        return [_viterbi_one(model, corpus[0])]
     if not corpus:
         return []
     order, start, obs = _pack_corpus(corpus, model.num_items)
     h = model.num_states
-    with np.errstate(divide="ignore"):
-        log_pi = np.log(model.pi)
-        log_trans = np.log(model.trans)
-        log_emit = np.log(model.emit)
+    log_pi, log_trans, _, log_emit_t = _log_tables(model)
 
     # delta[c, j]: best log prob of a path ending in state j at cell c
-    delta = log_emit.T[obs]
+    delta = log_emit_t[obs]
     delta[: start[1]] += log_pi
     back = np.zeros(delta.shape, dtype=np.min_scalar_type(h - 1))
     # at most `block` cells per scores buffer, which bounds it to 8 MB
@@ -271,6 +293,44 @@ def viterbi_decode_all(
         states.reverse()
         paths[i] = DecodedPath(states=np.array(states, dtype=np.int64), log_joint=log_joint[j])
     return paths
+
+
+def _viterbi_one(model: HmmModel, seq: InteractionSequence) -> DecodedPath:
+    """viterbi_decode_all's recursion for one sequence, a step at a time.
+
+    Each step makes the batch loop's additions with the operands swapped,
+    which IEEE addition leaves bit-identical, and takes the same
+    first-index argmax; the step's best score is read at that argmax,
+    which is the maximum itself."""
+    items = _index_array(seq.items, f"sequence {seq.user_id!r}", model.num_items)
+    log_pi, _, log_trans_t, log_emit_t = _log_tables(model)
+    h = model.num_states
+    emitted = log_emit_t[items]
+    back = np.empty((len(items), h), dtype=np.intp)
+    # scores[j, i]: best log prob ending in j after transitioning from i
+    scores = np.empty((h, h))
+    row_starts = np.arange(0, h * h, h)
+    best = np.empty(h, dtype=np.intp)
+    delta = emitted[0] + log_pi
+    add, argmax, take = np.add, scores.argmax, scores.reshape(-1).take
+    for back_t, emission in zip(back[1:], emitted[1:]):
+        add(delta, log_trans_t, scores)
+        argmax(1, back_t)
+        add(back_t, row_starts, best)
+        take(best, out=delta)
+        add(delta, emission, delta)
+    state = int(delta.argmax())
+    log_joint = float(delta[state])
+    if log_joint == -math.inf:
+        raise ValueError(f"sequence {seq.user_id!r} inconsistent with model")
+
+    pointers = memoryview(back.reshape(-1))
+    states = [state]
+    for offset in range((len(items) - 1) * h, 0, -h):
+        state = pointers[offset + state]
+        states.append(state)
+    states.reverse()
+    return DecodedPath(states=np.array(states, dtype=np.int64), log_joint=log_joint)
 
 
 def _init_params(corpus, h, m, cfg):

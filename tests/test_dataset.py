@@ -247,6 +247,23 @@ class TestBenchmarkFile:
         with pytest.raises(ValueError, match=":2"):
             load_benchmark(path)
 
+    def test_malformed_row_names_the_file_alone(self, tmp_path):
+        path = tmp_path / "sub" / "x.tsv"
+        path.parent.mkdir()
+        path.write_text("# driftrec-benchmark-v1 seed=1\nu0\tbroken\n")
+        with pytest.raises(ValueError) as exc:
+            load_benchmark(path)
+        assert str(exc.value).startswith("x.tsv:2: malformed benchmark row (expected 5 tab-separated fields, got 2)")
+
+    def test_repeated_user_is_refused_naming_both_lines(self, tmp_path):
+        mixed = self._mixed()
+        mixed[3].user_id = mixed[1].user_id
+        path = tmp_path / "bench.tsv"
+        save_benchmark(path, mixed, {"seed": "21"})
+        with pytest.raises(ValueError) as exc:
+            load_benchmark(path)
+        assert str(exc.value) == f"bench.tsv:5: user {mixed[1].user_id!r} is listed again (first on line 3)"
+
     def test_irregular_spacing_reads_row_by_row_to_the_same_records(self, tmp_path):
         """Items not written one space apart cannot be read in one conversion
         of the column; they are read row by row, to the same records."""

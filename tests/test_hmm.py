@@ -238,6 +238,7 @@ class TestViterbiBatch:
                 assert path.states.tolist() == list(best_path)
                 assert path.states.dtype == np.int64
                 assert path.log_joint == pytest.approx(math.log(best_p), rel=1e-10)
+            self._each_alone_matches_the_batch(model, corpus)
 
     def test_corpus_order_does_not_change_paths(self):
         rng = np.random.default_rng(61)
@@ -260,6 +261,7 @@ class TestViterbiBatch:
         corpus = [seq([0, 1, 0], user="a"), seq([1], user="b"), seq([1, 1, 0, 0, 1], user="c")]
         for s, path in zip(corpus, viterbi_decode_all(model, corpus)):
             assert path.states.tolist() == [0] * len(s)
+        self._each_alone_matches_the_batch(model, corpus)
 
     def test_many_states_match_scalar_recursion(self):
         # 300 states need two-byte backpointers, and 90000 scores per cell
@@ -274,6 +276,7 @@ class TestViterbiBatch:
             states, log_joint = _scalar_viterbi(model, s.items)
             assert path.states.tolist() == states.tolist()
             assert path.log_joint == log_joint
+        self._each_alone_matches_the_batch(model, corpus)
 
     def test_impossible_sequence_is_named(self):
         model = HmmModel(pi=[1.0, 0.0], trans=np.eye(2), emit=np.eye(2))
@@ -291,6 +294,64 @@ class TestViterbiBatch:
     def test_empty_corpus(self):
         model = HmmModel(pi=[1.0], trans=[[1.0]], emit=[[1.0]])
         assert viterbi_decode_all(model, []) == []
+
+    @staticmethod
+    def _each_alone_matches_the_batch(model, corpus):
+        """A corpus of one runs the one-sequence recursion; its path must be
+        bit for bit the sequence's path in the packed batch."""
+        assert len(corpus) > 1
+        for s, path in zip(corpus, viterbi_decode_all(model, corpus)):
+            alone = viterbi_decode_all(model, [s])[0]
+            assert alone.states.dtype == np.int64
+            assert alone.states.tolist() == path.states.tolist()
+            assert alone.log_joint == path.log_joint
+            assert viterbi_decode(model, s).states.tolist() == path.states.tolist()
+
+    def test_one_sequence_path_matches_the_batch_on_length_one_sequences(self):
+        rng = np.random.default_rng(79)
+        model = random_model(rng, 4, 5)
+        self._each_alone_matches_the_batch(model, [seq([i], user=f"u{i}") for i in range(5)])
+
+    def test_one_sequence_path_matches_the_batch_with_zero_probabilities(self):
+        # sparse rows put -inf among the scores, and exact ties between paths
+        model = HmmModel(
+            pi=[0.5, 0.5, 0.0],
+            trans=[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+            emit=[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]],
+        )
+        corpus = [seq(items, user=f"u{i}") for i, items in enumerate(([1, 1, 2, 0], [0, 1], [1], [1, 2, 2, 2, 0, 0]))]
+        self._each_alone_matches_the_batch(model, corpus)
+
+    @pytest.mark.parametrize(
+        "model, bad",
+        [
+            (HmmModel(pi=[1.0, 0.0], trans=np.eye(2), emit=np.eye(2)), [0, 1, 0]),
+            (HmmModel(pi=[0.5, 0.5], trans=np.full((2, 2), 0.5), emit=np.eye(2)), [0, 2]),
+        ],
+        ids=["impossible-sequence", "item-out-of-range"],
+    )
+    def test_a_corpus_of_one_is_refused_with_the_batch_message(self, model, bad):
+        corpus = [seq([0, 0], user="fine"), seq(bad, user="broken"), seq([0], user="ok")]
+        with pytest.raises(ValueError) as batch:
+            viterbi_decode_all(model, corpus)
+        with pytest.raises(ValueError) as alone:
+            viterbi_decode_all(model, [corpus[1]])
+        assert "'broken'" in str(batch.value)
+        assert str(alone.value) == str(batch.value)
+
+    def test_log_tables_are_computed_once_per_model_and_read_only(self):
+        rng = np.random.default_rng(83)
+        model = random_model(rng, 3, 4)
+        tables = hmm._log_tables(model)
+        assert hmm._log_tables(model) is tables
+        assert hmm._log_tables(random_model(rng, 3, 4)) is not tables
+        log_pi, log_trans, log_trans_t, log_emit_t = tables
+        np.testing.assert_array_equal(log_pi, np.log(model.pi))
+        np.testing.assert_array_equal(log_trans, np.log(model.trans))
+        np.testing.assert_array_equal(log_trans_t, np.log(model.trans).T)
+        np.testing.assert_array_equal(log_emit_t, np.log(model.emit).T)
+        assert log_trans_t.flags.c_contiguous and log_emit_t.flags.c_contiguous
+        assert not any(table.flags.writeable for table in tables)
 
 
 class TestBaumWelch:

@@ -15,12 +15,14 @@ import pytest
 import yaml
 
 import driftrec.pipeline
+from driftrec.changepoint import hmcd_detect
 from driftrec.cli import main
 from driftrec.dataset import load_benchmark, save_benchmark, to_interaction_sequences
 from driftrec.hmm import InteractionSequence, load_model
 from driftrec.evaluation import ndcg_time_aware, pr_curve, precision_recall_at, ranking_metrics
 from driftrec.pipeline import (
     ExperimentConfig,
+    _fmt,
     cmd_detect,
     cmd_evaluate,
     cmd_fit,
@@ -300,6 +302,22 @@ class TestPipelineRun:
                 for rank, (item, score) in enumerate(zip(rec.ranked_items, rec.scores), start=1)
             ]
         assert data_rows(out / "recommendations_PopRank.tsv") == expected
+
+    def test_hmcd_detect_per_user_matches_the_changepoint_rows(self, pipeline_run):
+        """hmcd_detect on one history, as a served request calls it, gives
+        the detect stage's row for that user under every state count."""
+        cfg, out, _ = pipeline_run
+        mixed, _ = load_benchmark(out / "benchmark.tsv")
+        for h in cfg.hidden_state_counts:
+            label = f"HMCD-S{h}"
+            model, _ = load_model(out / f"hmm_s{h}.json")
+            rows = data_rows(out / f"changepoints_{label}.tsv")
+            assert len(rows) == len(mixed) and any(row[3] != "-" for row in rows)
+            for mx, row in zip(mixed, rows):
+                result = hmcd_detect(model, mx, k=cfg.k)
+                points = ",".join(str(p) for p in result.predicted) or "-"
+                scores = ",".join(_fmt(s) for s in result.score_per_point) or "-"
+                assert row == [mx.user_id, str(len(mx)), str(mx.truth_change), points, scores, label]
 
     def test_trend_file_has_verdict_line(self, pipeline_run):
         _, out, _ = pipeline_run
@@ -658,9 +676,8 @@ class TestStaleArtifacts:
             return [row for pair in zip(*mine) for row in pair] + rows[len(mine[0]) + len(mine[1]) :]
 
         assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
-        found = f"/{name}:5: malformed recommendation row (user {first!r} has rank '2' where rank 1 is due)\n"
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.endswith(found)
+        found = f"{name}:5: malformed recommendation row (user {first!r} has rank '2' where rank 1 is due)"
+        assert capsys.readouterr().err == f"error: {found}\n"
 
     def test_items_outside_the_vocabulary_are_refused(self, cli_run, tmp_path, capsys):
         name = "recommendations_NMF.tsv"
@@ -925,6 +942,13 @@ class TestBenchmarkItems:
         self.run_edited(cli_run, tmp_path, stage, edit_benchmark_item(column, str(m)))
         err = capsys.readouterr().err
         assert f"error: benchmark.tsv: user {user!r} {part} has item {m}; items must lie in [0, {m})" in err
+
+    def test_repeated_user_names_both_lines(self, cli_run, tmp_path, capsys, stage):
+        """The second user renamed to the first's id is refused by the
+        benchmark reader, before any stage table is read."""
+        users = [row[0] for row in data_rows(cli_run[1] / "benchmark.tsv")]
+        self.run_edited(cli_run, tmp_path, stage, lambda text: text.replace(f"\n{users[1]}\t", f"\n{users[0]}\t", 1))
+        assert capsys.readouterr().err == f"error: benchmark.tsv:3: user {users[0]!r} is listed again (first on line 2)\n"
 
     def test_truth_past_the_sequence_names_the_line(self, cli_run, tmp_path, capsys, stage):
         user, _, _, items, _ = data_rows(cli_run[1] / "benchmark.tsv")[0]
