@@ -19,9 +19,10 @@ from .hmm import (
     _check_count,
     _check_entries,
     _check_points,
+    _check_real,
+    _decode_all,
     _index_array,
     _joined,
-    viterbi_decode_all,
 )
 
 
@@ -68,28 +69,35 @@ def hmcd_detect_all(
     decoded switch times the probability of the observed item under the
     new state.  The k highest-scoring candidates are returned in ascending
     order; score ties prefer the earliest step.  A switchless path yields
-    an empty result flagged no_change.
+    an empty result flagged no_change.  The candidates of the whole corpus
+    are found, scored and ranked in one pass over its joined state paths.
     """
     _check_count("k", k)
-    paths = viterbi_decode_all(model, corpus)
-    return [_switch_points(model, seq, path.states, k) for seq, path in zip(corpus, paths)]
-
-
-def _switch_points(
-    model: HmmModel, seq: InteractionSequence, path: np.ndarray, k: int
-) -> ChangePointResult:
-    switches = np.flatnonzero(path[1:] != path[:-1]) + 1
-    if len(switches) == 0:
-        return ChangePointResult(user_id=seq.user_id)
-    scores = model.trans[path[switches - 1], path[switches]] * model.emit[
-        path[switches], seq.items[switches]
+    states, bounds, _ = _decode_all(model, corpus)
+    items = np.concatenate([seq.items for seq in corpus] or [states])
+    # a switch at joined position p, unless p starts a sequence
+    switch = states[1:] != states[:-1]
+    switch[bounds[1:-1] - 1] = False
+    at = switch.nonzero()[0]
+    before = states[at]
+    at += 1
+    after = states[at]
+    scores = model.trans[before, after] * model.emit[after, items[at]]
+    owner = bounds[1:].searchsorted(at, "right")
+    # by sequence, then score descending; lexsort is stable, so ties keep the earliest
+    # step.  A ranked switch is among its sequence's first k when the one k places
+    # before it belongs to another sequence.
+    ranked = np.lexsort((-scores, owner))
+    keep = np.concatenate((ranked[:k], ranked[k:][owner[k:] != owner[:-k]]))
+    keep.sort()
+    owner = owner[keep]
+    cuts = owner.searchsorted(np.arange(len(corpus) + 1)).tolist()
+    points = (at[keep] - bounds[owner]).tolist()
+    kept = scores[keep].tolist()
+    return [
+        ChangePointResult(user_id=seq.user_id, predicted=points[a:b], score_per_point=kept[a:b])
+        for seq, a, b in zip(corpus, cuts, cuts[1:])
     ]
-    # primary key: score descending; secondary: step ascending
-    # switches ascend, so ascending positions keep the points in step order
-    keep = np.sort(np.lexsort((switches, -scores))[:k])
-    return ChangePointResult(
-        user_id=seq.user_id, predicted=switches[keep].tolist(), score_per_point=scores[keep].tolist()
-    )
 
 
 def partition(seq: InteractionSequence, points: list[int]) -> list[np.ndarray]:
@@ -147,6 +155,7 @@ def cusum_detect(
     itself is used.  If the cumulative sum never exceeds tau the last
     index is returned with the flag set.
     """
+    tau = _check_real("tau", tau, "[-inf, inf]")
     j = int(_first_crossings(np.cumsum(_step_values(seq, stat)), tau))
     return min(j, len(seq) - 1), j == len(seq)
 
@@ -215,7 +224,9 @@ def sliding_window_detect_all(
     information and (1, True) is returned for it.  item_vectors must be a
     2-D matrix whose rows for the corpus's items are finite.  Each
     sequence reads its distances from one table over the corpus's U
-    distinct items, which holds U**2 float64 values.
+    distinct items, which holds U**2 float64 values.  Sequences of equal
+    length are gathered from it and prefix-summed together, in blocks of
+    at most about 2**18 distances.
     """
     if not corpus:
         raise ValueError("corpus must not be empty")
@@ -226,9 +237,18 @@ def sliding_window_detect_all(
         if len(seq) < 2:
             raise ValueError(f"sequence {seq.user_id!r} has {len(seq)} item(s); need at least 2 to split")
     arrays = [seq.items for seq in corpus]
-    uniq = np.unique(_index_array(*_joined(arrays, lambda r: f"sequence {corpus[r].user_id!r}"), len(item_vectors)))
-    dist = _distance_table(item_vectors, uniq)
-    return [_best_split(dist[np.ix_(pos, pos)]) for pos in (np.searchsorted(uniq, items) for items in arrays)]
+    items = _index_array(*_joined(arrays, lambda r: f"sequence {corpus[r].user_id!r}"), len(item_vectors))
+    uniq, rows = np.unique(items, return_inverse=True)  # rows[p]: position p's row of the table
+    table = _distance_table(item_vectors, uniq).reshape(-1)
+    lengths = np.array([len(items) for items in arrays])
+    starts = np.cumsum(lengths) - lengths
+    splits, flat = np.empty(len(corpus), dtype=np.int64), np.empty(len(corpus), dtype=bool)
+    for T in np.unique(lengths).tolist():
+        group, block = np.flatnonzero(lengths == T), max(1, 2**18 // (T * T))
+        for members in (group[lo : lo + block] for lo in range(0, len(group), block)):
+            pos = rows[starts[members, None] + np.arange(T)]
+            splits[members], flat[members] = _best_splits(table.take(pos[:, :, None] * len(uniq) + pos[:, None, :]))
+    return list(zip(splits.tolist(), flat.tolist()))
 
 
 def _distance_table(item_vectors: np.ndarray, uniq: np.ndarray) -> np.ndarray:
@@ -253,18 +273,19 @@ def _distance_table(item_vectors: np.ndarray, uniq: np.ndarray) -> np.ndarray:
     return table
 
 
-def _best_split(dist: np.ndarray) -> tuple[int, bool]:
-    """The split of one sequence's T x T distance matrix; see sliding_window_detect_all."""
-    if dist.max() == 0.0:
-        return 1, True
-    T = len(dist)
-    # 2-D prefix sums give each rectangle sum of the distance matrix in O(1)
-    ps = np.zeros((T + 1, T + 1))
-    ps[1:, 1:] = dist.cumsum(axis=0).cumsum(axis=1)
+def _best_splits(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The split of each sequence of a block of equal-length ones, from its
+    g x T x T distances, and whether the sequence is flat (then split 1);
+    see sliding_window_detect_all."""
+    T = dist.shape[1]
+    # 2-D prefix sums give each rectangle sum of a distance matrix in O(1);
+    # ps[:, a, b] sums the rectangle [0, a] x [0, b]
+    ps = dist.cumsum(axis=1).cumsum(axis=2)
+    whole = ps[:, T - 1, T - 1]
     t = np.arange(1, T)
-    left = ps[t, t]
-    right = ps[T, T] - ps[t, T] - ps[T, t] + ps[t, t]
-    cross = ps[t, T] - ps[t, t]
+    left = ps[:, t - 1, t - 1]
+    right = whole[:, None] - ps[:, t - 1, T - 1] - ps[:, T - 1, t - 1] + left
+    cross = ps[:, t - 1, T - 1] - left
     n1 = t.astype(float)
     n2 = (T - t).astype(float)
     intra_pairs = n1 * (n1 - 1) / 2 + n2 * (n2 - 1) / 2
@@ -272,16 +293,18 @@ def _best_split(dist: np.ndarray) -> tuple[int, bool]:
     intra_mean = np.divide(
         (left + right) / 2.0,
         intra_pairs,
-        out=np.zeros_like(n1),
+        out=np.zeros_like(left),
         where=intra_pairs > 0,
     )
     objective = cross / inter_pairs - intra_mean
-    return int(t[np.argmax(objective)]), False
+    # distances are nonnegative, so they sum to zero only when all are zero
+    flat = whole == 0.0
+    return np.where(flat, 1, objective.argmax(axis=1) + 1), flat
 
 
 def random_partition(seq: InteractionSequence, rng_seed: int) -> int:
     """Uniform split index over [0, T], reproducible from the seed."""
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(_check_count("rng_seed", rng_seed, 0))
     return int(rng.integers(0, len(seq) + 1))
 
 

@@ -239,18 +239,32 @@ def viterbi_decode_all(
     """Most likely hidden state path of every sequence, in corpus order.
 
     A log-space Viterbi recursion (Rabiner, 1989).  A corpus of one runs
-    a one-sequence recursion; a larger corpus runs one recursion over the
-    packed, length-sorted corpus.  Both read the model's cached log tables
-    and make the same floating-point additions, and ties are broken toward
-    the lowest state index, both in the per-step backpointers and in the
-    final state, so decoding is deterministic and each path is bit for bit
-    the one a corpus of one gives.  Raises ValueError naming the first
-    sequence, in corpus order, whose every path has probability zero.
+    a one-sequence recursion.  A larger corpus runs one recursion over the
+    packed, length-sorted corpus: step t keeps each live cell's best score
+    and its first-index argmax as a running maximum over the predecessor
+    states, on (cells, h) arrays, and then every sequence's backpointers
+    are walked back together, one vector step per time index.  Both read
+    the model's cached log tables and make the same floating-point
+    additions, and ties are broken toward the lowest state index, both in
+    the per-step backpointers and in the final state, so decoding is
+    deterministic and each path is bit for bit the one a corpus of one
+    gives.  Raises ValueError naming the first sequence, in corpus order,
+    whose every path has probability zero.
     """
+    states, bounds, log_joint = _decode_all(model, corpus)
+    bounds = bounds.tolist()
+    return [DecodedPath(states=states[a:b], log_joint=v) for a, b, v in zip(bounds, bounds[1:], log_joint)]
+
+
+def _decode_all(model: HmmModel, corpus: list[InteractionSequence]) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """viterbi_decode_all's paths joined in corpus order into one int64
+    array; the bounds of the paths in it, sequence r's path being
+    states[bounds[r]:bounds[r + 1]]; and each sequence's log_joint."""
     if len(corpus) == 1:
-        return [_viterbi_one(model, corpus[0])]
+        states, log_joint = _viterbi_one(model, corpus[0])
+        return states, np.array([0, len(states)]), [log_joint]
     if not corpus:
-        return []
+        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), []
     order, start, obs = _pack_corpus(corpus, model.num_items)
     h = model.num_states
     log_pi, log_trans, _, log_emit_t = _log_tables(model)
@@ -259,49 +273,57 @@ def viterbi_decode_all(
     delta = log_emit_t[obs]
     delta[: start[1]] += log_pi
     back = np.zeros(delta.shape, dtype=np.min_scalar_type(h - 1))
-    # at most `block` cells per scores buffer, which bounds it to 8 MB
-    block = max(1, 2**20 // (h * h))
     bounds = start.tolist()
-    columns = delta[:, :, None]
+    best, score = np.empty((2, len(corpus), h))
+    better = np.empty((len(corpus), h), dtype=bool)
+    add, greater, maximum, copyto = np.add, np.greater, np.maximum, np.copyto
     for t in range(1, len(bounds) - 1):
-        shift = bounds[t] - bounds[t - 1]  # a cell's predecessor is `shift` cells back
-        for lo in range(bounds[t], bounds[t + 1], block):
-            hi = min(lo + block, bounds[t + 1])
-            # scores[c, i, j]: best log prob ending in j after transitioning from i
-            scores = columns[lo - shift : hi - shift] + log_trans
-            back[lo:hi] = scores.argmax(axis=1)
-            delta[lo:hi] += np.maximum.reduce(scores, axis=1)
+        lo, hi = bounds[t], bounds[t + 1]
+        # a cell's predecessor is the cell of its sequence one step back
+        prev = delta[bounds[t - 1] : bounds[t - 1] + hi - lo]
+        b, s, w, arg = best[: hi - lo], score[: hi - lo], better[: hi - lo], back[lo:hi]
+        # b[c, j]: best log prob ending in j after transitioning from one of
+        # states 0..i; only a strictly greater score moves the argmax to i
+        add(prev[:, :1], log_trans[0], b)
+        for i in range(1, h):
+            add(prev[:, i : i + 1], log_trans[i], s)
+            greater(s, b, w)
+            copyto(arg, i, where=w)
+            maximum(b, s, out=b)
+        delta[lo:hi] += b
 
-    order = order.tolist()
-    lengths = [len(corpus[i]) for i in order]
-    ends = delta[[bounds[n - 1] + j for j, n in enumerate(lengths)]]
-    finals = ends.argmax(axis=1).tolist()
-    log_joint = np.maximum.reduce(ends, axis=1).tolist()
+    lengths = np.array([len(seq) for seq in corpus], dtype=np.int64)
+    last = delta[start[lengths[order] - 1] + np.arange(len(corpus))]  # each sorted sequence's last cell
+    state = last.argmax(axis=1)
+    log_joint = np.empty(len(corpus))
+    log_joint[order] = np.maximum.reduce(last, axis=1)
     if -math.inf in log_joint:
-        bad = min(i for i, v in zip(order, log_joint) if v == -math.inf)
+        bad = int(np.argmax(log_joint == -math.inf))
         raise ValueError(f"sequence {corpus[bad].user_id!r} inconsistent with model")
 
-    # walk each sequence's backpointers back from its final state
-    pointers = memoryview(back.reshape(-1))
-    offsets = [b * h for b in bounds]
-    paths = [None] * len(corpus)
-    for j, (i, state, length) in enumerate(zip(order, finals, lengths)):
-        states = [state]
-        for t in range(length - 1, 0, -1):
-            state = pointers[offsets[t] + j * h + state]
-            states.append(state)
-        states.reverse()
-        paths[i] = DecodedPath(states=np.array(states, dtype=np.int64), log_joint=log_joint[j])
-    return paths
+    # walk every sequence's backpointers back together: sorted sequence j's
+    # state at step t lands at offset[j] + t of the corpus-order output
+    corpus_bounds = np.concatenate([[0], np.cumsum(lengths)])
+    offset = corpus_bounds[order]
+    states = np.empty(len(obs), dtype=np.int64)
+    pointers = back.reshape(-1)
+    rows = np.arange(0, len(corpus) * h, h)
+    for t in range(len(bounds) - 2, 0, -1):
+        lo, hi = bounds[t], bounds[t + 1]
+        live = state[: hi - lo]
+        states[offset[: hi - lo] + t] = live
+        live[:] = pointers[lo * h : hi * h].take(rows[: hi - lo] + live)
+    states[offset] = state
+    return states, corpus_bounds, log_joint.tolist()
 
 
-def _viterbi_one(model: HmmModel, seq: InteractionSequence) -> DecodedPath:
-    """viterbi_decode_all's recursion for one sequence, a step at a time.
+def _viterbi_one(model: HmmModel, seq: InteractionSequence) -> tuple[np.ndarray, float]:
+    """viterbi_decode_all's recursion for one sequence, a step at a time:
+    its state path and log_joint.
 
-    Each step makes the batch loop's additions with the operands swapped,
-    which IEEE addition leaves bit-identical, and takes the same
-    first-index argmax; the step's best score is read at that argmax,
-    which is the maximum itself."""
+    Each step makes the batch loop's additions, laid out over the
+    transposed log(trans), and takes the same first-index argmax; the
+    step's best score is read at that argmax, which is the maximum itself."""
     items = _index_array(seq.items, f"sequence {seq.user_id!r}", model.num_items)
     log_pi, _, log_trans_t, log_emit_t = _log_tables(model)
     h = model.num_states
@@ -330,7 +352,7 @@ def _viterbi_one(model: HmmModel, seq: InteractionSequence) -> DecodedPath:
         state = pointers[offset + state]
         states.append(state)
     states.reverse()
-    return DecodedPath(states=np.array(states, dtype=np.int64), log_joint=log_joint)
+    return np.array(states, dtype=np.int64), log_joint
 
 
 def _init_params(corpus, h, m, cfg):

@@ -1,7 +1,8 @@
 """Scalar references that the batched library code is checked against: the
 per-triple pairwise-ranking loss and gradient behind bpr_fit's level updates,
-the per-sequence sliding-window split behind sliding_window_detect_all, and
-the per-user ranking walk behind the evaluation module's array metrics."""
+the per-sequence sliding-window split behind sliding_window_detect_all, the
+per-sequence switch scoring behind hmcd_detect_all, and the per-user ranking
+walk behind the evaluation module's array metrics."""
 
 import math
 
@@ -36,22 +37,27 @@ def sliding_window_reference(items, item_vectors):
     """The sliding-window split of one sequence from its own distance matrix:
     the reference sliding_window_detect_all's shared table is checked against.
 
-    Distances come from the gram matrix of the sequence's distinct items; the
-    split maximizes the mean between-segment distance minus the mean
-    within-segment distance, the earliest on a tie, and a sequence whose
-    distances are all zero gives (1, True).
+    Distances come from the gram matrix of the sequence's distinct items.
     """
     items = np.asarray(items)
-    T = len(items)
     uniq, inv = np.unique(items, return_inverse=True)
     vecs = np.asarray(item_vectors, dtype=float)[uniq]
     gram = vecs @ vecs.T
     sq = np.diag(gram)
     d2 = sq[:, None] + sq[None, :] - 2.0 * gram
     np.maximum(d2, 0.0, out=d2)
-    dist = np.sqrt(d2)[np.ix_(inv, inv)]
+    return best_split(np.sqrt(d2)[np.ix_(inv, inv)])
+
+
+def best_split(dist):
+    """The split of one sequence from its T x T distance matrix: it maximizes
+    the mean between-segment distance minus the mean within-segment distance,
+    the earliest on a tie, and a sequence whose distances are all zero gives
+    (1, True).  Prefix sums run along the rows, then along the columns, as in
+    sliding_window_detect_all, so both give the same bits."""
     if dist.max() == 0.0:
         return 1, True
+    T = len(dist)
     ps = np.zeros((T + 1, T + 1))
     ps[1:, 1:] = dist.cumsum(axis=0).cumsum(axis=1)
     t = np.arange(1, T)
@@ -64,6 +70,17 @@ def sliding_window_reference(items, item_vectors):
     intra_mean = np.divide((left + right) / 2.0, intra_pairs, out=np.zeros_like(n1), where=intra_pairs > 0)
     objective = cross / (n1 * n2) - intra_mean
     return int(t[np.argmax(objective)]), False
+
+
+def switch_points(model, items, path, k):
+    """(predicted, scores) of one decoded path: the steps where the state
+    changes, scored by trans[previous, new] * emit[new, item], the k best in
+    step order, the earliest step on a score tie."""
+    path, items = np.asarray(path), np.asarray(items)
+    switches = np.flatnonzero(path[1:] != path[:-1]) + 1
+    scores = model.trans[path[switches - 1], path[switches]] * model.emit[path[switches], items[switches]]
+    keep = np.sort(np.lexsort((switches, -scores))[:k])
+    return switches[keep].tolist(), scores[keep].tolist()
 
 
 def ranking_walk(recommended, truth, n_grid) -> list[tuple[float, float, float]]:

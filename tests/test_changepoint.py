@@ -5,6 +5,7 @@ import pytest
 
 from driftrec.changepoint import (
     ChangePointResult,
+    _distance_table,
     build_segmented_matrix,
     cooccurrence_item_vectors,
     cusum_detect,
@@ -21,7 +22,7 @@ from driftrec.changepoint import (
 from driftrec.hmm import HmmModel, InteractionSequence, viterbi_decode
 
 from conftest import brute_force_best_path, random_model, two_state_disjoint_model
-from oracles import sliding_window_reference
+from oracles import best_split, sliding_window_reference, switch_points
 
 
 def seq(items, user="u", truth=None):
@@ -143,6 +144,30 @@ class TestHmcdDetect:
             for i in range(40)
         ]
         assert hmcd_detect_all(model, corpus, k=k) == [hmcd_detect(model, s, k=k) for s in corpus]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_batch_matches_the_per_sequence_oracle(self, k):
+        """Each result is the oracle's scoring of the path the sequence decodes
+        to alone, in corpus order.  Under the disjoint model every switch
+        scores the same, so a sequence with more than k switches keeps its
+        earliest k; length-1 and switchless sequences sit among the others."""
+        rng = np.random.default_rng(31)
+        corpus = []
+        for i in range(40):
+            blocks = rng.integers(1, 5, size=int(rng.integers(1, 7)))
+            corpus.append(seq(np.concatenate([rng.integers(0, 3, n) + 3 * (j % 2) for j, n in enumerate(blocks)]), f"b{i}"))
+        corpus += [seq([4], "one"), seq([1], "one-low"), seq([1, 2, 0, 1], "switchless")]
+        corpus = [corpus[i] for i in rng.permutation(len(corpus))]
+        tied = two_state_disjoint_model(3, 3)
+        for model in (tied, random_model(rng, 3, 6)):
+            results = hmcd_detect_all(model, corpus, k=k)
+            assert [r.user_id for r in results] == [s.user_id for s in corpus]
+            for s, r in zip(corpus, results):
+                assert (r.predicted, r.score_per_point) == switch_points(model, s.items, viterbi_decode(model, s).states, k)
+            reordered = hmcd_detect_all(model, corpus[::-1], k=k)
+            assert reordered == results[::-1]
+        every_switch = [r.score_per_point for r in hmcd_detect_all(tied, corpus, k=99)]
+        assert sum(len(v) > k for v in every_switch) > 10 and len({x for v in every_switch for x in v}) == 1
 
     def test_batch_rejects_bad_k_before_decoding(self):
         # the sequence is impossible under the model, so decoding would fail
@@ -485,6 +510,28 @@ class TestSlidingWindowBatch:
         expected = [sliding_window_reference(s.items, vectors) for s in corpus]
         assert sliding_window_detect_all(corpus, vectors) == expected
         assert expected[196] == (1, True)
+
+    def test_length_groups_match_the_per_sequence_oracle(self):
+        """Several sequences per length, a flat sequence in a group of non-flat
+        ones, length-2 sequences, and a length-300 group that spans three
+        blocks of at most 2**18 distances.  Integer vectors make every
+        distance exact, so the flat sequences' distances are exactly zero."""
+        rng = np.random.default_rng(37)
+        vectors = rng.integers(-3, 4, size=(40, 4)).astype(float)
+        vectors[30:] = vectors[30]
+        lengths = [2] * 5 + [7] * 6 + [300] * 5 + [25] * 4
+        corpus = [seq(rng.integers(0, 30, size=n), user=f"u{i}") for i, n in enumerate(lengths)]
+        corpus += [seq(rng.integers(30, 40, size=7), user="flat"), seq([31, 35], user="flat-pair")]
+        corpus = [corpus[i] for i in rng.permutation(len(corpus))]
+        uniq = np.unique(np.concatenate([s.items for s in corpus]))
+        dist = _distance_table(vectors, uniq)
+        expected = []
+        for s in corpus:
+            pos = np.searchsorted(uniq, s.items)
+            expected.append(best_split(dist[np.ix_(pos, pos)]))
+        assert sliding_window_detect_all(corpus, vectors) == expected
+        flat = {s.user_id: split for s, split in zip(corpus, expected) if split[1]}
+        assert flat == {"flat": (1, True), "flat-pair": (1, True)}
 
     def test_batch_of_one_equals_the_reference(self):
         corpus, vectors = sliding_window_corpus()

@@ -278,6 +278,19 @@ class TestViterbiBatch:
             assert path.log_joint == log_joint
         self._each_alone_matches_the_batch(model, corpus)
 
+    def test_sequences_ending_at_every_step_match_the_scalar_recursion(self):
+        # two sequences end at each step, so every backtrack step picks up
+        # final states, and the packed order differs from the corpus order
+        rng = np.random.default_rng(71)
+        model = random_model(rng, 4, 6)
+        lengths = rng.permutation(np.repeat(np.arange(1, 16), 2))
+        corpus = [seq(rng.integers(0, 6, size=int(n)), user=f"u{i}") for i, n in enumerate(lengths)]
+        for s, path in zip(corpus, viterbi_decode_all(model, corpus)):
+            states, log_joint = _scalar_viterbi(model, s.items)
+            assert path.states.tolist() == states.tolist()
+            assert path.log_joint == log_joint
+        self._each_alone_matches_the_batch(model, corpus)
+
     def test_impossible_sequence_is_named(self):
         model = HmmModel(pi=[1.0, 0.0], trans=np.eye(2), emit=np.eye(2))
         # the first impossible sequence in corpus order is named, although

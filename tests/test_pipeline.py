@@ -443,6 +443,21 @@ def test_train_and_detect_start_their_longest_jobs_first(tmp_path, monkeypatch):
     assert [data_rows(path)[0][4] != "-" for path in tables] == [True, True, False, False, False]
 
 
+def test_fit_starts_its_longest_job_first(tmp_path, monkeypatch):
+    """Fit starts BPR-MF, then the NMF fits in label order.  Only the start
+    order changes: the factor files still come back in label order."""
+    cfg = small_config(tmp_path / "out", mixed_count=12, hidden_state_counts=[2, 5], bpr_epochs=2)
+    use_cpus(monkeypatch, 1)
+    for stage in (cmd_synthesize, cmd_train, cmd_detect):
+        stage(cfg)
+    started = []
+    job = driftrec.pipeline._fit_one
+    monkeypatch.setattr(driftrec.pipeline, "_fit_one", lambda shared, *args: started.append(args[0]) or job(shared, *args))
+    paths = cmd_fit(cfg)
+    assert started == ["BPR-MF", "SMF-S2", "SMF-S5", "NMF"]
+    assert [path.name for path in paths] == ["factors_smf_s2.json", "factors_smf_s5.json", "factors_nmf.json", "factors_bpr.json"]
+
+
 def test_a_workers_error_is_raised_as_inline(cli_run, tmp_path, monkeypatch, capsys):
     """A job that fails on a worker raises what it raises inline: fit's job
     over a stale detection table, detect's second HMCD job over a

@@ -21,6 +21,7 @@ from driftrec import (
     FactorPair,
     TrainConfig,
     baum_welch_train,
+    cusum_detect,
     hmcd_detect_all,
     load_corpus,
     load_factors,
@@ -28,6 +29,7 @@ from driftrec import (
     ndcg_time_aware,
     partition,
     precision_recall_at,
+    random_partition,
     rank_by_scores,
     recommend_from_segments,
     save_factors,
@@ -72,6 +74,8 @@ CASES = {
     "FactorizationConfig.max_iters-float": (lambda: FactorizationConfig(max_iters=3.0), "max_iters"),
     "hmcd_detect_all.k-float": (lambda: hmcd_detect_all(model(), [seq()], k=1.5), "k"),
     "tune_cusum_threshold.grid_size-bool": (lambda: tune_cusum_threshold([seq(truth=2)], grid_size=True), "grid_size"),
+    "random_partition.rng_seed-negative": (lambda: random_partition(seq(), -1), "rng_seed"),
+    "random_partition.rng_seed-float": (lambda: random_partition(seq(), 1.5), "rng_seed"),
     "score_by_segment.l-bool": (lambda: score_by_segment(factors(), [0], l=True), "l"),
     "recommend_from_segments.l-zero": (
         lambda: recommend_from_segments(factors(), [[0]], [0], np.ones(4), l=0), "l"
@@ -95,6 +99,7 @@ CASES = {
     "FactorizationConfig.convergence_tol-nan": (lambda: FactorizationConfig(convergence_tol=NAN), "convergence_tol"),
     "FactorizationConfig.regularization-bool": (lambda: FactorizationConfig(regularization=False), "regularization"),
     "ExperimentConfig.hmm_tol-nan": (lambda: ExperimentConfig(corpus="c", out_dir="o", hmm_tol=NAN), "hmm_tol"),
+    "cusum_detect.tau-nan": (lambda: cusum_detect(seq(), NAN), "tau"),
     # item indices
     "InteractionSequence.items-fractional": (lambda: seq([0, 0.5]), "items"),
     "MixedSequence.items-negative": (lambda: mixed(items=[3, -1, 2]), "items"),
