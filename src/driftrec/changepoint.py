@@ -84,12 +84,19 @@ def hmcd_detect_all(
     after = states[at]
     scores = model.trans[before, after] * model.emit[after, items[at]]
     owner = bounds[1:].searchsorted(at, "right")
-    # by sequence, then score descending; lexsort is stable, so ties keep the earliest
-    # step.  A ranked switch is among its sequence's first k when the one k places
-    # before it belongs to another sequence.
-    ranked = np.lexsort((-scores, owner))
-    keep = np.concatenate((ranked[:k], ranked[k:][owner[k:] != owner[:-k]]))
-    keep.sort()
+    # k rounds of a max over each sequence's switches, which run grouped by
+    # sequence: a round keeps, per sequence with switches left, the earliest
+    # switch of the highest score left (the first hit at or after the group's
+    # start) and marks it -1, as scores are nonnegative
+    count = np.bincount(owner)
+    count = count[count > 0]
+    first = count.cumsum() - count
+    left = scores.copy()
+    for _ in range(min(k, count.max(initial=0))):
+        best = np.maximum.reduceat(left, first)
+        hit = np.flatnonzero(left == best.repeat(count))
+        left[hit[hit.searchsorted(first[best >= 0])]] = -1.0
+    keep = np.flatnonzero(left < 0)
     owner = owner[keep]
     cuts = owner.searchsorted(np.arange(len(corpus) + 1)).tolist()
     points = (at[keep] - bounds[owner]).tolist()

@@ -382,11 +382,11 @@ def _init_params(corpus, h, m, cfg):
         r = int(rng.integers(0, len(items) - w + 1))
         cands[c] = np.bincount(items[r : r + w], minlength=m)
         cands[c] /= cands[c].sum()
-    chosen = [0]
+    # nearest[c]: candidate c's distance to the closest chosen one, -inf once chosen
+    chosen, nearest = [0], np.full(n_cand, np.inf)
     while len(chosen) < h:
-        dist = np.linalg.norm(cands[:, None, :] - cands[chosen][None, :, :], axis=2)
-        nearest = dist.min(axis=1)
-        nearest[chosen] = -np.inf
+        np.minimum(nearest, np.linalg.norm(cands - cands[chosen[-1]], axis=1), out=nearest)
+        nearest[chosen[-1]] = -np.inf
         chosen.append(int(np.argmax(nearest)))
     emit = cands[chosen] + 0.5 * freq[None, :] + 0.1 * rng.dirichlet(np.ones(m), size=h)
     emit /= emit.sum(axis=1, keepdims=True)
@@ -412,35 +412,66 @@ def _pack_corpus(corpus, m):
     return order, start, obs
 
 
-def _forward(pi, trans, emit, start, obs):
+def _block_views(buf, start, h):
+    """Each step's live (h, n_t) view of a flat buffer in the E-step's
+    block layout.
+
+    Step t's n_t = start[t + 1] - start[t] live cells take a contiguous
+    (h, max(n_t, 2)) block, blocks in step order, and the view is its first
+    n_t columns, so the recursions run on contiguous arrays rather than on
+    strided column ranges of one (h, cells) array.  A step with one live
+    cell keeps a second, unused column, so the (h, 1) operand that the next
+    step hands to matmul stays strided, as a column of an (h, cells) array
+    is: matmul passes an (h, 1) operand to gemv, which gives other bits for
+    a contiguous vector.
+    """
+    views, at = [], 0
+    for n in np.diff(start).tolist():
+        w = max(n, 2)
+        views.append(buf[at : at + h * w].reshape(h, w)[:, :n])
+        at += h * w
+    return views
+
+
+def _emission_keys(start, obs, h, m):
+    """The flat int64 key array of a packed corpus in _block_views' layout:
+    live entry (z, j) of step t's block has key z * m + obs[start[t] + j],
+    the index of emit[z, item] in emit.ravel(), and an unused column has
+    key h * m."""
+    keys = np.full(h * int(np.maximum(np.diff(start), 2).sum()), h * m)
+    rows = m * np.arange(h)[:, None]
+    for t, k in enumerate(_block_views(keys, start, h)):
+        np.add(rows, obs[start[t] : start[t + 1]], out=k)
+    return keys
+
+
+def _forward(pi, trans, alpha, start):
     """Scaled forward recursion (Rabiner, 1989) over a packed corpus.
 
-    Returns alpha, shape (h, cells), with every cell normalized to sum to
-    1; the scale of each cell; and each sorted sequence's log-likelihood,
-    -inf when it has zero probability.  From the step where a sequence's
-    probability vanishes, its alpha is zero and its scales are 1, so it
-    adds nothing to expected counts.
+    alpha holds _block_views' view of each step and enters holding every
+    state's probability of emitting each live cell's item; it is turned in
+    place into the forward variables, every cell normalized to sum to 1.
+    Returns the scale of each cell and each sorted sequence's
+    log-likelihood, -inf when it has zero probability.  From the step where
+    a sequence's probability vanishes, its alpha is zero and its scales are
+    1, so it adds nothing to expected counts.
     """
-    alpha = np.take(emit, obs, axis=1)
-    scale = np.empty(len(obs))
-    for t in range(len(start) - 1):
-        lo, hi = start[t], start[t + 1]
-        a = alpha[:, lo:hi]
-        if t == 0:
-            a *= pi[:, None]
-        else:
-            a *= trans.T @ alpha[:, start[t - 1] : start[t - 1] + hi - lo]
+    bounds = start.tolist()
+    scale = np.empty(bounds[-1])
+    for t, a in enumerate(alpha):
+        lo, hi = bounds[t], bounds[t + 1]
+        a *= pi[:, None] if t == 0 else trans.T @ alpha[t - 1][:, : hi - lo]
         c = a.sum(axis=0)
         scale[lo:hi] = c
         c[c == 0.0] = 1.0
         a /= c
     with np.errstate(divide="ignore"):
         log_scale = np.log(scale)
-    log_lik = np.zeros(start[1])
-    for t in range(len(start) - 1):
-        log_lik[: start[t + 1] - start[t]] += log_scale[start[t] : start[t + 1]]
+    log_lik = np.zeros(bounds[1])
+    for lo, hi in zip(bounds, bounds[1:]):
+        log_lik[: hi - lo] += log_scale[lo:hi]
     scale[scale == 0.0] = 1.0
-    return alpha, scale, log_lik
+    return scale, log_lik
 
 
 def baum_welch_train(
@@ -455,6 +486,11 @@ def baum_welch_train(
     The E-step runs the scaled forward-backward recursions batched across
     all sequences of a packed, length-sorted corpus that stores no padding,
     with sums accumulated in a fixed order so training is bit-reproducible.
+    It keeps each step's cells as one contiguous block of a flat buffer
+    (see _block_views), allocated once per call and refilled in place
+    every iteration, and re-gathers a step's emissions for the backward
+    pass from the same keys that fill the buffer and bin the M-step's
+    emission counts.
     A small emission pseudo-count keeps every emission probability strictly
     positive.
 
@@ -474,25 +510,38 @@ def baum_welch_train(
     pi, trans, emit = _init_params(corpus, h, m, cfg)
     floor = cfg.emission_floor / m
 
+    # the flat buffer holds each iteration's emissions, then alpha, then gamma
+    keys = _emission_keys(start, obs, h, m)
+    gamma = np.empty(len(keys))
+    alpha, key_blocks = _block_views(gamma, start, h), _block_views(keys, start, h)
+    weighted_buf, beta_buf = np.empty((2, h * start[1]))
+    bounds = start.tolist()
     history: list[float] = []
     for _ in range(cfg.max_iters):
-        gamma, scale, log_lik = _forward(pi, trans, emit, start, obs)
+        emit.take(keys, out=gamma, mode="clip")
+        scale, log_lik = _forward(pi, trans, alpha, start)
         history.append(float(log_lik.sum()))
 
         # backward pass with the same scaling constants, keeping beta for one
         # step: it adds step t's expected transitions and turns alpha into gamma
-        beta = np.ones((h, start[t_max] - start[t_max - 1]))
+        beta = beta_buf[: h * (bounds[t_max] - bounds[t_max - 1])].reshape(h, -1)
+        beta[...] = 1.0
         xi = np.zeros((h, h))
         for t in range(t_max - 2, -1, -1):
-            lo, mid, hi = start[t], start[t + 1], start[t + 2]
-            weighted = np.take(emit, obs[mid:hi], axis=1) * beta / scale[mid:hi]
-            xi += gamma[:, lo : lo + hi - mid] @ weighted.T
-            gamma[:, mid:hi] *= beta
-            beta = np.ones((h, mid - lo))
+            lo, mid, hi = bounds[t], bounds[t + 1], bounds[t + 2]
+            weighted = weighted_buf[: h * (hi - mid)].reshape(h, hi - mid)
+            emit.take(key_blocks[t + 1], out=weighted, mode="clip")
+            weighted *= beta
+            weighted /= scale[mid:hi]
+            xi += alpha[t][:, : hi - mid] @ weighted.T
+            alpha[t + 1] *= beta
+            # step t's beta: 1 where a sequence ends at t
+            beta = beta_buf[: h * (mid - lo)].reshape(h, mid - lo)
+            beta[:, hi - mid :] = 1.0
             beta[:, : hi - mid] = trans @ weighted
-        gamma[:, : start[1]] *= beta
+        alpha[0] *= beta
 
-        pi = gamma[:, : start[1]].sum(axis=1)
+        pi = alpha[0].sum(axis=1)
         pi /= pi.sum()
         trans_num = trans * xi
         # row sums of the expected transition counts are the state occupancies
@@ -503,7 +552,9 @@ def baum_welch_train(
             safe[:, None], trans_num / np.where(safe, trans_den, 1.0)[:, None], trans
         )
         trans /= trans.sum(axis=1, keepdims=True)
-        emit_num = np.stack([np.bincount(obs, weights=g, minlength=m) for g in gamma])
+        # each (state, item) bin adds its cells' gamma in packed cell order, as
+        # per-state bincounts over the packed corpus do; unused columns go to bin h * m
+        emit_num = np.bincount(keys, weights=gamma, minlength=h * m + 1)[: h * m].reshape(h, m)
         emit = (emit_num + floor) / (emit_num.sum(axis=1) + floor * m)[:, None]
         emit /= emit.sum(axis=1, keepdims=True)
 
@@ -524,7 +575,9 @@ def total_log_likelihood(model: HmmModel, corpus: list[InteractionSequence]) -> 
     if not corpus:
         return 0.0
     order, start, obs = _pack_corpus(corpus, model.num_items)
-    log_lik = _forward(model.pi, model.trans, model.emit, start, obs)[2]
+    h = model.num_states
+    alpha = _block_views(model.emit.take(_emission_keys(start, obs, h, model.num_items), mode="clip"), start, h)
+    log_lik = _forward(model.pi, model.trans, alpha, start)[1]
     return sum(log_lik[np.argsort(order)].tolist())
 
 

@@ -72,12 +72,16 @@ def neighbor_order(vectors: np.ndarray, width: int) -> np.ndarray:
 
     Row i ranks all items by descending vectors[i] . vectors[j], ties by
     ascending j (a stable sort).  The similarities are formed _BLOCK_ROWS
-    rows at a time, so the m x m product is never held whole.
+    rows at a time into one buffer, so the m x m product is never held
+    whole and each block reuses the same memory.
     """
     m = len(vectors)
     table = np.empty((m, width), dtype=np.int16 if m < 2**15 else np.int32)
+    product = np.empty((min(m, _BLOCK_ROWS), m))
     for lo in range(0, m, _BLOCK_ROWS):
-        table[lo : lo + _BLOCK_ROWS] = _stable_prefix(-(vectors[lo : lo + _BLOCK_ROWS] @ vectors.T), width)
+        key = product[: min(m - lo, _BLOCK_ROWS)]
+        np.matmul(vectors[lo : lo + _BLOCK_ROWS], vectors.T, out=key)
+        table[lo : lo + _BLOCK_ROWS] = _stable_prefix(np.negative(key, out=key), width)
     return table
 
 

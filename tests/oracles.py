@@ -1,14 +1,17 @@
-"""Scalar references that the batched library code is checked against: the
-per-triple pairwise-ranking loss and gradient behind bpr_fit's level updates,
-the per-sequence sliding-window split behind sliding_window_detect_all, the
-per-sequence switch scoring behind hmcd_detect_all, and the per-user ranking
-walk behind the evaluation module's array metrics."""
+"""References that the library code is checked against: the per-triple
+pairwise-ranking loss and gradient behind bpr_fit's level updates, the
+per-sequence sliding-window split behind sliding_window_detect_all, the
+per-sequence switch scoring behind hmcd_detect_all, the per-user ranking
+walk behind the evaluation module's array metrics, and the E-step on one
+(h, cells) array and the all-pairs farthest-point start behind
+baum_welch_train, which must give the same bits."""
 
 import math
 
 import numpy as np
 
 from driftrec.evaluation import _ideal_dcg
+from driftrec.hmm import _pack_corpus
 
 
 def sigmoid(x: float) -> float:
@@ -101,3 +104,103 @@ def ranking_walk(recommended, truth, n_grid) -> list[tuple[float, float, float]]
         dcg.append(gain)
     at = [min(N, len(hits) - 1) for N in n_grid]
     return [(hits[k] / N, hits[k] / L, dcg[k] / _ideal_dcg(L, min(N, L))) for N, k in zip(n_grid, at)]
+
+
+def init_params_reference(corpus, h, m, cfg):
+    """hmm._init_params with the farthest-point selection computed from
+    every candidate's distance to every chosen one, an (n_cand, chosen, m)
+    array per round."""
+    rng = np.random.default_rng(cfg.seed)
+    pi = np.full(h, 1.0 / h)
+    trans = np.full((h, h), 1.0 / h) + 0.25 * rng.dirichlet(np.ones(h), size=h)
+    trans /= trans.sum(axis=1, keepdims=True)
+    freq = np.bincount(np.concatenate([seq.items for seq in corpus]), minlength=m).astype(float)
+    freq /= freq.sum()
+    n_cand = max(8, 4 * h)
+    cands = np.zeros((n_cand, m))
+    for c in range(n_cand):
+        items = corpus[int(rng.integers(len(corpus)))].items
+        w = min(10, len(items))
+        r = int(rng.integers(0, len(items) - w + 1))
+        cands[c] = np.bincount(items[r : r + w], minlength=m)
+        cands[c] /= cands[c].sum()
+    chosen = [0]
+    while len(chosen) < h:
+        dist = np.linalg.norm(cands[:, None, :] - cands[chosen][None, :, :], axis=2)
+        nearest = dist.min(axis=1)
+        nearest[chosen] = -np.inf
+        chosen.append(int(np.argmax(nearest)))
+    emit = cands[chosen] + 0.5 * freq[None, :] + 0.1 * rng.dirichlet(np.ones(m), size=h)
+    emit /= emit.sum(axis=1, keepdims=True)
+    return pi, trans, emit
+
+
+def packed_forward(pi, trans, emit, start, obs):
+    """The scaled forward recursion on one (h, cells) array in packed cell
+    order, each step a strided column range of it: alpha, each cell's scale
+    (1 where it is 0) and each sorted sequence's log-likelihood."""
+    alpha = np.take(emit, obs, axis=1)
+    scale = np.empty(len(obs))
+    for t in range(len(start) - 1):
+        lo, hi = start[t], start[t + 1]
+        a = alpha[:, lo:hi]
+        if t == 0:
+            a *= pi[:, None]
+        else:
+            a *= trans.T @ alpha[:, start[t - 1] : start[t - 1] + hi - lo]
+        c = a.sum(axis=0)
+        scale[lo:hi] = c
+        c[c == 0.0] = 1.0
+        a /= c
+    with np.errstate(divide="ignore"):
+        log_scale = np.log(scale)
+    log_lik = np.zeros(start[1])
+    for t in range(len(start) - 1):
+        log_lik[: start[t + 1] - start[t]] += log_scale[start[t] : start[t + 1]]
+    scale[scale == 0.0] = 1.0
+    return alpha, scale, log_lik
+
+
+def packed_log_likelihood(model, corpus):
+    """total_log_likelihood from packed_forward."""
+    order, start, obs = _pack_corpus(corpus, model.num_items)
+    log_lik = packed_forward(model.pi, model.trans, model.emit, start, obs)[2]
+    return sum(log_lik[np.argsort(order)].tolist())
+
+
+def packed_baum_welch(corpus, h, cfg, m):
+    """baum_welch_train's EM from init_params_reference, with the E-step on
+    one (h, cells) array: gamma from packed_forward's alpha, per-step
+    emissions gathered afresh for the backward pass, and per-state emission
+    bincounts over the packed corpus.  Returns (pi, trans, emit, history)."""
+    _, start, obs = _pack_corpus(corpus, m)
+    t_max = len(start) - 1
+    pi, trans, emit = init_params_reference(corpus, h, m, cfg)
+    floor = cfg.emission_floor / m
+    history = []
+    for _ in range(cfg.max_iters):
+        gamma, scale, log_lik = packed_forward(pi, trans, emit, start, obs)
+        history.append(float(log_lik.sum()))
+        beta = np.ones((h, start[t_max] - start[t_max - 1]))
+        xi = np.zeros((h, h))
+        for t in range(t_max - 2, -1, -1):
+            lo, mid, hi = start[t], start[t + 1], start[t + 2]
+            weighted = np.take(emit, obs[mid:hi], axis=1) * beta / scale[mid:hi]
+            xi += gamma[:, lo : lo + hi - mid] @ weighted.T
+            gamma[:, mid:hi] *= beta
+            beta = np.ones((h, mid - lo))
+            beta[:, : hi - mid] = trans @ weighted
+        gamma[:, : start[1]] *= beta
+        pi = gamma[:, : start[1]].sum(axis=1)
+        pi /= pi.sum()
+        trans_num = trans * xi
+        trans_den = trans_num.sum(axis=1)
+        safe = trans_den > 0
+        trans = np.where(safe[:, None], trans_num / np.where(safe, trans_den, 1.0)[:, None], trans)
+        trans /= trans.sum(axis=1, keepdims=True)
+        emit_num = np.stack([np.bincount(obs, weights=g, minlength=m) for g in gamma])
+        emit = (emit_num + floor) / (emit_num.sum(axis=1) + floor * m)[:, None]
+        emit /= emit.sum(axis=1, keepdims=True)
+        if len(history) >= 2 and (history[-1] - history[-2]) / max(1.0, abs(history[-2])) < cfg.log_lik_tol:
+            break
+    return pi, trans, emit, history

@@ -150,7 +150,9 @@ class TestHmcdDetect:
         """Each result is the oracle's scoring of the path the sequence decodes
         to alone, in corpus order.  Under the disjoint model every switch
         scores the same, so a sequence with more than k switches keeps its
-        earliest k; length-1 and switchless sequences sit among the others."""
+        earliest k; under the quantized model scores take few values, so ties
+        fall among untied scores; length-1 and switchless sequences sit among
+        the others."""
         rng = np.random.default_rng(31)
         corpus = []
         for i in range(40):
@@ -159,7 +161,14 @@ class TestHmcdDetect:
         corpus += [seq([4], "one"), seq([1], "one-low"), seq([1, 2, 0, 1], "switchless")]
         corpus = [corpus[i] for i in rng.permutation(len(corpus))]
         tied = two_state_disjoint_model(3, 3)
-        for model in (tied, random_model(rng, 3, 6)):
+        quantized = HmmModel(
+            pi=[0.5, 0.25, 0.25],
+            trans=[[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]],
+            emit=[np.roll([0.25, 0.25, 0.125, 0.125, 0.125, 0.125], 2 * z) for z in range(3)],
+        )
+        scored = [r.score_per_point for r in hmcd_detect_all(quantized, corpus, k=99)]
+        assert any(len(set(v)) < len(v) and len(set(v)) > 1 for v in scored)
+        for model in (tied, quantized, random_model(rng, 3, 6)):
             results = hmcd_detect_all(model, corpus, k=k)
             assert [r.user_id for r in results] == [s.user_id for s in corpus]
             for s, r in zip(corpus, results):

@@ -28,6 +28,7 @@ from conftest import (
     random_model,
     two_state_disjoint_model,
 )
+from oracles import init_params_reference, packed_baum_welch, packed_log_likelihood
 
 
 def seq(items, user="u", truth=None):
@@ -505,6 +506,67 @@ class TestBaumWelch:
         finally:
             tracemalloc.stop()
         assert peak < 20 * 2**20
+
+    @pytest.mark.parametrize("h", [1, 2, 10])
+    @pytest.mark.parametrize(
+        "lengths",
+        [list(range(1, 31)), [14, 9, 9, 6, 3, 1, 1], [17] * 8],
+        ids=["one-ends-at-every-step", "longest-alone-for-5-steps", "equal"],
+    )
+    def test_matches_the_packed_array_e_step_bit_for_bit(self, h, lengths):
+        # a step with one live cell is where a contiguous (h, 1) operand would
+        # send matmul's gemv down another path; every bit must still match
+        rng = np.random.default_rng(len(lengths) + h)
+        m = 7
+        corpus = [seq(rng.integers(0, m, size=n), user=f"u{i}") for i, n in enumerate(lengths)]
+        corpus = [corpus[i] for i in rng.permutation(len(corpus))]
+        cfg = TrainConfig(max_iters=8, log_lik_tol=0.0, seed=h)
+        model, history = baum_welch_train(corpus, h, cfg, num_items=m, return_history=True)
+        pi, trans, emit, want = packed_baum_welch(corpus, h, cfg, m)
+        for got, ref in ((model.pi, pi), (model.trans, trans), (model.emit, emit)):
+            assert got.tobytes() == ref.tobytes()
+        assert history == want
+        assert total_log_likelihood(model, corpus) == packed_log_likelihood(model, corpus)
+
+    def test_zero_probability_sequences_score_as_the_packed_forward(self):
+        # state 1 never returns to 0 and pi starts in 0, so [2, ...] and
+        # [0, 2, 0] are impossible; their scales are 1 from the step they die
+        model = HmmModel(
+            pi=[1.0, 0.0],
+            trans=[[0.5, 0.5], [0.0, 1.0]],
+            emit=[[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]],
+        )
+        corpus = [seq(items, user=f"u{i}") for i, items in enumerate(([0, 1, 2, 2], [2, 1], [0, 2, 0], [1], [0, 0, 1, 2, 1]))]
+        for part in (corpus, corpus[:1] + corpus[3:], *([s] for s in corpus)):
+            assert total_log_likelihood(model, part) == packed_log_likelihood(model, part)
+        assert total_log_likelihood(model, corpus) == float("-inf")
+
+    @pytest.mark.parametrize("h", [1, 2, 3, 5, 10, 20])
+    def test_init_matches_the_all_pairs_farthest_point_start(self, h):
+        # one- and two-item sequences give coinciding candidates, so distance ties occur
+        rng = np.random.default_rng(h)
+        corpus = [seq(rng.integers(0, 40, size=int(rng.integers(1, 30))), user=f"u{i}") for i in range(60)]
+        for s in range(5):
+            cfg = TrainConfig(seed=s)
+            for got, want in zip(hmm._init_params(corpus, h, 40, cfg), init_params_reference(corpus, h, 40, cfg)):
+                assert got.tobytes() == want.tobytes()
+
+    def test_wide_corpus_training_holds_two_cell_sized_arrays(self):
+        # with many items and long ragged sequences, training's traced peak is
+        # the E-step's flat buffer and its keys, h x cells 8-byte entries each,
+        # plus the packed corpus and the M-step; a third such array, or a
+        # start-up larger than them, breaks the bound
+        rng = np.random.default_rng(59)
+        m, h = 2000, 10
+        corpus = [seq(rng.integers(0, m, size=int(n)), user=f"u{i}") for i, n in enumerate(rng.integers(35, 141, size=300))]
+        cells = sum(len(s) for s in corpus)
+        tracemalloc.start()
+        try:
+            baum_welch_train(corpus, h, TrainConfig(max_iters=2, log_lik_tol=0.0, seed=1), num_items=m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * h * cells * 8
 
     def test_single_iteration_matches_path_enumeration_counts(self):
         # one M-step must reproduce the expected-count update computed by
