@@ -330,7 +330,7 @@ def cooccurrence_item_vectors(
     no one consumed keep a zero vector.
     """
     incidence = incidence_matrix(
-        [seq.items for seq in corpus], m, [f"user {seq.user_id!r}" for seq in corpus]
+        [seq.items for seq in corpus], _check_count("m", m), [f"user {seq.user_id!r}" for seq in corpus]
     )
     vectors = incidence.T.copy()
     norms = np.linalg.norm(vectors, axis=1)

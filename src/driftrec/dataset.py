@@ -147,7 +147,7 @@ def synthesize_mixed(
     first_ok = np.flatnonzero(lengths >= min_window)
     second_ok = np.flatnonzero(lengths >= min_window + HOLDOUT_SIZE)
     if pool_split is not None:
-        if not 1 <= pool_split < len(corpus.playlists):
+        if not _check_count("pool_split", pool_split) < len(corpus.playlists):
             raise ValueError("pool_split must split the corpus into two nonempty blocks")
         first_ok = first_ok[first_ok < pool_split]
         second_ok = second_ok[second_ok >= pool_split]

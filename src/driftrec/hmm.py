@@ -504,7 +504,7 @@ def baum_welch_train(
         raise ValueError("corpus must not be empty")
     _check_count("h", h)
     cfg = cfg or TrainConfig()
-    m = num_items if num_items is not None else int(max(seq.items.max() for seq in corpus)) + 1
+    m = _check_count("num_items", num_items) if num_items is not None else int(max(seq.items.max() for seq in corpus)) + 1
     _, start, obs = _pack_corpus(corpus, m)
     t_max = len(start) - 1
     pi, trans, emit = _init_params(corpus, h, m, cfg)

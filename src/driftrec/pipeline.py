@@ -6,6 +6,14 @@ and renders evaluation reports.  Stages communicate only through files in
 the output directory, so each can be rerun or inspected in isolation.
 Every artifact embeds the hash of the configuration that produced it plus
 the run seed, and reruns with the same configuration are byte-identical.
+
+manifest.tsv in the output directory records what each artifact was made
+from: its sha256 digest, the stage that wrote it and the digests of the
+artifacts that stage read.  Before its jobs start, a stage checks every
+artifact it will read against it, so a file edited by hand, or made from
+an input that has since changed, is refused by name with the stage to
+rerun.  What passes is byte for byte what its stage wrote from the current
+benchmark.tsv, so the readers below do not check it again.
 """
 
 from __future__ import annotations
@@ -35,7 +43,6 @@ from driftrec.changepoint import (
 )
 from driftrec.dataset import (
     HOLDOUT_SIZE,
-    _malformed,
     _read_table,
     load_benchmark,
     load_corpus,
@@ -43,15 +50,13 @@ from driftrec.dataset import (
     synthesize_mixed,
 )
 from driftrec.evaluation import _mean_metrics, _relevance, aggregate_cpd
-from driftrec.factorization import FactorizationConfig, FactorPair, bpr_fit, load_factors, nmf_fit, save_factors
+from driftrec.factorization import FactorizationConfig, bpr_fit, load_factors, nmf_fit, save_factors
 from driftrec.hmm import (
     HmmModel,
     TrainConfig,
     _check_count,
     _check_points,
     _check_real,
-    _index_array,
-    _joined,
     baum_welch_train,
     load_model,
     save_model,
@@ -59,7 +64,6 @@ from driftrec.hmm import (
 )
 from driftrec.recommend import (
     _BLOCK_ROWS,
-    Recommendation,
     _last_usable_segment,
     _list_popularity,
     _rank_block,
@@ -211,12 +215,6 @@ def _out(cfg: ExperimentConfig) -> tuple[Path, dict]:
     return out, provenance
 
 
-def _require(path: Path) -> Path:
-    if not path.exists():
-        raise FileNotFoundError(f"missing artifact: {path} (run the stage that produces it first)")
-    return path
-
-
 def _write_lines(path: Path, header: dict, lines) -> None:
     """A '# key=value ...' line from header (provenance first), then lines."""
     path.write_text("\n".join(["# " + " ".join(f"{k}={v}" for k, v in header.items()), *lines]) + "\n")
@@ -226,76 +224,88 @@ def _write_rows(path: Path, header: dict, columns, rows) -> None:
     _write_lines(path, header, ["# " + "\t".join(columns), *("\t".join(row) for row in rows)])
 
 
+# the stage that writes each kind of artifact a stage reads, by file name prefix
+_WRITERS = (
+    ("benchmark", "synthesize"), ("hmm", "train"), ("changepoints", "detect"), ("factors", "fit"),
+    ("recommendations", "recommend"),
+)
+
+
+def _digest(path: Path) -> str | None:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+
+
+def _manifest(out: Path) -> dict[str, list[str]] | None:
+    """manifest.tsv's rows, {artifact: [sha256, stage, inputs]}, or None when there is none."""
+    path = out / "manifest.tsv"
+    if not path.exists():
+        return None
+    (names, *cells), _ = _read_table(path, "manifest", 4)
+    return {name: list(row) for name, *row in zip(names, *cells)}
+
+
+def _verify(out: Path, names) -> dict[str, str]:
+    """The sha256 digest of each artifact named, checked against manifest.tsv.
+
+    Each artifact must exist (else a FileNotFoundError) and have a row, and
+    its digest must be the row's.  Then each artifact a row says its file
+    was made from must still have the digest recorded there.  Otherwise a
+    ValueError names the file and the stage to rerun: an edited file is
+    named before a stale one.  A stage calls this in its own process before
+    its jobs start, so a refusal reads the same at any CPU count.
+    """
+    manifest = _manifest(out)
+    digest = functools.cache(lambda name: _digest(out / name))
+    for name in names:
+        writer = next(stage for prefix, stage in _WRITERS if name.startswith(prefix))
+        if not (out / name).exists():
+            raise FileNotFoundError(f"missing artifact: {out / name} (run {writer} first)")
+        if manifest is None:
+            raise ValueError(f"manifest.tsv is missing from {out}, so {name} cannot be checked; rerun {writer}")
+        if name not in manifest:
+            raise ValueError(f"{name} has no row in manifest.tsv; rerun {writer}")
+        recorded, stage, _ = manifest[name]
+        if digest(name) != recorded:
+            raise ValueError(f"{name} is not the file {stage} wrote (its sha256 differs from manifest.tsv's); rerun {stage}")
+    # every file is as its stage wrote it; was each made from the current files?
+    for name in names:
+        _, stage, inputs = manifest[name]
+        for source, _, was in (pair.partition("=") for pair in inputs.split(",") if inputs != "-"):
+            if digest(source) != was:
+                raise ValueError(f"{name} was made from another {source}; rerun {stage}")
+    return {name: digest(name) for name in names}
+
+
+def _record(out: Path, stage: str, paths, inputs: dict[str, str]) -> None:
+    """Put a row for each of paths, written by stage from inputs (digests by
+    name), into manifest.tsv, replacing the row it had; rows are sorted by name."""
+    rows = _manifest(out) or {}
+    made_from = ",".join(f"{name}={inputs[name]}" for name in sorted(inputs)) or "-"
+    for path in paths:
+        rows[path.name] = [_digest(path), stage, made_from]
+    lines = ["# artifact\tsha256\tstage\tinputs", *("\t".join([name, *rows[name]]) for name in sorted(rows))]
+    (out / "manifest.tsv").write_text("\n".join(lines) + "\n")
+
+
 def _load_sequences(out: Path):
-    """benchmark.tsv's records and num_items; an item of a record's items or
-    holdout outside [0, num_items) is refused, naming the user."""
-    path = _require(out / "benchmark.tsv")
-    mixed, meta = load_benchmark(path)
-    if not meta.get("num_items", "").isdigit():
-        raise ValueError(f"{path}: header lacks an integer num_items")
-    m = int(meta["num_items"])
-    # one check of every items array, then every holdout
-    arrays = [mx.items for mx in mixed] + [mx.holdout for mx in mixed]
-    n = len(mixed)
-    _index_array(*_joined(arrays, lambda r: f"{path.name}: user {mixed[r % n].user_id!r} {('items', 'holdout')[r // n]}"), m)
-    return mixed, m
+    """benchmark.tsv's records and num_items."""
+    mixed, meta = load_benchmark(out / "benchmark.tsv")
+    return mixed, int(meta["num_items"])
 
 
-def _check_users(path: Path, listed: list[str], expected: list[str], lines: list[int]) -> None:
-    """Reject a table whose users, in its order, are not expected, naming the
-    first user it lacks, else the first it should not have, else one out of place."""
-    if listed == expected:
-        return
-    listed_set, expected_set = set(listed), set(expected)
-    missing = [u for u in expected if u not in listed_set]
-    extra = [u for u in listed if u not in expected_set]
-    if missing or extra:
-        what = f"lacks user {missing[0]!r} of" if missing else f"has user {extra[0]!r} not in"
-        raise ValueError(f"{path.name} {what} benchmark.tsv (stale artifact?)")
-    i = next((i for i, (user, due) in enumerate(zip(listed, expected)) if user != due), len(expected))
-    due = f"user {expected[i]!r}" if i < len(expected) else "no user"
-    raise ValueError(f"{path.name}:{lines[i]}: user {listed[i]!r} where {due} is due (users run in benchmark.tsv order)")
-
-
-def _read_changepoints(path: Path, seqs, k: int, interior: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """Every predicted point ('-' marks none) and the index in seqs of its
-    user, ascending within each.  The rows list the users of seqs once
-    each, in seqs order, as detect writes them.  Each row's T and truth must be
-    benchmark.tsv's, so a table detected on another benchmark is refused.
-    A row holds at most k points, as every detector writes.  Points must
-    ascend strictly within [1, T), where partition can split at them, or
-    within [0, T] when not interior: the RP baseline draws its split from
-    [0, T], and displacement scores any of them."""
-    (users, T_col, truth_col, predicted, _, _), lines = _read_table(path, "change-point", 6)
-    listed = [p for p in predicted if p != "-"]
-    try:
-        T, truth = (np.array(col, dtype=np.int64) for col in (T_col, truth_col))
-        points = np.array(",".join(listed).split(",") if listed else [], dtype=np.int64)
-    except (ValueError, OverflowError):
-        for line, *cells in zip(lines, T_col, truth_col, predicted):
-            try:
-                np.array(cells[:2] + ([] if cells[2] == "-" else cells[2].split(",")), dtype=np.int64)
-            except (ValueError, OverflowError) as exc:
-                raise _malformed(path, "change-point", line, exc) from None
-    _check_users(path, users, [seq.user_id for seq in seqs], lines)
+def _read_changepoints(path: Path, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every predicted point ('-' marks none) and the index of its row,
+    which is its user's index in benchmark.tsv, as detect writes the rows.
+    A row holds at most k points, as every detector writes for the k it
+    ran with; a row with more, detected under another config, is refused."""
+    (users, _, _, predicted, _, _), _ = _read_table(path, "change-point", 6)
     counts = np.array([0 if p == "-" else p.count(",") + 1 for p in predicted], dtype=np.int64)
-    row = np.repeat(np.arange(len(users)), counts)
-    bench_T, bench_truth = np.array([(len(seq), seq.truth_change) for seq in seqs], dtype=np.int64).reshape(-1, 2).T
-    lo, hi = (1, T - 1) if interior else (0, T)
-    # flag each row the row-by-row checks below refuse; they name its first defect
-    bad = (T != bench_T) | (truth != bench_truth) | (counts > k)
-    stray = (points < lo) | (points > hi[row])
-    stray[1:] |= (points[1:] <= points[:-1]) & (row[1:] == row[:-1])
-    bad[row[stray]] = True
-    for r in np.flatnonzero(bad):
-        user, facts, expected = users[r], (int(T[r]), int(truth[r])), (int(bench_T[r]), int(bench_truth[r]))
-        if expected != facts:
-            raise ValueError(f"{path.name}: user {user!r} has T, truth {facts}; benchmark.tsv has {expected}")
-        mine = points[row == r].tolist()
-        _check_points(f"{path.name}: user {user!r} points", mine, lo, int(hi[r]))
-        if len(mine) > k:
-            raise ValueError(f"{path.name}: user {user!r} has {len(mine)} points, more than k = {k}")
-    return points, row
+    if (counts > k).any():
+        r = int(np.argmax(counts > k))
+        raise ValueError(f"{path.name}: user {users[r]!r} has {counts[r]} points, more than k = {k}")
+    listed = [p for p in predicted if p != "-"]
+    points = np.array(",".join(listed).split(",") if listed else [], dtype=np.int64)
+    return points, np.repeat(np.arange(len(predicted)), counts)
 
 
 def _segments_by_user(out: Path, seqs, h: int, k: int) -> dict[str, list[np.ndarray]]:
@@ -304,7 +314,7 @@ def _segments_by_user(out: Path, seqs, h: int, k: int) -> dict[str, list[np.ndar
     Detectors may return fewer than k points (or none at all, flagged);
     trailing empty segments keep every user's row count identical.
     """
-    points, owner = _read_changepoints(_require(out / f"changepoints_HMCD-S{h}.tsv"), seqs, k)
+    points, owner = _read_changepoints(out / f"changepoints_HMCD-S{h}.tsv", k)
     cuts = np.split(points, np.searchsorted(owner, np.arange(1, len(seqs))))
     segments = {}
     for seq, cut in zip(seqs, cuts):
@@ -385,7 +395,9 @@ def cmd_synthesize(cfg: ExperimentConfig) -> list[Path]:
         ("index", "item_key"),
         [(str(i), key) for i, key in enumerate(corpus.item_keys)],
     )
-    return [out / "benchmark.tsv", out / "vocab.tsv"]
+    paths = [out / "benchmark.tsv", out / "vocab.tsv"]
+    _record(out, "synthesize", paths, {})
+    return paths
 
 
 def _train_one(shared, h: int, tc: TrainConfig) -> tuple[float, HmmModel]:
@@ -405,6 +417,7 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
     its E-steps cost the most.
     """
     out, provenance = _out(cfg)
+    inputs = _verify(out, ["benchmark.tsv"])
     seqs, m = _load_sequences(out)
     restarts = range(cfg.hmm_restarts)
     em = dict(max_iters=cfg.hmm_max_iters, log_lik_tol=cfg.hmm_tol)
@@ -422,6 +435,7 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
         path = out / f"hmm_s{h}.json"
         save_model(path, model, jobs[first + r][1], meta=dict(provenance, h=h, restart=r, log_likelihood=ll))
         paths.append(path)
+    _record(out, "train", paths, inputs)
     return paths
 
 
@@ -430,7 +444,7 @@ def _detect_one(shared, label: str) -> tuple[float | None, list]:
     for the others) and each sequence's (points, scores)."""
     cfg, out, seqs, m = shared
     if label.startswith("HMCD-S"):
-        model, _ = load_model(_require(out / f"hmm_s{label[6:]}.json"))
+        model, _ = load_model(out / f"hmm_s{label[6:]}.json")
         return None, [(res.predicted, res.score_per_point) for res in hmcd_detect_all(model, seqs, k=cfg.k)]
     if label == "CUSUM":
         tau = tune_cusum_threshold(seqs)
@@ -455,6 +469,7 @@ def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
     in detector order.
     """
     out, provenance = _out(cfg)
+    inputs = _verify(out, ["benchmark.tsv"] + [f"hmm_s{h}.json" for h in cfg.hidden_state_counts])
     seqs, m = _load_sequences(out)
     columns = ("user_id", "T", "truth", "predicted", "scores", "method")
     labels = cfg.detector_labels()
@@ -475,6 +490,7 @@ def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
         path = out / f"changepoints_{label}.tsv"
         _write_rows(path, provenance if tau is None else dict(provenance, tau=_fmt(tau)), columns, rows)
         paths.append(path)
+    _record(out, "detect", paths, inputs)
     return paths
 
 
@@ -502,19 +518,22 @@ def cmd_fit(cfg: ExperimentConfig) -> list[Path]:
     """Factorize the segmented matrices plus the raw matrix for the
     baselines, each factorization one job of _map_jobs."""
     out, provenance = _out(cfg)
-    seqs, m = _load_sequences(out)
     nmf = dict(d=cfg.d, max_iters=cfg.nmf_max_iters)
     jobs = [
         (f"SMF-S{h}", FactorizationConfig(**nmf, seed=stable_seed(cfg.seed, f"nmf:smf-s{h}")))
         for h in cfg.hidden_state_counts
         if f"SMF-S{h}" in cfg.methods
     ]
+    inputs = _verify(out, ["benchmark.tsv"] + [f"changepoints_HMCD-S{label[5:]}.tsv" for label, _ in jobs])
+    seqs, m = _load_sequences(out)
     if "NMF" in cfg.methods:
         jobs.append(("NMF", FactorizationConfig(**nmf, seed=stable_seed(cfg.seed, "nmf:raw"))))
     if "BPR-MF" in cfg.methods:
         jobs.append(("BPR-MF", FactorizationConfig(d=cfg.d, max_iters=cfg.bpr_epochs, seed=stable_seed(cfg.seed, "bpr"))))
     raw = _user_matrix(seqs, m) if {"NMF", "BPR-MF"} & set(cfg.methods) else None
-    return _map_jobs(_fit_one, jobs, (cfg, out, provenance, seqs, m, raw), key=_fit_start_order)
+    paths = _map_jobs(_fit_one, jobs, (cfg, out, provenance, seqs, m, raw), key=_fit_start_order)
+    _record(out, "fit", paths, inputs)
+    return paths
 
 
 def _fit_start_order(job) -> bool:
@@ -531,16 +550,6 @@ def _fit_start_order(job) -> bool:
     return job[0] != "BPR-MF"
 
 
-def _load_pair(path: Path, m: int, n: int | None = None) -> FactorPair:
-    """A factors file's pair, refused unless q has one row per item and, when
-    n is given, p one row per benchmark user."""
-    pair, _ = load_factors(_require(path))
-    for name, rows, want, what in (("q", len(pair.q), m, "items"), ("p", len(pair.p), n, "users")):
-        if want is not None and rows != want:
-            raise ValueError(f"{path.name}: {name} has {rows} rows; benchmark.tsv has {want} {what} (stale artifact?)")
-    return pair
-
-
 def _recommend_one(shared, label: str) -> Path:
     """Rank every user for ranker label, _BLOCK_ROWS users at a time, and
     write its recommendations file.  A block's scores are its users'
@@ -552,13 +561,9 @@ def _recommend_one(shared, label: str) -> Path:
     if label.startswith(("SMF-S", "HMMR-S")):
         h = int(label.partition("-S")[2])
         if label.startswith("SMF-S"):
-            factors = factors_from_pair(_load_pair(_factors_path(out, label), m), "nmf")
+            factors = factors_from_pair(load_factors(_factors_path(out, label))[0], "nmf")
         else:
-            path = _require(out / f"hmm_s{h}.json")
-            model, _ = load_model(path)
-            if model.num_items != m:
-                raise ValueError(f"{path.name}: num_items is {model.num_items}; benchmark.tsv has {m} (stale artifact?)")
-            factors = hmm_item_factors(model)
+            factors = hmm_item_factors(load_model(out / f"hmm_s{h}.json")[0])
         segments = segments_of[h]
         factors.reserve(cfg.l, segments.values())
         last = [_last_usable_segment(segments[seq.user_id]) for seq in seqs]
@@ -573,7 +578,7 @@ def _recommend_one(shared, label: str) -> Path:
             return np.broadcast_to(popularity, (b - a, m))
 
     else:
-        pair = _load_pair(_factors_path(out, label), m, len(seqs))
+        pair, _ = load_factors(_factors_path(out, label))
 
         def block(a, b):
             # one gemv per user, as p[u] @ q.T runs; a block's gemm may sum
@@ -609,72 +614,37 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     segments are read here, once, before the jobs start.
     """
     out, provenance = _out(cfg)
+    labels = cfg.ranker_labels()
+    segmented = [h for h in cfg.hidden_state_counts if {f"SMF-S{h}", f"HMMR-S{h}"} & set(labels)]
+    models = [
+        f"hmm_s{label[6:]}.json" if label.startswith("HMMR-S") else _factors_path(out, label).name
+        for label in labels
+        if label != "PopRank"
+    ]
+    inputs = _verify(out, ["benchmark.tsv", *(f"changepoints_HMCD-S{h}.tsv" for h in segmented), *models])
     seqs, m = _load_sequences(out)
     popularity = _list_popularity([seq.items for seq in seqs], m)
     # one read of each state count's detections, shared by its SMF and HMMR rankers
-    segments_of = {
-        h: _segments_by_user(out, seqs, h, cfg.k)
-        for h in cfg.hidden_state_counts
-        if {f"SMF-S{h}", f"HMMR-S{h}"} & set(cfg.methods)
-    }
-    jobs = [(label,) for label in cfg.ranker_labels()]
-    return _map_jobs(_recommend_one, jobs, (cfg, out, provenance, seqs, m, popularity, segments_of))
-
-
-def _read_recommendations(path: Path, seqs, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's user, as an index into seqs, its rank and its item, an
-    index in [0, m).  Each user's rows run together, users in seqs order, as
-    recommend writes them; a user who has seen every item has no run.  A
-    run must rank 1, 2, ... in file order, so a list is never scored out of
-    order, and form a valid Recommendation: finite scores that never rise,
-    and no repeated item.  The checks run on whole columns; on a defect,
-    the row-by-row and then run-by-run checks below name the first one,
-    and the users are checked last."""
-    (users, ranks, item_col, score_col), lines = _read_table(path, "recommendation", 4)
-    # a run starts at the first row and wherever the user changes; run[r] is row r's run
-    new = np.array([user != before for user, before in zip(users, [None, *users])], dtype=bool)
-    run = np.cumsum(new) - 1
-    starts = np.flatnonzero(new)
-    due = np.arange(len(users)) - starts[run] + 1
-    try:
-        items = np.array(item_col, dtype=np.int64)
-    except (ValueError, OverflowError):
-        items = None
-    if items is None or ranks != list(map(str, due.tolist())):
-        for line, user, rank, item, n in zip(lines, users, ranks, item_col, due.tolist()):
-            try:
-                np.array(item, dtype=np.int64)
-                if rank != str(n):
-                    raise ValueError(f"user {user!r} has rank {rank!r} where rank {n} is due")
-            except (ValueError, OverflowError) as exc:
-                raise _malformed(path, "recommendation", line, exc) from None
-    _index_array(items, lambda r: f"{path.name}: user {users[r]!r}", m)
-    try:
-        scores = np.array(score_col, dtype=float)
-    except ValueError:
-        scores = np.full(len(score_col), np.nan)  # refused below, as a NaN score is
-    keys = np.sort(run * m + items)
-    rising = (scores[1:] > scores[:-1]) & (run[1:] == run[:-1])
-    if not np.isfinite(scores).all() or (keys[1:] == keys[:-1]).any() or rising.any():
-        for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(users)]):
-            try:
-                Recommendation(users[a], items[a:b].tolist(), [float(score) for score in score_col[a:b]])
-            except ValueError as exc:
-                raise ValueError(f"{path.name}: user {users[a]!r}: {exc}") from None
-    # testing the length first spares np.unique every user shorter than m
-    has_run = [i for i, seq in enumerate(seqs) if len(seq) < m or len(np.unique(seq.items)) < m]
-    _check_users(path, [users[a] for a in starts], [seqs[i].user_id for i in has_run], [lines[a] for a in starts])
-    return np.array(has_run, dtype=np.int64)[run], due, items
+    segments_of = {h: _segments_by_user(out, seqs, h, cfg.k) for h in segmented}
+    shared = (cfg, out, provenance, seqs, m, popularity, segments_of)
+    paths = _map_jobs(_recommend_one, [(label,) for label in labels], shared)
+    _record(out, "recommend", paths, inputs)
+    return paths
 
 
 def _evaluate_one(shared, label: str) -> tuple[dict, dict, dict]:
     """Ranker label's mean precision, recall and NDCG, each {N: mean}, from
-    its recommendations file against the held-out tails."""
-    out, seqs, m, n_grid, metric_row, relevance = shared
-    owner, ranks, items = _read_recommendations(_require(out / f"recommendations_{label}.tsv"), seqs, m)
+    its recommendations file against the held-out tails.  Each user's rows
+    run together, ranked 1, 2, ..., as recommend writes them; a user who
+    has seen every item has no run."""
+    out, metric_row, n_grid, relevance = shared
+    (users, ranks, items, _), _ = _read_table(out / f"recommendations_{label}.tsv", "recommendation", 4)
+    starts = np.flatnonzero([user != before for user, before in zip(users, [None, *users])])
+    owner = np.array([metric_row[users[a]] for a in starts], dtype=np.int64).repeat(np.diff(starts, append=len(users)))
+    ranks, items = np.array(ranks, dtype=np.int64), np.array(items, dtype=np.int64)
     top = ranks <= n_grid[-1]
-    ranked = np.full((len(seqs), n_grid[-1]), -1, dtype=np.int64)
-    ranked[metric_row[owner[top]], ranks[top] - 1] = items[top]
+    ranked = np.full((len(metric_row), n_grid[-1]), -1, dtype=np.int64)
+    ranked[owner[top], ranks[top] - 1] = items[top]
     return _mean_metrics(ranked, relevance, n_grid)
 
 
@@ -685,6 +655,9 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     _map_jobs; the tables and the summary are written here, in ranker order.
     """
     out, provenance = _out(cfg)
+    labels = cfg.ranker_labels()
+    detections = [f"changepoints_{label}.tsv" for label in cfg.detector_labels()]
+    inputs = _verify(out, ["benchmark.tsv", *detections, *(f"recommendations_{label}.tsv" for label in labels)])
     seqs, m = _load_sequences(out)
 
     # displacement of the point nearest the truth (earlier on a tie); none counts as the last index
@@ -693,7 +666,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     last_index = np.array([len(seq) - 1 for seq in seqs], dtype=np.int64)
     cpd_inputs = {}
     for label in cfg.detector_labels():
-        points, owner = _read_changepoints(_require(out / f"changepoints_{label}.tsv"), seqs, cfg.k, interior=False)
+        points, owner = _read_changepoints(out / f"changepoints_{label}.tsv", cfg.k)
         nearest = np.lexsort((np.abs(points - truths[owner]), owner))
         nearest = nearest[np.diff(owner[nearest], prepend=-1) != 0]
         predicted = last_index.copy()
@@ -718,15 +691,12 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     trend_rows.append(("# trend_ok", "yes" if trend_ok else "no", ""))
     _write_rows(out / "state_count_trend.tsv", provenance, ("h", "mean_delta", "non_decreasing"), trend_rows)
 
-    # ranking quality against the held-out tail
-    labels = cfg.ranker_labels()
-    # the metrics run over users in sorted order; metric_row[i] is seqs[i]'s place there
+    # ranking quality against the held-out tail; the metrics run over users
+    # in sorted order, and metric_row[user] is the user's place there
     by_user = sorted(range(len(seqs)), key=lambda i: users[i])
-    metric_row = np.empty(len(seqs), dtype=np.int64)
-    metric_row[by_user] = np.arange(len(seqs))
+    metric_row = {users[i]: row for row, i in enumerate(by_user)}
     relevance = _relevance([seqs[i].holdout for i in by_user])
-    shared = (out, seqs, m, cfg.n_grid, metric_row, relevance)
-    results = _map_jobs(_evaluate_one, [(label,) for label in labels], shared)
+    results = _map_jobs(_evaluate_one, [(label,) for label in labels], (out, metric_row, cfg.n_grid, relevance))
     tables_of = {label: dict(zip(("precision", "recall", "ndcg"), tables)) for label, tables in zip(labels, results)}
     metric_rows = [
         (label, name, str(N), _fmt(table[N]))
@@ -754,7 +724,9 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
             for label in labels
         ]
     _write_lines(out / "summary.txt", provenance, summary)
-    return [out / name for name in ("cpd_table.tsv", "state_count_trend.tsv", "ranking_metrics.tsv", "summary.txt")]
+    paths = [out / name for name in ("cpd_table.tsv", "state_count_trend.tsv", "ranking_metrics.tsv", "summary.txt")]
+    _record(out, "evaluate", paths, inputs)
+    return paths
 
 
 def cmd_run_all(cfg: ExperimentConfig) -> list[Path]:

@@ -409,3 +409,10 @@ class TestSerialization:
         path.write_text('{"format": "driftrec-hmm-v1"}')
         with pytest.raises(ValueError):
             load_factors(path)
+
+    def test_a_file_lacking_a_field_is_refused_naming_it(self, tmp_path):
+        path = tmp_path / "factors_smf_s2.json"
+        save_factors(path, FactorPair(p=np.ones((2, 2)), q=np.ones((3, 2))))
+        path.write_text(json.dumps({k: v for k, v in json.loads(path.read_text()).items() if k != "q"}))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: missing field ' + repr('q'))}$"):
+            load_factors(path)

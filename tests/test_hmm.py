@@ -688,6 +688,24 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (
+                lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "emit"}),
+                "missing field 'emit'",
+            ),
+            (lambda text: text[:40], "Unterminated string starting at"),
+        ],
+        ids=["lacks-emit", "truncated"],
+    )
+    def test_a_damaged_file_is_refused_naming_it(self, tmp_path, edit, message):
+        path = tmp_path / "hmm_s2.json"
+        save_model(path, HmmModel(pi=[1.0], trans=[[1.0]], emit=[[0.5, 0.5]]))
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_model(path)
+
     GOLDEN_MODEL = HmmModel(
         pi=[0.5, 0.5], trans=[[0.75, 0.25], [0.5, 0.5]], emit=[[0.5, 0.25, 0.25], [0.125, 0.375, 0.5]]
     )

@@ -1,6 +1,7 @@
 """Configuration handling, staged artifacts, and CLI behavior."""
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -17,7 +18,7 @@ import yaml
 import driftrec.pipeline
 from driftrec.changepoint import hmcd_detect
 from driftrec.cli import main
-from driftrec.dataset import load_benchmark, save_benchmark, to_interaction_sequences
+from driftrec.dataset import load_benchmark, to_interaction_sequences
 from driftrec.hmm import InteractionSequence, load_model
 from driftrec.evaluation import ndcg_time_aware, pr_curve, precision_recall_at, ranking_metrics
 from driftrec.pipeline import (
@@ -174,12 +175,14 @@ class TestPipelineRun:
             "state_count_trend.tsv",
             "ranking_metrics.tsv",
             "summary.txt",
+            "manifest.tsv",
         ]
         assert sorted(p.name for p in out.iterdir()) == sorted(expected)
 
     def test_every_text_artifact_embeds_hash_and_seed(self, pipeline_run):
         cfg, out, _ = pipeline_run
-        for path in sorted(out.glob("*.tsv")) + sorted(out.glob("*.txt")):
+        # manifest.tsv describes the others, which reruns under other configs may have written
+        for path in sorted(set(out.glob("*.tsv")) - {out / "manifest.tsv"}) + sorted(out.glob("*.txt")):
             first = path.read_text().splitlines()[0]
             assert f"config={cfg.config_hash()}" in first, path.name
             assert f"seed={cfg.seed}" in first, path.name
@@ -252,9 +255,25 @@ class TestPipelineRun:
         assert returned["cmd_evaluate"] == [out / name for name in evaluate_files]
         paths = [p for stage in _STAGES for p in returned[stage.__name__]]
         assert all(path.exists() for path in paths)
-        # every file a stage writes but config_resolved.yaml, which each rewrites
-        written = [p.name for p in out.iterdir() if p.name != "config_resolved.yaml"]
+        # every file a stage writes but config_resolved.yaml and manifest.tsv, which each rewrites
+        written = [p.name for p in out.iterdir() if p.name not in ("config_resolved.yaml", "manifest.tsv")]
         assert sorted(p.name for p in paths) == sorted(written)
+
+    def test_manifest_records_every_returned_path(self, pipeline_run):
+        """Each path a stage returned has a manifest row: its current sha256,
+        the stage, and the digest of each artifact the stage read."""
+        _, out, returned = pipeline_run
+        rows = {row[0]: row[1:] for row in data_rows(out / "manifest.tsv")}
+        digest = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert set(rows) == {p.name for paths in returned.values() for p in paths}
+        for stage in _STAGES:
+            for path in returned[stage.__name__]:
+                sha, writer, inputs = rows[path.name]
+                assert (sha, writer) == (digest[path.name], stage.__name__[4:])
+                made_from = dict(pair.split("=") for pair in inputs.split(",")) if inputs != "-" else {}
+                assert bool(made_from) == (writer != "synthesize")
+                assert all(digest[name] == sha for name, sha in made_from.items())
+        assert rows["hmm_s2.json"][2] == f"benchmark.tsv={digest['benchmark.tsv']}"
 
     def test_pr_curve_matches_the_ranking_metrics_rows(self, pipeline_run):
         cfg, out, _ = pipeline_run
@@ -459,61 +478,56 @@ def test_fit_starts_its_longest_job_first(tmp_path, monkeypatch):
 
 
 def test_a_workers_error_is_raised_as_inline(cli_run, tmp_path, monkeypatch, capsys):
-    """A job that fails on a worker raises what it raises inline: fit's job
-    over a stale detection table, detect's second HMCD job over a
-    malformed model, recommend's BPR-MF job (after the SMF and HMMR jobs)
-    over a factors file whose d disagrees with its arrays, and evaluate's
-    NMF job over a ranked list out of rank order."""
+    """A job that fails on a worker raises what it raises inline: fit's
+    BPR-MF job, which starts first, detect's SW job, recommend's BPR-MF job
+    (after the SMF, HMMR and NMF jobs) and evaluate's NMF job.  Each fails
+    in the library call it makes, patched to raise; forked workers inherit
+    the patch."""
     config, out = cli_run
-    cfg = ExperimentConfig.from_yaml(config)
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    cfg = dataclasses.replace(ExperimentConfig.from_yaml(config), out_dir=str(copy))
 
-    def edited(tag, edits):
-        """A copy of the run's out_dir, with edits {name: f(copy) -> new text} applied."""
-        copy = tmp_path / tag
-        shutil.copytree(out, copy)
-        for name, edit in edits.items():
-            (copy / name).write_text(edit(copy))
-        return dataclasses.replace(cfg, out_dir=str(copy))
+    def failing(name, when=lambda *args: True):
+        """driftrec.pipeline's name, raising a ValueError when when(*args) holds."""
+        call = getattr(driftrec.pipeline, name)
 
-    def rows_edited(name, change):
-        return lambda copy: "\n".join(change((copy / name).read_text().splitlines())) + "\n"
+        def patched(*args, **kwargs):
+            if when(*args):
+                raise ValueError(f"{name} failed on {args[0] if isinstance(args[0], Path) else 'its input'}")
+            return call(*args, **kwargs)
 
-    def json_edited(source, **fields):
-        return lambda copy: json.dumps(dict(json.loads((copy / source).read_text()), **fields))
+        return name, patched
 
-    name = "changepoints_HMCD-S2.tsv"
-    drop_first_row = rows_edited(name, lambda lines: lines[:2] + lines[3:])
-    stale = edited("stale", {name: drop_first_row, "hmm_s5.json": json_edited("hmm_s2.json", num_states=5)})
-    ranked = "recommendations_NMF.tsv"
-    swap_first_rows = rows_edited(ranked, lambda lines: lines[:2] + [lines[3], lines[2]] + lines[4:])
-    first = data_rows(out / ranked)[0][0]
     cases = (
-        (cmd_fit, stale, f"{name} lacks user"),
-        (cmd_detect, dataclasses.replace(stale, hidden_state_counts=[2, 5]), "num_states: header says 5"),
+        (cmd_fit, failing("bpr_fit"), "bpr_fit failed on its input"),
+        (cmd_detect, failing("sliding_window_detect_all"), "sliding_window_detect_all failed on its input"),
         (
             cmd_recommend,
-            edited("bpr", {"factors_bpr.json": json_edited("factors_bpr.json", d=cfg.d + 1)}),
-            f"factors_bpr.json: d: header says {cfg.d + 1}",
+            failing("load_factors", lambda path: path.name == "factors_bpr.json"),
+            f"load_factors failed on {copy / 'factors_bpr.json'}",
         ),
         (
             cmd_evaluate,
-            edited("ranked", {ranked: swap_first_rows}),
-            f"{ranked}:3: malformed recommendation row (user {first!r} has rank '2' where rank 1 is due)",
+            failing("_read_table", lambda path, *rest: path.name == "recommendations_NMF.tsv"),
+            f"_read_table failed on {copy / 'recommendations_NMF.tsv'}",
         ),
     )
     messages = {}
-    for stage, stage_cfg, expected in cases:
-        for cpus in (1, 2):
-            pools = use_cpus(monkeypatch, cpus)
-            with pytest.raises(ValueError) as err:
-                stage(stage_cfg)
-            assert len(pools) == cpus - 1
-            messages.setdefault(stage, []).append(str(err.value))
-        assert messages[stage][1] == messages[stage][0]
-        assert expected in messages[stage][0], messages[stage][0]
-        assert multiprocessing.active_children() == []
-    assert main(["fit", "--config", str(config), "--out", stale.out_dir]) == 2
-    assert capsys.readouterr().err == f"error: {messages[cmd_fit][0]}\n"
+    for stage, (name, patched), expected in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(driftrec.pipeline, name, patched)
+            for cpus in (1, 2):
+                pools = use_cpus(patch, cpus)
+                with pytest.raises(ValueError) as err:
+                    stage(cfg)
+                assert len(pools) == cpus - 1
+                messages.setdefault(stage, []).append(str(err.value))
+            assert messages[stage] == [expected, expected]
+            assert multiprocessing.active_children() == []
+            if stage is cmd_fit:
+                assert main(["fit", "--config", str(config), "--out", str(copy)]) == 2
+                assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
@@ -600,10 +614,27 @@ def with_one_more_item(model):
     return dict(model, emit=(emit / emit.sum(axis=1, keepdims=True)).tolist(), num_items=emit.shape[1])
 
 
+def writer_of(name):
+    """The stage that writes artifact name."""
+    writers = {
+        "benchmark": "synthesize", "hmm": "train", "changepoints": "detect", "factors": "fit", "recommendations": "recommend",
+    }
+    return next(stage for prefix, stage in writers.items() if name.startswith(prefix))
+
+
+def edited_error(name):
+    """What a stage prints for artifact name edited after its stage wrote it."""
+    stage = writer_of(name)
+    return f"error: {name} is not the file {stage} wrote (its sha256 differs from manifest.tsv's); rerun {stage}\n"
+
+
 class TestStaleArtifacts:
-    """A hand-edited artifact whose users differ from benchmark.tsv's, or
-    whose rows disagree with it or with each other, is refused by name,
-    with exit code 2, by every stage that reads it."""
+    """A hand-edited artifact is refused, with exit code 2, before a row of
+    it is read: its sha256 no longer matches its manifest.tsv row, and the
+    error names the file and the stage that rewrites it.  Each case keeps
+    an edit that a check of the rows themselves refused before the manifest
+    existed: users missing, extra or out of order, points or ranks out of
+    order, items outside the vocabulary, rows that do not form a ranking."""
 
     def run_edited(self, cli_run, tmp_path, stage, name, edit):
         config, out = cli_run
@@ -614,75 +645,65 @@ class TestStaleArtifacts:
         (copy / name).write_text("\n".join(header + edit(rows)) + "\n")
         return main([stage, "--config", str(config), "--out", str(copy)])
 
+    def assert_refused(self, cli_run, tmp_path, capsys, stage, name, edit):
+        assert self.run_edited(cli_run, tmp_path, stage, name, edit) == 2
+        assert capsys.readouterr().err == edited_error(name)
+
     def test_fit_names_a_missing_user(self, cli_run, tmp_path, capsys):
         name = "changepoints_HMCD-S2.tsv"
-        dropped = data_rows(cli_run[1] / name)[4][0]
-        assert self.run_edited(cli_run, tmp_path, "fit", name, lambda rows: rows[:4] + rows[5:]) == 2
-        err = capsys.readouterr().err
-        assert f"{name} lacks user {dropped!r} of benchmark.tsv" in err
+        self.assert_refused(cli_run, tmp_path, capsys, "fit", name, lambda rows: rows[:4] + rows[5:])
 
     def test_recommend_names_an_extra_user(self, cli_run, tmp_path, capsys):
-        name = "changepoints_HMCD-S2.tsv"
         extra = lambda rows: rows + ["ghost\t40\t20\t-\t-\tHMCD-S2"]  # noqa: E731
-        assert self.run_edited(cli_run, tmp_path, "recommend", name, extra) == 2
-        assert f"{name} has user 'ghost' not in benchmark.tsv" in capsys.readouterr().err
+        self.assert_refused(cli_run, tmp_path, capsys, "recommend", "changepoints_HMCD-S2.tsv", extra)
 
     @pytest.mark.parametrize(
-        "name, edit, message",
+        "name, edit",
         [
             # a ranked list for a user the benchmark does not have
-            ("recommendations_NMF.tsv", lambda rows: rows + ["ghost\t1\t0\t0.5"], "has user 'ghost' not in"),
+            ("recommendations_NMF.tsv", lambda rows: rows + ["ghost\t1\t0\t0.5"]),
             # the first user's detection dropped
-            ("changepoints_RP.tsv", lambda rows: rows[1:], "lacks user {first!r} of"),
+            ("changepoints_RP.tsv", lambda rows: rows[1:]),
         ],
         ids=["extra-ranked-user", "missing-detection"],
     )
-    def test_evaluate_names_the_user(self, cli_run, tmp_path, capsys, name, edit, message):
-        first = data_rows(cli_run[1] / name)[0][0]
-        assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
-        assert f"{name} {message.format(first=first)} benchmark.tsv" in capsys.readouterr().err
+    def test_evaluate_names_the_user(self, cli_run, tmp_path, capsys, name, edit):
+        self.assert_refused(cli_run, tmp_path, capsys, "evaluate", name, edit)
 
     @pytest.mark.parametrize("stage", ["recommend", "evaluate"])
     @pytest.mark.parametrize("points", ["999", "5,3"], ids=["beyond-T", "descending"])
     def test_points_outside_the_sequence_are_refused(self, cli_run, tmp_path, capsys, stage, points):
         name = "changepoints_HMCD-S2.tsv"
-        user = data_rows(cli_run[1] / name)[0][0]
-
-        def edit(rows):
-            cells = rows[0].split("\t")
-            cells[3] = points
-            return ["\t".join(cells)] + rows[1:]
-
-        assert self.run_edited(cli_run, tmp_path, stage, name, edit) == 2
-        listed = points.replace(",", ", ")
-        assert f"{name}: user {user!r} points [{listed}] must ascend strictly within [" in capsys.readouterr().err
+        self.assert_refused(cli_run, tmp_path, capsys, stage, name, self.set_cell(0, 3, lambda rows: points))
 
     @pytest.mark.parametrize("stage", ["fit", "recommend", "evaluate"])
     def test_more_than_k_points_are_refused(self, cli_run, tmp_path, capsys, stage):
+        """A change-point table detected with k = 2, and everything made from
+        it, passes the manifest; a stage run with k = 1 refuses the table's
+        first row of two points.  The manifest covers files, not the config."""
+        config, out = cli_run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        two = tmp_path / "k2.yaml"
+        two.write_text(yaml.safe_dump(dict(yaml.safe_load(config.read_text()), k=2)))
+        stages = ["detect", "fit", "recommend", "evaluate"]
+        for before in stages[: stages.index(stage)]:
+            assert main([before, "--config", str(two), "--out", str(copy)]) == 0
         name = "changepoints_HMCD-S2.tsv"
-        user = data_rows(cli_run[1] / name)[0][0]
-        assert self.run_edited(cli_run, tmp_path, stage, name, self.set_cell(0, 3, lambda rows: "2,3")) == 2
-        assert f"error: {name}: user {user!r} has 2 points, more than k = 1" in capsys.readouterr().err
+        user = next(row[0] for row in data_rows(copy / name) if "," in row[3])
+        assert main([stage, "--config", str(config), "--out", str(copy)]) == 2
+        assert capsys.readouterr().err == f"error: {name}: user {user!r} has 2 points, more than k = 1\n"
 
     @pytest.mark.parametrize(
-        "edit, line, user, due",
-        [
-            (lambda rows: rows[:1] + rows, 4, 0, "user {1!r}"),
-            (lambda rows: rows + rows[-1:], 15, -1, "no user"),
-            (lambda rows: [rows[1], rows[0]] + rows[2:], 3, 1, "user {0!r}"),
-        ],
+        "edit",
+        [lambda rows: rows[:1] + rows, lambda rows: rows + rows[-1:], lambda rows: [rows[1], rows[0]] + rows[2:]],
         ids=["user-listed-twice", "last-user-listed-again", "two-users-swapped"],
     )
-    def test_changepoint_users_must_run_in_benchmark_order(self, cli_run, tmp_path, capsys, edit, line, user, due):
-        name = "changepoints_HMCD-S2.tsv"
-        users = [row[0] for row in data_rows(cli_run[1] / name)]
-        assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
-        found = f"{name}:{line}: user {users[user]!r} where {due.format(*users)} is due (users run in benchmark.tsv order)"
-        assert capsys.readouterr().err == f"error: {found}\n"
+    def test_changepoint_users_must_run_in_benchmark_order(self, cli_run, tmp_path, capsys, edit):
+        self.assert_refused(cli_run, tmp_path, capsys, "evaluate", "changepoints_HMCD-S2.tsv", edit)
 
     def test_interleaved_runs_are_refused(self, cli_run, tmp_path, capsys):
-        """A user's rows run together: a table whose first two users' rows
-        alternate is refused at the first user's second row."""
+        """A table whose first two users' rows alternate."""
         name = "recommendations_NMF.tsv"
         first, second = list(dict.fromkeys(row[0] for row in data_rows(cli_run[1] / name)))[:2]
 
@@ -690,88 +711,58 @@ class TestStaleArtifacts:
             mine = [[row for row in rows if row.split("\t")[0] == user] for user in (first, second)]
             return [row for pair in zip(*mine) for row in pair] + rows[len(mine[0]) + len(mine[1]) :]
 
-        assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
-        found = f"{name}:5: malformed recommendation row (user {first!r} has rank '2' where rank 1 is due)"
-        assert capsys.readouterr().err == f"error: {found}\n"
+        self.assert_refused(cli_run, tmp_path, capsys, "evaluate", name, edit)
 
     def test_items_outside_the_vocabulary_are_refused(self, cli_run, tmp_path, capsys):
         name = "recommendations_NMF.tsv"
-        user = data_rows(cli_run[1] / name)[0][0]
-
-        def edit(rows):
-            cells = rows[0].split("\t")
-            cells[2] = "99999"
-            return ["\t".join(cells)] + rows[1:]
-
-        assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
-        assert f"{name}: user {user!r} has item 99999; items must lie in [0, " in capsys.readouterr().err
+        self.assert_refused(cli_run, tmp_path, capsys, "evaluate", name, self.set_cell(0, 2, lambda rows: "99999"))
 
     def test_changepoints_of_another_benchmark_are_refused(self, cli_run, tmp_path):
-        """Re-synthesizing at another seed keeps the positional user ids but
-        not each user's length and true change point."""
+        """Re-synthesizing at another seed and training again keeps the
+        positional user ids but leaves the detections of the old benchmark,
+        which every stage that reads them refuses."""
         config, out = cli_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         cfg = dataclasses.replace(ExperimentConfig.from_yaml(config), out_dir=str(copy), seed=40)
         cmd_synthesize(cfg)
-        seqs = to_interaction_sequences(load_benchmark(copy / "benchmark.tsv")[0])[0]
-        name = "changepoints_HMCD-S2.tsv"
-        table = {row[0]: (int(row[1]), int(row[2])) for row in data_rows(out / name)}
-        first = next(seq.user_id for seq in seqs if table[seq.user_id] != (len(seq), seq.truth_change))
+        cmd_train(cfg)
+        found = "changepoints_HMCD-S2.tsv was made from another benchmark.tsv; rerun detect"
         for stage in (cmd_fit, cmd_recommend, cmd_evaluate):
-            with pytest.raises(ValueError, match=f"{re.escape(name)}: user {first!r} has T, truth"):
+            with pytest.raises(ValueError, match=f"^{re.escape(found)}$"):
                 stage(cfg)
 
-
     @pytest.mark.parametrize(
-        "name, edit, found",
+        "name, edit",
         [
-            (
-                "factors_nmf.json",
-                lambda f: dict(f, p=f["p"][: len(f["p"]) // 2]),
-                lambda n, m: f"p has {n // 2} rows; benchmark.tsv has {n} users",
-            ),
-            (
-                "factors_bpr.json",
-                lambda f: dict(f, p=f["p"] + f["p"][:1]),
-                lambda n, m: f"p has {n + 1} rows; benchmark.tsv has {n} users",
-            ),
-            (
-                "factors_smf_s2.json",
-                lambda f: dict(f, q=f["q"][:-1]),
-                lambda n, m: f"q has {m - 1} rows; benchmark.tsv has {m} items",
-            ),
-            ("hmm_s2.json", with_one_more_item, lambda n, m: f"num_items is {m + 1}; benchmark.tsv has {m}"),
+            ("factors_nmf.json", lambda f: dict(f, p=f["p"][: len(f["p"]) // 2])),
+            ("factors_bpr.json", lambda f: dict(f, p=f["p"] + f["p"][:1])),
+            ("factors_smf_s2.json", lambda f: dict(f, q=f["q"][:-1])),
+            ("hmm_s2.json", with_one_more_item),
         ],
         ids=["nmf-half-the-users", "bpr-an-extra-user", "smf-an-item-short", "hmm-an-extra-item"],
     )
-    def test_recommend_refuses_factors_shaped_for_another_benchmark(self, cli_run, tmp_path, capsys, name, edit, found):
-        """A factor or model file whose rows do not match benchmark.tsv's
-        users and items is refused by name, never ranked from."""
+    def test_recommend_refuses_factors_shaped_for_another_benchmark(self, cli_run, tmp_path, capsys, name, edit):
+        """A factor or model file rewritten with rows for other users or
+        items is refused by name, never ranked from."""
         config, out = cli_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         with arrays_as_lists(copy / name) as payload:
             payload.update(edit(payload))
-        n = len(data_rows(out / "benchmark.tsv"))
-        m = int(re.search(r"num_items=(\d+)", (out / "benchmark.tsv").read_text()).group(1))
         assert main(["recommend", "--config", str(config), "--out", str(copy)]) == 2
-        assert capsys.readouterr().err == f"error: {name}: {found(n, m)} (stale artifact?)\n"
+        assert capsys.readouterr().err == edited_error(name)
 
     @pytest.mark.parametrize(
-        "edit, found",
+        "edit",
         [
-            (lambda rows: [rows[0].replace("\t1\t", "\tbanana\t", 1)] + rows[1:], "'banana'"),
-            (lambda rows: [rows[1], rows[0]] + rows[2:], "'2'"),
+            lambda rows: [rows[0].replace("\t1\t", "\tbanana\t", 1)] + rows[1:],
+            lambda rows: [rows[1], rows[0]] + rows[2:],
         ],
         ids=["non-integer-rank", "swapped-rows"],
     )
-    def test_ranks_must_count_up_in_file_order(self, cli_run, tmp_path, capsys, edit, found):
-        name = "recommendations_PopRank.tsv"
-        user = data_rows(cli_run[1] / name)[0][0]
-        assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
-        err = capsys.readouterr().err
-        assert f"{name}:3: malformed recommendation row (user {user!r} has rank {found} where rank 1 is due)" in err
+    def test_ranks_must_count_up_in_file_order(self, cli_run, tmp_path, capsys, edit):
+        self.assert_refused(cli_run, tmp_path, capsys, "evaluate", "recommendations_PopRank.tsv", edit)
 
     @staticmethod
     def set_cell(row, column, value):
@@ -785,55 +776,38 @@ class TestStaleArtifacts:
         return edit
 
     @pytest.mark.parametrize(
-        "row, column, value, found",
+        "row, column, value",
         [
-            (0, 3, lambda rows: "banana",
-             "recommendations_PopRank.tsv: user {user!r}: could not convert string to float: 'banana'"),
-            (0, 3, lambda rows: "nan", "recommendations_PopRank.tsv: user {user!r}: scores must be finite"),
-            (1, 3, lambda rows: repr(float(rows[0].split("\t")[3]) + 1),
-             "recommendations_PopRank.tsv: user {user!r}: scores must be non-increasing"),
-            (1, 2, lambda rows: rows[0].split("\t")[2],
-             "recommendations_PopRank.tsv: user {user!r}: ranked_items contains duplicates"),
+            (0, 3, lambda rows: "banana"),
+            (0, 3, lambda rows: "nan"),
+            (1, 3, lambda rows: repr(float(rows[0].split("\t")[3]) + 1)),
+            (1, 2, lambda rows: rows[0].split("\t")[2]),
         ],
         ids=["non-number-score", "nan-score", "second-outscores-first", "repeated-item"],
     )
-    def test_rows_must_form_a_ranking(self, cli_run, tmp_path, capsys, row, column, value, found):
+    def test_rows_must_form_a_ranking(self, cli_run, tmp_path, capsys, row, column, value):
         name = "recommendations_PopRank.tsv"
-        user = data_rows(cli_run[1] / name)[0][0]
-        assert self.run_edited(cli_run, tmp_path, "evaluate", name, self.set_cell(row, column, value)) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and found.format(user=user) in err
+        self.assert_refused(cli_run, tmp_path, capsys, "evaluate", name, self.set_cell(row, column, value))
 
     @pytest.mark.parametrize(
-        "edits, found",
+        "edits",
         [
             # user 1's second row out of rank order, and a later row of the same user with a non-integer item
-            (
-                {(1, 1, 1): "7", (1, 4, 2): "x"},
-                ":{line}: malformed recommendation row (user {u1!r} has rank '7' where rank 2 is due)",
-            ),
+            {(1, 1, 1): "7", (1, 4, 2): "x"},
             # user 1's scores rise, and user 2's first score is not a number
-            (
-                {(1, 1, 3): "1e9", (2, 0, 3): "banana"},
-                "recommendations_PopRank.tsv: user {u1!r}: scores must be non-increasing",
-            ),
+            {(1, 1, 3): "1e9", (2, 0, 3): "banana"},
             # user 2 repeats an item, and user 1's first item lies outside the vocabulary
-            (
-                {(2, 1, 2): None, (1, 0, 2): "99999"},
-                "recommendations_PopRank.tsv: user {u1!r} has item 99999; items must lie in [",
-            ),
+            {(2, 1, 2): None, (1, 0, 2): "99999"},
         ],
         ids=["rows-in-file-order", "users-in-file-order", "items-before-rankings"],
     )
-    def test_the_first_defect_is_named(self, cli_run, tmp_path, capsys, edits, found):
-        """With two defects, the one that comes first is named: rows in file
-        order, then items out of range, then each user's ranking in order of
-        first appearance.  edits maps (user, row of that user, column) to a
-        new cell, None for the user's first item."""
+    def test_the_first_defect_is_named(self, cli_run, tmp_path, capsys, edits):
+        """With two defects the file is refused whole, by its digest.  edits
+        maps (user, row of that user, column) to a new cell, None for the
+        user's first item."""
         name = "recommendations_PopRank.tsv"
         rows = data_rows(cli_run[1] / name)
-        users = list(dict.fromkeys(row[0] for row in rows))
-        per_user = len(rows) // len(users)
+        per_user = len(rows) // len({row[0] for row in rows})
 
         def edit(lines):
             for (user, row, column), value in edits.items():
@@ -842,9 +816,62 @@ class TestStaleArtifacts:
                 lines[user * per_user + row] = "\t".join(cells)
             return lines
 
-        assert self.run_edited(cli_run, tmp_path, "evaluate", name, edit) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and found.format(u1=users[1], line=per_user + 4) in err, err
+        self.assert_refused(cli_run, tmp_path, capsys, "evaluate", name, edit)
+
+
+def test_a_benchmark_synthesized_again_is_refused_by_every_later_stage(cli_run, tmp_path, capsys):
+    """After a finished run, synthesize at another seed: every stage after
+    it refuses the artifacts made from the old benchmark, naming the first
+    stale one and the stage that remakes it, instead of using them."""
+    config, out = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    assert main(["synthesize", "--config", str(config), "--out", str(copy), "--seed", "6"]) == 0
+    stale = {"detect": ("hmm_s2.json", "train")}
+    for stage in ("detect", "fit", "recommend", "evaluate"):
+        name, writer = stale.get(stage, ("changepoints_HMCD-S2.tsv", "detect"))
+        assert main([stage, "--config", str(config), "--out", str(copy)]) == 2, stage
+        assert capsys.readouterr().err == f"error: {name} was made from another benchmark.tsv; rerun {writer}\n"
+
+
+_READERS = {
+    "benchmark.tsv": ("train", "detect", "fit", "recommend", "evaluate"),
+    "hmm_s2.json": ("detect", "recommend"),
+    "changepoints_HMCD-S2.tsv": ("fit", "recommend", "evaluate"),
+    "factors_smf_s2.json": ("recommend",),
+    "recommendations_NMF.tsv": ("evaluate",),
+}
+
+
+@pytest.mark.parametrize("defect", ["edited", "no-row"])
+@pytest.mark.parametrize("name", _READERS)
+def test_every_reader_refuses_an_artifact_the_manifest_does_not_vouch_for(cli_run, tmp_path, capsys, name, defect):
+    """An artifact with a newline appended, which its reader would pass, or
+    whose manifest row is gone, is refused by every stage that reads it."""
+    config, out = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    if defect == "edited":
+        (copy / name).write_text((copy / name).read_text() + "\n")
+        expected = edited_error(name)
+    else:
+        lines = (copy / "manifest.tsv").read_text().splitlines(keepends=True)
+        (copy / "manifest.tsv").write_text("".join(line for line in lines if not line.startswith(f"{name}\t")))
+        expected = f"error: {name} has no row in manifest.tsv; rerun {writer_of(name)}\n"
+    for stage in _READERS[name]:
+        assert main([stage, "--config", str(config), "--out", str(copy)]) == 2, stage
+        assert capsys.readouterr().err == expected, stage
+
+
+def test_an_out_dir_without_a_manifest_is_refused_by_every_stage_that_reads(cli_run, tmp_path, capsys):
+    config, out = cli_run
+    copy = tmp_path / "out"
+    shutil.copytree(out, copy)
+    (copy / "manifest.tsv").unlink()
+    for stage in _READERS["benchmark.tsv"]:
+        assert main([stage, "--config", str(config), "--out", str(copy)]) == 2, stage
+        expected = f"error: manifest.tsv is missing from {copy}, so benchmark.tsv cannot be checked; rerun synthesize\n"
+        assert capsys.readouterr().err == expected, stage
 
 
 def write_changepoints(path, rows):
@@ -870,21 +897,24 @@ _TWO_USERS = [
     ],
 )
 def test_each_row_of_up_to_k_points_is_checked(tmp_path, points, found):
-    path = tmp_path / "changepoints_X.tsv"
-    write_changepoints(path, [("a", 40, 20, "5,30"), ("b", 30, 10, points)])
-    with pytest.raises(ValueError, match=re.escape(f"changepoints_X.tsv: user 'b' {found}")):
-        driftrec.pipeline._read_changepoints(path, _TWO_USERS, k=2)
+    """Cutting the sequences at a table's points, as fit and recommend do,
+    refuses a row of more than k points, naming the table and the user;
+    partition refuses points that do not ascend strictly within [1, T)."""
+    write_changepoints(tmp_path / "changepoints_HMCD-S2.tsv", [("a", 40, 20, "5,30"), ("b", 30, 10, points)])
+    with pytest.raises(ValueError) as err:
+        driftrec.pipeline._segments_by_user(tmp_path, _TWO_USERS, 2, k=2)
+    assert str(err.value) in (found, f"changepoints_HMCD-S2.tsv: user 'b' {found}")
 
 
-def test_a_user_who_has_seen_every_item_is_scored_with_an_empty_list(tmp_path):
+def test_a_user_who_has_seen_every_item_is_scored_with_an_empty_list(tmp_path, monkeypatch):
     """Recommend writes no rows for a user who has seen every item, and
     evaluate scores that user as ranking_metrics scores an empty list.
 
     Two pools of six items; an even playlist cycles through all six of its
     pool, an odd one through three, so a user spliced from two even
-    playlists has seen all twelve.  Each other user's holdout is then set to
-    the items they have not seen, so the rankings score above zero and a
-    list scored for the wrong user would show."""
+    playlists has seen all twelve.  The synthesize stage then sets each
+    other user's holdout to the items they have not seen, so the rankings
+    score above zero and a list scored for the wrong user would show."""
     corpus = tmp_path / "playlists.txt"
     corpus.write_text(
         "".join(" ".join(f"it{6 * (p >= 20) + j % (6 - 3 * (p % 2))}" for j in range(60)) + "\n" for p in range(40))
@@ -894,17 +924,22 @@ def test_a_user_who_has_seen_every_item_is_scored_with_an_empty_list(tmp_path):
     settings.update(hidden_state_counts=[2], d=3, l=3, n_grid=[1, 5], hmm_max_iters=5, nmf_max_iters=5, bpr_epochs=1, seed=1)
     config.write_text(yaml.safe_dump(settings))
     out = tmp_path / "out"
+    synthesize = driftrec.pipeline.synthesize_mixed
+
+    def unseen_holdouts(corpus, *args, **kwargs):
+        m = len(corpus.item_keys)
+        return [
+            mx
+            if len(np.unique(mx.items)) == m
+            else dataclasses.replace(mx, holdout=np.resize(np.setdiff1d(np.arange(m), mx.items), 10))
+            for mx in synthesize(corpus, *args, **kwargs)
+        ]
+
+    monkeypatch.setattr(driftrec.pipeline, "synthesize_mixed", unseen_holdouts)
     assert main(["run-all", "--config", str(config)]) == 0
     mixed, meta = load_benchmark(out / "benchmark.tsv")
-    m = int(meta["num_items"])
-    full = {mx.user_id for mx in mixed if len(np.unique(mx.items)) == m}
+    full = {mx.user_id for mx in mixed if len(np.unique(mx.items)) == int(meta["num_items"])}
     assert len(full) == 6
-    mixed = [
-        mx if mx.user_id in full else dataclasses.replace(mx, holdout=np.resize(np.setdiff1d(np.arange(m), mx.items), 10))
-        for mx in mixed
-    ]
-    save_benchmark(out / "benchmark.tsv", mixed, meta)
-    assert main(["evaluate", "--config", str(config)]) == 0
     truth = {mx.user_id: mx.holdout for mx in mixed}
     expected = []
     for label in ExperimentConfig.from_yaml(config).ranker_labels():
@@ -933,48 +968,53 @@ def edit_benchmark_item(column, value):
 
 @pytest.mark.parametrize("stage", ["train", "detect", "evaluate"])
 class TestBenchmarkItems:
-    """An item outside the vocabulary in benchmark.tsv is blamed on the file."""
+    """An edited benchmark.tsv is refused by every stage, by name and with
+    the stage that rewrites it, before its records are read.  Where
+    load_benchmark, which reads a benchmark file from anywhere, refuses the
+    edit itself, its message names the line."""
 
-    def run_edited(self, cli_run, tmp_path, stage, edit):
+    def run_edited(self, cli_run, tmp_path, capsys, stage, edit):
         config, out = cli_run
         copy = tmp_path / "out"
         shutil.copytree(out, copy)
         (copy / "benchmark.tsv").write_text(edit((copy / "benchmark.tsv").read_text()))
         assert main([stage, "--config", str(config), "--out", str(copy)]) == 2
-        return copy
+        assert capsys.readouterr().err == edited_error("benchmark.tsv")
+        return copy / "benchmark.tsv"
 
     @pytest.mark.parametrize("column, part", [(3, "items"), (4, "holdout")])
     def test_negative_item_names_the_line(self, cli_run, tmp_path, capsys, stage, column, part):
-        self.run_edited(cli_run, tmp_path, stage, edit_benchmark_item(column, "-1"))
-        err = capsys.readouterr().err
-        assert f"benchmark.tsv:2: malformed benchmark row ({part} has item -1; items must lie in [0, inf))" in err
+        path = self.run_edited(cli_run, tmp_path, capsys, stage, edit_benchmark_item(column, "-1"))
+        found = f"benchmark.tsv:2: malformed benchmark row ({part} has item -1; items must lie in [0, inf))"
+        with pytest.raises(ValueError, match=f"^{re.escape(found)}$"):
+            load_benchmark(path)
 
     @pytest.mark.parametrize("column, part", [(3, "items"), (4, "holdout")])
     def test_item_past_the_vocabulary_names_the_user(self, cli_run, tmp_path, capsys, stage, column, part):
-        header = (cli_run[1] / "benchmark.tsv").read_text().splitlines()[0]
-        m = int(re.search(r"num_items=(\d+)", header).group(1))
-        user = data_rows(cli_run[1] / "benchmark.tsv")[0][0]
-        self.run_edited(cli_run, tmp_path, stage, edit_benchmark_item(column, str(m)))
-        err = capsys.readouterr().err
-        assert f"error: benchmark.tsv: user {user!r} {part} has item {m}; items must lie in [0, {m})" in err
+        """load_benchmark does not know the vocabulary: the digest alone refuses an item past it."""
+        m = int(load_benchmark(cli_run[1] / "benchmark.tsv")[1]["num_items"])
+        path = self.run_edited(cli_run, tmp_path, capsys, stage, edit_benchmark_item(column, str(m)))
+        assert getattr(load_benchmark(path)[0][0], part)[0] == m
 
     def test_repeated_user_names_both_lines(self, cli_run, tmp_path, capsys, stage):
-        """The second user renamed to the first's id is refused by the
-        benchmark reader, before any stage table is read."""
         users = [row[0] for row in data_rows(cli_run[1] / "benchmark.tsv")]
-        self.run_edited(cli_run, tmp_path, stage, lambda text: text.replace(f"\n{users[1]}\t", f"\n{users[0]}\t", 1))
-        assert capsys.readouterr().err == f"error: benchmark.tsv:3: user {users[0]!r} is listed again (first on line 2)\n"
+        renamed = lambda text: text.replace(f"\n{users[1]}\t", f"\n{users[0]}\t", 1)  # noqa: E731
+        path = self.run_edited(cli_run, tmp_path, capsys, stage, renamed)
+        found = f"benchmark.tsv:3: user {users[0]!r} is listed again (first on line 2)"
+        with pytest.raises(ValueError, match=f"^{re.escape(found)}$"):
+            load_benchmark(path)
 
     def test_truth_past_the_sequence_names_the_line(self, cli_run, tmp_path, capsys, stage):
         user, _, _, items, _ = data_rows(cli_run[1] / "benchmark.tsv")[0]
-        self.run_edited(cli_run, tmp_path, stage, edit_benchmark_item(1, "5000"))
+        path = self.run_edited(cli_run, tmp_path, capsys, stage, edit_benchmark_item(1, "5000"))
         T = len(items.split())
-        err = capsys.readouterr().err
-        assert f"benchmark.tsv:2: malformed benchmark row (truth_change 5000 outside [1, {T}) for user {user})" in err
+        found = f"benchmark.tsv:2: malformed benchmark row (truth_change 5000 outside [1, {T}) for user {user})"
+        with pytest.raises(ValueError, match=f"^{re.escape(found)}$"):
+            load_benchmark(path)
 
 
 _ALWAYS = {
-    "config_resolved.yaml", "benchmark.tsv", "vocab.tsv", "hmm_s2.json", "changepoints_HMCD-S2.tsv",
+    "config_resolved.yaml", "manifest.tsv", "benchmark.tsv", "vocab.tsv", "hmm_s2.json", "changepoints_HMCD-S2.tsv",
     "cpd_table.tsv", "state_count_trend.tsv", "ranking_metrics.tsv", "summary.txt",
 }
 
@@ -1054,24 +1094,27 @@ def drop_field(field):
 
 
 @pytest.mark.parametrize(
-    "stage, name, edit, detail",
+    "stage, name, edit",
     [
-        ("recommend", "changepoints_HMCD-S2.tsv", edit_line(2, lambda row: row.split("\t")[0]), ":3: malformed"),
-        ("fit", "changepoints_HMCD-S2.tsv", edit_line(3, lambda row: row.replace("\t", "\tx", 1)), ":4: malformed"),
-        ("evaluate", "recommendations_NMF.tsv", edit_line(2, lambda row: row.rpartition("\t")[0]), ":3: malformed"),
-        ("detect", "hmm_s2.json", drop_field("emit"), "missing field 'emit'"),
-        ("detect", "hmm_s2.json", lambda text: text[:40], "hmm_s2.json: "),
-        ("recommend", "factors_smf_s2.json", drop_field("q"), "missing field 'q'"),
-        ("train", "benchmark.tsv", lambda text: re.sub(r"num_items=\d+ ", "", text, count=1), "num_items"),
+        ("recommend", "changepoints_HMCD-S2.tsv", edit_line(2, lambda row: row.split("\t")[0])),
+        ("fit", "changepoints_HMCD-S2.tsv", edit_line(3, lambda row: row.replace("\t", "\tx", 1))),
+        ("evaluate", "recommendations_NMF.tsv", edit_line(2, lambda row: row.rpartition("\t")[0])),
+        ("detect", "hmm_s2.json", drop_field("emit")),
+        ("detect", "hmm_s2.json", lambda text: text[:40]),
+        ("recommend", "factors_smf_s2.json", drop_field("q")),
+        ("train", "benchmark.tsv", lambda text: re.sub(r"num_items=\d+ ", "", text, count=1)),
     ],
     ids=["short-cpd-row", "non-integer-T", "short-ranked-row", "model-lacks-emit", "truncated-model",
          "factors-lack-q", "header-lacks-num-items"],
 )
-def test_malformed_artifact_exits_2_naming_the_file(cli_run, tmp_path, capsys, stage, name, edit, detail):
+def test_malformed_artifact_exits_2_naming_the_file(cli_run, tmp_path, capsys, stage, name, edit):
+    """A malformed artifact is refused by its digest, naming the file and
+    the stage that rewrites it.  The public loaders' own messages for the
+    model and factor defects are tested in tests/test_hmm.py and
+    tests/test_factorization.py."""
     config, out = cli_run
     copy = tmp_path / "out"
     shutil.copytree(out, copy)
     (copy / name).write_text(edit((copy / name).read_text()))
     assert main([stage, "--config", str(config), "--out", str(copy)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and name in err and detail in err
+    assert capsys.readouterr().err == edited_error(name)

@@ -21,6 +21,7 @@ from driftrec import (
     FactorPair,
     TrainConfig,
     baum_welch_train,
+    cooccurrence_item_vectors,
     cusum_detect,
     hmcd_detect_all,
     load_corpus,
@@ -59,6 +60,11 @@ def factors():
     return ItemFactors(vectors=np.eye(4), source="nmf")
 
 
+def corpus():
+    """Four playlists of 30 items each, to split into pools."""
+    return PlaylistCorpus([np.arange(30)] * 4, [str(i) for i in range(30)])
+
+
 def mixed(**fields):
     base = dict(user_id="u", items=np.arange(12), truth_change=2, source_ids=(0, 1), holdout=np.arange(10))
     return MixedSequence(**dict(base, **fields))
@@ -70,6 +76,10 @@ CASES = {
     "TrainConfig.max_iters-float": (lambda: TrainConfig(max_iters=2.5), "max_iters"),
     "TrainConfig.max_iters-zero": (lambda: TrainConfig(max_iters=0), "max_iters"),
     "baum_welch_train.h-bool": (lambda: baum_welch_train([seq()], True), "h"),
+    "baum_welch_train.num_items-bool": (lambda: baum_welch_train([seq()], 2, num_items=True), "num_items"),
+    "baum_welch_train.num_items-float": (lambda: baum_welch_train([seq()], 2, num_items=3.5), "num_items"),
+    "cooccurrence_item_vectors.m-bool": (lambda: cooccurrence_item_vectors([seq()], True), "m"),
+    "cooccurrence_item_vectors.m-float": (lambda: cooccurrence_item_vectors([seq()], 2.5), "m"),
     "FactorizationConfig.d-bool": (lambda: FactorizationConfig(d=True), "d"),
     "FactorizationConfig.max_iters-float": (lambda: FactorizationConfig(max_iters=3.0), "max_iters"),
     "hmcd_detect_all.k-float": (lambda: hmcd_detect_all(model(), [seq()], k=1.5), "k"),
@@ -86,6 +96,8 @@ CASES = {
     "load_corpus.min_len-float": (lambda: load_corpus("unread.txt", min_len=0.5), "min_len"),
     "synthesize_mixed.count-bool": (lambda: synthesize_mixed(None, True), "count"),
     "synthesize_mixed.min_window-float": (lambda: synthesize_mixed(None, 5, min_window=2.5), "min_window"),
+    "synthesize_mixed.pool_split-bool": (lambda: synthesize_mixed(corpus(), 5, pool_split=True), "pool_split"),
+    "synthesize_mixed.pool_split-float": (lambda: synthesize_mixed(corpus(), 5, pool_split=2.5), "pool_split"),
     "ExperimentConfig.k-float": (lambda: ExperimentConfig(corpus="c", out_dir="o", k=1.0), "k"),
     "InteractionSequence.truth_change-float": (lambda: seq([0, 1, 2, 3], truth=2.7), "truth_change"),
     "InteractionSequence.truth_change-bool": (lambda: seq(truth=True), "truth_change"),
