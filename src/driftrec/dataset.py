@@ -255,8 +255,10 @@ def load_benchmark(path: str | Path) -> tuple[list[MixedSequence], dict]:
     """The benchmark's records and its header's key=value pairs.  The items
     and the holdout column are each converted in one call; a column that is
     not all plain digit lists is parsed row by row, so an error names the
-    line of the first bad row.  A user id listed twice is refused, naming
-    both lines."""
+    line of the first bad row.  Each column is then checked in one call
+    against the header's num_items, when it has one: an item past the
+    vocabulary is refused, naming the file, the line and the user.  A user
+    id listed twice is refused, naming both lines."""
     with open(path) as fh:
         header = fh.readline()
     if not header.startswith("# driftrec-benchmark-v1"):
@@ -279,6 +281,16 @@ def load_benchmark(path: str | Path) -> tuple[list[MixedSequence], dict]:
             )
         except (ValueError, TypeError, OverflowError) as exc:
             raise _malformed(path, "benchmark", line, exc) from exc
+    if "num_items" in meta:
+        name = Path(path).name
+        try:
+            m = _check_count("num_items", int(meta["num_items"]), minimum=0)
+        except ValueError as exc:
+            raise ValueError(f"{name}:1: malformed benchmark header ({exc})") from exc
+        for part in ("items", "holdout"):
+            column = [getattr(mx, part) for mx in mixed]
+            where = _joined(column, lambda r: f"{name}:{lines[r]}: {part} of user {columns[0][r]!r}")
+            _index_array(*where, m)
     first: dict[str, int] = {}
     for line, user_id in zip(lines, columns[0]):
         if first.setdefault(user_id, line) != line:

@@ -67,9 +67,9 @@ from driftrec.recommend import (
     _last_usable_segment,
     _list_popularity,
     _rank_block,
+    _score_block,
     factors_from_pair,
     hmm_item_factors,
-    score_by_segment,
 )
 
 _BASELINE_DETECTORS = ("CUSUM", "SW", "RP")
@@ -553,9 +553,9 @@ def _fit_start_order(job) -> bool:
 def _recommend_one(shared, label: str) -> Path:
     """Rank every user for ranker label, _BLOCK_ROWS users at a time, and
     write its recommendations file.  A block's scores are its users'
-    score_by_segment rows for SMF-S{h} and HMMR-S{h}, from the last usable
-    HMCD segment; their factor products for NMF and BPR-MF; the popularity
-    row for PopRank."""
+    score_by_segment rows for SMF-S{h} and HMMR-S{h}, scored together by
+    _score_block from each user's last usable HMCD segment; their factor
+    products for NMF and BPR-MF; the popularity row for PopRank."""
     cfg, out, provenance, seqs, m, popularity, segments_of = shared
     fallback = [False] * len(seqs)
     if label.startswith(("SMF-S", "HMMR-S")):
@@ -570,7 +570,7 @@ def _recommend_one(shared, label: str) -> Path:
         fallback = [used for _, used in last]
 
         def block(a, b):
-            return np.stack([score_by_segment(factors, segment, cfg.l) for segment, _ in last[a:b]])
+            return _score_block(factors, [segment for segment, _ in last[a:b]], cfg.l)
 
     elif label == "PopRank":
 

@@ -13,10 +13,18 @@ dot product, ties by ascending index.  A segment with |U| distinct items
 needs only the first min(m, l + |U|) entries of each of its rows, so the
 table keeps the widest prefix asked for so far, rounded up to a power of
 two, at 2 * m * width bytes (int16 indices below 2**15 items).  It is
-built lazily, 256 rows at a time, and cached on the ItemFactors, whose
-vectors are a read-only copy so the table cannot go stale.  HmmModel is
-immutable too, so hmmr_recommend inverts each model's emissions and builds
-its table once per instance, however many requests it serves.
+built lazily, 256 rows at a time, from products over a copy of the
+vectors with their subnormal entries set to zero, which run several times
+faster; the rows whose order that might change are ranked again from the
+block formed from the vectors themselves.  It is cached on the ItemFactors, whose vectors are a
+read-only copy so the table cannot go stale.  HmmModel is immutable too,
+so hmmr_recommend inverts each model's emissions and builds its table once
+per instance, however many requests it serves.
+
+The recommend stage scores _BLOCK_ROWS users at a time: one sort of
+(user, item) keys, a few 2-D passes over the table rows the block reads
+and one bincount of every vote.  score_by_segment, which a served request
+calls, is a block of one.
 
 Both orders are selected rather than sorted, with the ties of a full
 stable sort.  A table row keeps the items above its width-th similarity
@@ -44,27 +52,70 @@ from .hmm import _ROW_SUM_TOL, HmmModel, _check_count, _check_entries, _index_ar
 
 _BLOCK_ROWS = 256
 _LARGEST = np.finfo(float).max
+_TINY = np.finfo(float).tiny
 
 
-def _stable_prefix(key: np.ndarray, width: int) -> np.ndarray:
+def _threshold(key: np.ndarray, width: int, scratch: np.ndarray) -> np.ndarray:
+    """Each row's width-th smallest key, as a column, partitioned in scratch."""
+    part = scratch[: len(key)]
+    np.copyto(part, key)
+    part.partition(width - 1, axis=1)
+    return part[:, width - 1 : width]
+
+
+def _stable_prefix(key: np.ndarray, thr: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """np.argsort(key, axis=1, kind="stable")[:, :width], selected rather
-    than sorted: each row keeps the entries below its width-th smallest key
-    plus the lowest-index entries tied with it, and sorts only those."""
-    thr = np.partition(key, width - 1, axis=1)[:, width - 1 : width] if 0 < width < key.shape[1] else None
+    than sorted, and the keys it ranks: each row keeps the entries below
+    thr, its width-th smallest key, plus the lowest-index entries tied with
+    it, and sorts only those."""
+    B, m = key.shape
     # NaN sorts last, so a NaN threshold marks a row with fewer than width
     # comparable keys; such a block is sorted in full
-    if thr is None or np.isnan(thr).any():
-        return np.argsort(key, axis=1, kind="stable")[:, :width]
+    if width == m or np.isnan(thr).any():
+        prefix = np.argsort(key, axis=1, kind="stable")[:, :width]
+        return prefix, np.take_along_axis(key, prefix, axis=1)
     sel = key <= thr
     # a row tied at its threshold past the width keeps only its lowest-index ties
     surplus = np.count_nonzero(sel, axis=1) - width
     over = np.flatnonzero(surplus)
     tied = key[over] == thr[over]
     sel[over] &= ~tied | (np.cumsum(tied, axis=1) <= tied.sum(axis=1, keepdims=True) - surplus[over, None])
-    # np.nonzero yields each row's width columns in ascending order
-    cols = np.nonzero(sel)[1].reshape(-1, width)
-    order = np.argsort(np.take_along_axis(key, cols, axis=1), axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1)
+    # the flat indices ascend, so each row's width columns come in ascending order
+    flat = np.flatnonzero(sel).reshape(B, width)
+    kept = key.ravel()[flat]
+    cols = flat - np.arange(0, B * m, m)[:, None]
+    # an unstable sort orders distinct keys as a stable one does; only the
+    # rows whose kept keys tie are sorted again, stably
+    order = kept.argsort(axis=1)
+    ranked = np.take_along_axis(kept, order, axis=1)
+    ties = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
+    order[ties] = kept[ties].argsort(axis=1, kind="stable")
+    return np.take_along_axis(cols, order, axis=1), ranked
+
+
+def _unsettled(key, prefix, ranked, after, err, loose_rows, loose_cols) -> np.ndarray:
+    """The rows of key whose stable prefix (the first width columns by
+    ascending key, whose keys are ranked) might change if every loose key
+    moved by up to err / 2: all keys of the loose_rows (a boolean column)
+    and, in every row, those at the loose_cols.  after is each row's next
+    key past its prefix (inf if none); a row with err 0 is exempt.
+
+    A row is settled when no loose key lies within err of another key up to
+    its width-th key plus err.  A key past that reach stays behind the first
+    width; inside it, two keys that are not loose are exact, and no pair
+    with a loose key can swap or tie.  Sorted, the keys in reach are the
+    prefix and then a tail that ties or nearly ties its last key, so each
+    loose key need only be compared with its neighbors."""
+    active = err[:, 0] > 0
+    loose = loose_cols[prefix] | loose_rows
+    close = np.diff(ranked, axis=1) <= err
+    rows = active & (close & (loose[:, 1:] | loose[:, :-1])).any(axis=1)
+    tails = np.flatnonzero(active & ~rows & (after - ranked[:, -1] <= err[:, 0]))
+    # a tail is harmless only if it and the prefix's last key are exact
+    tail = key[tails] - ranked[tails, -1:] <= err[tails]
+    tail[np.arange(len(tails))[:, None], prefix[tails]] = False
+    rows[tails] = loose[tails, -1] | (tail & loose_cols).any(axis=1)
+    return np.flatnonzero(rows)
 
 
 def neighbor_order(vectors: np.ndarray, width: int) -> np.ndarray:
@@ -74,14 +125,52 @@ def neighbor_order(vectors: np.ndarray, width: int) -> np.ndarray:
     ascending j (a stable sort).  The similarities are formed _BLOCK_ROWS
     rows at a time into one buffer, so the m x m product is never held
     whole and each block reuses the same memory.
+
+    Products over subnormal entries run several times slower, so each block
+    is first formed from a copy of the vectors with those entries set to
+    zero.  An entry whose two items hold no subnormal is then the same bits,
+    formed by the same operations on the same numbers.  Any other entry
+    moves by at most 2 n u sum_k |v_ik v_jk| (each result lies within n u
+    of its exact sum in any order of summation, fused or not; u = 2**-53
+    and n is the dimension), plus the dropped terms, each below
+    2**-1022 max|v|, plus an underflow error below 2**-1074 per operation.
+    err / 2 bounds that with room to spare, through |v_i| |v_j|, which is
+    at least sum_k |v_ik v_jk|.  The rows that _unsettled cannot prove to
+    rank their first width items as the stored vectors do, ties included,
+    are ranked again from the block formed from the stored vectors (its
+    bits depend on the block's shape, so the whole block is formed).  An
+    all-zero row is exempt: its products are exact zeros either way.
     """
-    m = len(vectors)
+    m, n = vectors.shape
     table = np.empty((m, width), dtype=np.int16 if m < 2**15 else np.int32)
+    subnormal = (vectors != 0) & (np.abs(vectors) < _TINY)
+    loose = subnormal.any(axis=1)
+    norms = np.sqrt(np.square(vectors).sum(axis=1))
+    # below 2**510 no product or partial sum can overflow; NaN fails too
+    flush = bool(loose.any()) and norms.max() < 2.0**510
+    if flush:
+        flushed = np.where(subnormal, 0.0, vectors)
+        # a loose row's entries all move, another row's only at loose columns
+        widest = np.where(loose, norms.max(), norms[loose].max())
+        err = 8 * (n + 2) * 2.0**-53 * norms * widest
+        err += (n + 1) * 2.0**-1020 * max(1.0, float(np.abs(vectors).max()))
+        err[~vectors.any(axis=1)] = 0.0
     product = np.empty((min(m, _BLOCK_ROWS), m))
+    scratch = np.empty_like(product)
     for lo in range(0, m, _BLOCK_ROWS):
-        key = product[: min(m - lo, _BLOCK_ROWS)]
-        np.matmul(vectors[lo : lo + _BLOCK_ROWS], vectors.T, out=key)
-        table[lo : lo + _BLOCK_ROWS] = _stable_prefix(np.negative(key, out=key), width)
+        hi = min(m, lo + _BLOCK_ROWS)
+        rows = slice(None)
+        if flush:
+            key = np.negative(np.matmul(flushed[lo:hi], flushed.T, out=product[: hi - lo]), out=product[: hi - lo])
+            thr = _threshold(key, width, scratch)
+            table[lo:hi], ranked = _stable_prefix(key, thr, width)
+            # the partition leaves every key past the width-th behind it
+            after = scratch[: hi - lo, width:].min(axis=1) if width < m else np.full(hi - lo, np.inf)
+            rows = _unsettled(key, table[lo:hi], ranked, after, err[lo:hi, None], loose[lo:hi, None], loose)
+            if not len(rows):
+                continue
+        key = np.negative(np.matmul(vectors[lo:hi], vectors.T, out=product[: hi - lo]), out=product[: hi - lo])[rows]
+        table[lo:hi][rows] = _stable_prefix(key, _threshold(key, width, scratch), width)[0]
     return table
 
 
@@ -134,19 +223,25 @@ class ItemFactors:
         segment, counted for all users by one sort of (user, item) keys."""
         segments = [_last_usable_segment(segs)[0] for segs in segment_lists]
         m = len(self.vectors)
-        distinct = int(np.bincount(_distinct_keys(segments, m, "segment") // m).max()) if segments else 0
+        distinct = int(np.bincount(_distinct_keys(segments, m, "segment")[0] // m).max()) if segments else 0
         self.neighbors(l + distinct)
 
 
-def _distinct_keys(item_lists, m: int, name: str) -> np.ndarray:
+def _distinct_keys(item_lists, m: int, name: str) -> tuple[np.ndarray, np.ndarray]:
     """The sorted distinct keys r * m + item, for each item of item_lists[r]
-    (a whole number in [0, m), else a ValueError naming the field `name`)."""
+    (a whole number in [0, m), else a ValueError naming the field `name`),
+    and how often each occurs."""
     items = _index_array(np.concatenate(item_lists) if item_lists else np.zeros(0, np.int64), name, m)
-    keys = np.sort(np.repeat(np.arange(len(item_lists)), [len(lst) for lst in item_lists]) * m + items)
-    # a sort and a mask: np.unique takes over ten times longer on tens of thousands of keys
-    distinct = np.ones(len(keys), dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]
-    return keys[distinct]
+    keys = np.arange(0, len(item_lists) * m, m).repeat([len(lst) for lst in item_lists])
+    keys += items
+    keys.sort()
+    # a sort and a mask: np.unique takes over ten times longer on tens of
+    # thousands of keys; a run of equal keys starts and ends at an edge
+    edges = np.empty(len(keys) + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    bounds = edges.nonzero()[0]
+    return keys[bounds[:-1]], bounds[1:] - bounds[:-1]
 
 
 @dataclass(frozen=True)
@@ -201,6 +296,61 @@ def hmm_item_factors(model: HmmModel) -> ItemFactors:
     return ItemFactors(vectors=posterior, source="hmm")
 
 
+def _score_block(factors: ItemFactors, segments, l: int) -> np.ndarray:
+    """score_by_segment of each of a block of B segments, as a B x m array.
+
+    One sort of (row, item) keys finds each row's distinct items U and how
+    often each occurs.  Each distinct item's table row is read to
+    min(m, l + |U|) columns, as score_by_segment reads it, or up to 15
+    more: the rows are taken in runs of one width // 16, each read to its
+    widest row, so the block takes a few 2-D passes however many rows it
+    has, and a column past a row's own width only follows its l voters.
+    One membership gather per run marks the neighbors inside their own
+    segment, one cumsum keeps each row's first l others, and one bincount
+    adds every vote into the B x m array.  Votes are whole numbers, so
+    their sums are exact in any order.
+    """
+    m = len(factors.vectors)
+    # a row has fewer than m others to vote for, so an l past m votes as m
+    # does, and the capped l fits the table's index type the cumsum counts in
+    l = min(_check_count("l", l), m)
+    keys, counts = _distinct_keys(segments, m, "segment")
+    lengths = [len(segment) for segment in segments]
+    if not all(lengths):
+        raise ValueError("segment must not be empty")
+    items = keys % m
+    base = keys - items
+    member = np.zeros(len(segments) * m, dtype=bool)
+    member[keys] = True
+    counts = counts.astype(float)
+    if len(segments) == 1:
+        # a block of one is one run, read to its own width
+        runs = [(slice(None), min(m, l + len(keys)))]
+        table = factors.neighbors(runs[0][1])
+    else:
+        rows = base // m
+        widths = np.minimum(np.bincount(rows)[rows] + l, m)
+        table = factors.neighbors(int(widths.max()))
+        order = widths.argsort(kind="stable")
+        classes = widths[order] >> 4
+        cuts = [0, *((classes[1:] != classes[:-1]).nonzero()[0] + 1).tolist(), len(order)]
+        runs = [(order[a:b], widths[order[b - 1]]) for a, b in zip(cuts, cuts[1:])]
+    voters, weights = [], []
+    for run, width in runs:
+        neighbors = table[items[run], :width] + base[run, None]
+        keep = ~member[neighbors]
+        others = keep.cumsum(axis=1, dtype=table.dtype)
+        keep &= others <= l
+        # compress rather than a boolean index: several times faster on these masks
+        voters.append(neighbors.ravel().compress(keep.ravel()))
+        weights.append(counts[run].repeat(np.minimum(others[:, -1], l)))
+    votes = np.bincount(np.concatenate(voters), np.concatenate(weights), minlength=member.size)
+    # with no votes at all bincount returns integers
+    votes = votes.reshape(-1, m).astype(float, copy=False)
+    votes /= np.array(lengths)[:, None]
+    return votes
+
+
 def score_by_segment(factors: ItemFactors, segment, l: int) -> np.ndarray:
     """Vote-fraction scores: how often each item neighbors the segment.
 
@@ -210,21 +360,10 @@ def score_by_segment(factors: ItemFactors, segment, l: int) -> np.ndarray:
     index.  Scores are votes divided by segment length, so they live in
     [0, 1].  At most |U| of a row's first l + |U| neighbors lie in the
     segment's item set U, so that prefix of the neighbor-order table
-    holds all l neighbors that vote.
+    holds all l neighbors that vote.  This is _score_block on a block of
+    one; the recommend stage scores _BLOCK_ROWS segments per call.
     """
-    _check_count("l", l)
-    m = len(factors.vectors)
-    seg = _index_array(segment, "segment", m)
-    if seg.size == 0:
-        raise ValueError("segment must not be empty")
-    items, counts = np.unique(seg, return_counts=True)
-    rows = factors.neighbors(l + len(items))[items]
-    member = np.zeros(m, dtype=bool)
-    member[items] = True
-    keep = ~member[rows]
-    keep &= np.cumsum(keep, axis=1) <= l
-    votes = np.bincount(rows[keep], weights=np.repeat(counts, keep.sum(axis=1)).astype(float), minlength=m)
-    return votes / len(seg)
+    return _score_block(factors, [segment], l)[0]
 
 
 def item_popularity(matrix) -> np.ndarray:
@@ -235,7 +374,7 @@ def item_popularity(matrix) -> np.ndarray:
 def _list_popularity(item_lists, m: int) -> np.ndarray:
     """How many of the item lists contain each of the m items: the
     item_popularity of their incidence matrix, counted without building it."""
-    return np.bincount(_distinct_keys(item_lists, m, "items") % m, minlength=m).astype(float)
+    return np.bincount(_distinct_keys(item_lists, m, "items")[0] % m, minlength=m).astype(float)
 
 
 def _last_usable_segment(segments) -> tuple:
@@ -258,8 +397,9 @@ def _rank_block(scores, popularity, training_items, N, user_ids, used_fallback) 
     times faster than the N-th largest of the scores themselves.
     """
     _check_count("N", N)
-    neg = np.negative(scores, dtype=float)
-    B, m = neg.shape
+    scores = np.asarray(scores)
+    part = np.negative(scores, dtype=float)
+    B, m = part.shape
     popularity = np.asarray(popularity, dtype=float)
     if popularity.shape != (m,):
         raise ValueError(f"popularity must have shape ({m},)")
@@ -268,16 +408,20 @@ def _rank_block(scores, popularity, training_items, N, user_ids, used_fallback) 
     seen = _index_array(np.concatenate(training_items), "training_items", m)
     # array methods rather than their np.* wrappers: a served request ranks
     # a block of one, where each wrapper's call costs as much as its work
-    neg[np.arange(B).repeat([len(items) for items in training_items]), seen] = np.inf
+    excluded = np.arange(B).repeat([len(items) for items in training_items]), seen
+    part[excluded] = np.inf
     # only an excluded item is inf, so a bar at the largest float keeps every
     # unseen item of a row with N or fewer and no excluded one
     bar = _LARGEST
     if N < m:
-        nth = neg.copy()
-        nth.partition(N - 1, axis=1)
-        bar = np.minimum(nth[:, N - 1, None], bar)
-    rows, cols = (neg <= bar).nonzero()
-    kept = neg[rows, cols]
+        # the negated scores are partitioned in place: the rows are then
+        # selected from the scores themselves, s >= -bar exactly when -s <= bar
+        part.partition(N - 1, axis=1)
+        bar = np.minimum(part[:, N - 1, None], bar)
+    keep = scores >= -bar
+    keep[excluded] = False
+    rows, cols = keep.nonzero()
+    kept = np.negative(scores[rows, cols], dtype=float)
     order = np.lexsort((cols, -popularity[cols], kept, rows))
     # rows ascend and lead the sort, so row r's entries fill
     # order[bounds[r]:bounds[r + 1]], best first; it keeps the first N

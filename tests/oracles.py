@@ -2,9 +2,11 @@
 pairwise-ranking loss and gradient behind bpr_fit's level updates, the
 per-sequence sliding-window split behind sliding_window_detect_all, the
 per-sequence switch scoring behind hmcd_detect_all, the per-user ranking
-walk behind the evaluation module's array metrics, and the E-step on one
+walk behind the evaluation module's array metrics, the E-step on one
 (h, cells) array and the all-pairs farthest-point start behind
-baum_welch_train, which must give the same bits."""
+baum_welch_train, and the neighbor-order table from the stored vectors and
+the one-segment scorer behind the recommend module's subnormal-free table
+and block scorer, which must give the same bits."""
 
 import math
 
@@ -204,3 +206,32 @@ def packed_baum_welch(corpus, h, cfg, m):
         if len(history) >= 2 and (history[-1] - history[-2]) / max(1.0, abs(history[-2])) < cfg.log_lik_tol:
             break
     return pi, trans, emit, history
+
+
+def neighbor_order_reference(vectors, width, rows=256):
+    """The first `width` columns of the neighbor-order table, from the stored
+    vectors: each block of `rows` rows is multiplied by all items in one
+    product, as neighbor_order forms it (BLAS's bits depend on the shape),
+    and its negated similarities are sorted in full, stably."""
+    vectors = np.asarray(vectors, dtype=float)
+    blocks = [
+        np.argsort(-(vectors[lo : lo + rows] @ vectors.T), axis=1, kind="stable")[:, :width]
+        for lo in range(0, len(vectors), rows)
+    ]
+    return np.concatenate(blocks)
+
+
+def segment_scores_reference(factors, segment, l):
+    """score_by_segment for one segment on its own: each distinct item's
+    first l + |U| table columns, its first l neighbors outside the segment
+    found by a cumsum, and votes weighted by the item's count."""
+    m = len(factors.vectors)
+    seg = np.asarray(segment, dtype=np.int64)
+    items, counts = np.unique(seg, return_counts=True)
+    rows = factors.neighbors(l + len(items))[items]
+    member = np.zeros(m, dtype=bool)
+    member[items] = True
+    keep = ~member[rows]
+    keep &= np.cumsum(keep, axis=1) <= l
+    votes = np.bincount(rows[keep], weights=np.repeat(counts, keep.sum(axis=1)).astype(float), minlength=m)
+    return votes / len(seg)

@@ -991,10 +991,13 @@ class TestBenchmarkItems:
 
     @pytest.mark.parametrize("column, part", [(3, "items"), (4, "holdout")])
     def test_item_past_the_vocabulary_names_the_user(self, cli_run, tmp_path, capsys, stage, column, part):
-        """load_benchmark does not know the vocabulary: the digest alone refuses an item past it."""
+        """load_benchmark checks each column against the header's num_items."""
         m = int(load_benchmark(cli_run[1] / "benchmark.tsv")[1]["num_items"])
+        user = data_rows(cli_run[1] / "benchmark.tsv")[0][0]
         path = self.run_edited(cli_run, tmp_path, capsys, stage, edit_benchmark_item(column, str(m)))
-        assert getattr(load_benchmark(path)[0][0], part)[0] == m
+        found = f"benchmark.tsv:2: {part} of user {user!r} has item {m}; items must lie in [0, {m})"
+        with pytest.raises(ValueError, match=f"^{re.escape(found)}$"):
+            load_benchmark(path)
 
     def test_repeated_user_names_both_lines(self, cli_run, tmp_path, capsys, stage):
         users = [row[0] for row in data_rows(cli_run[1] / "benchmark.tsv")]

@@ -22,6 +22,7 @@ from driftrec.recommend import (
 )
 
 from conftest import random_model, two_state_disjoint_model
+from oracles import neighbor_order_reference, segment_scores_reference
 
 
 def posterior_oracle(model):
@@ -314,6 +315,174 @@ class TestScoreBySegment:
         factors = ItemFactors(vectors=vectors, source="bpr")
         scores = score_by_segment(factors, [0, 3, 3, 9], l=4)
         assert scores.min() >= 0.0 and scores.max() <= 1.0
+
+
+SUBNORMALS = np.array([5e-324, 1e-320, 3e-315, 1e-310, 2e-308])
+
+
+def subnormal_vectors(rng, m, source, posterior=False):
+    """Four-dimensional item vectors for source, tie-prone and with
+    subnormal entries.  The normal entries are multiples of 1/16, so every
+    product and sum of them is exact; hmm rows sum to 1, and duplicated
+    rows tie exactly.  Row m - 5 is the first unit vector and most items
+    hold a subnormal or zero first entry, so that row's few normal
+    similarities are followed by subnormal ones, which flushing reorders.
+    Subnormals also fill some zero entries elsewhere.  For nmf and bpr, row
+    3 is all zero and row 7 all subnormal; bpr flips the sign of about half
+    the entries.  posterior divides each row by its sum, as hmm_item_factors
+    does: row 7 then has full mantissas, and its products with the short
+    ones of the other rows often lie exactly halfway between two doubles,
+    where a dropped subnormal term decides which way the sum rounds."""
+    vectors = np.zeros((m, 4))
+    vectors[:, 1:] = rng.multinomial(8, [1 / 3] * 3, size=m) / 8.0
+    vectors[rng.choice(m, m // 5, replace=False)] = vectors[rng.choice(m, m // 5, replace=False)]
+    halved = rng.choice(m, 4, replace=False)
+    vectors[halved] /= 2.0
+    vectors[halved, 0] = 0.5
+    zeros = np.argwhere(vectors == 0.0)
+    filled = zeros[rng.random(len(zeros)) < 0.4]
+    vectors[filled[:, 0], filled[:, 1]] = rng.choice(SUBNORMALS, len(filled))
+    vectors[m - 5] = [1.0, 0.0, 0.0, 0.0]
+    if source != "hmm":
+        vectors[3] = 0.0
+        vectors[7] = rng.choice(SUBNORMALS, 4)
+    if posterior:
+        sums = vectors.sum(axis=1, keepdims=True)
+        vectors /= np.where(sums > 0, sums, 1.0)
+    if source == "bpr":
+        vectors *= rng.choice([-1.0, 1.0], size=vectors.shape)
+    return vectors
+
+
+def flushed(vectors):
+    return np.where(np.abs(vectors) < np.finfo(float).tiny, 0.0, vectors)
+
+
+class TestSubnormalFreeTable:
+    """neighbor_order forms each block from vectors with their subnormal
+    entries set to zero, and ranks again, from the block formed from the
+    stored vectors, each row whose order it cannot prove unchanged; the
+    table must equal the one from the stored vectors, bit for bit."""
+
+    @pytest.mark.parametrize("posterior", [False, True])
+    @pytest.mark.parametrize("source", ["nmf", "hmm", "bpr"])
+    def test_equals_the_stored_vector_table(self, source, posterior):
+        # with this seed the nmf and bpr posterior rows at m = 600 include
+        # some whose flushed similarities round a tie the other way, though
+        # none of them is near the subnormal range
+        for m in (40, 300, 600):
+            rng = np.random.default_rng([123, m])
+            vectors = ItemFactors(vectors=subnormal_vectors(rng, m, source, posterior), source=source).vectors
+            assert (vectors != flushed(vectors)).sum() > m // 8
+            for width in (1, 8, 37, m - 1, m):
+                np.testing.assert_array_equal(neighbor_order(vectors, width), neighbor_order_reference(vectors, width))
+
+    def test_ranks_again_only_the_rows_it_cannot_prove(self, monkeypatch):
+        """Of 300 items with distinct similarities, row 10 holds a subnormal
+        and row 20 is all zero, which is exempt.  Row 290 is the first unit
+        vector, and all but three items hold a subnormal first entry, so its
+        8th similarity is subnormal: flushed, the rest of its first 8 tie at
+        zero.  Only that row is ranked again, from block 1 formed again."""
+        thresholds = counting(monkeypatch, "_threshold")
+        rng = np.random.default_rng(103)
+        vectors = rng.uniform(0.5, 1.0, size=(300, 4))
+        vectors[:, 0] = rng.choice(SUBNORMALS, 300) * rng.uniform(0.6, 1.0, 300)
+        vectors[[40, 50, 260], 0] = 0.25
+        vectors[10, 2] = 1e-310
+        vectors[20] = 0.0
+        vectors[290] = [1.0, 0.0, 0.0, 0.0]
+        want = neighbor_order_reference(vectors, 8)
+        assert not np.array_equal(neighbor_order_reference(flushed(vectors), 8)[290], want[290])
+        np.testing.assert_array_equal(neighbor_order(vectors, 8), want)
+        # the two blocks, then row 290 alone
+        assert [len(call[0]) for call in thresholds] == [256, 44, 1]
+        np.testing.assert_array_equal(thresholds[-1][0][0], -(vectors[256:] @ vectors.T)[290 - 256])
+
+    def test_vectors_without_subnormals_are_multiplied_once_per_block(self, monkeypatch):
+        thresholds = counting(monkeypatch, "_threshold")
+        vectors = np.random.default_rng(107).normal(size=(300, 3))
+        vectors[[5, 280]] = 0.0
+        vectors[9] = 1e-300
+        np.testing.assert_array_equal(neighbor_order(vectors, 20), neighbor_order_reference(vectors, 20))
+        assert len(thresholds) == 2
+
+    def test_unsettled_rows(self):
+        """A loose key within err of a key it might swap or tie with, in
+        the prefix or in a tail past it, unsettles its row; exact keys,
+        wide gaps and exempt rows do not."""
+        key = np.array(
+            [
+                [0.1, 0.2, 0.3, 0.9, 1.0, 1.1],  # the loose key 0.2 stands clear
+                [0.1, 0.105, 0.3, 0.9, 1.0, 1.1],  # it nearly ties 0.1
+                [0.1, 0.2, 0.3, 0.9, 0.3, 1.1],  # exact keys tie in the tail
+                [0.1, 0.2, 0.3, 0.9, 1.0, 0.305],  # a loose key in the tail
+                [0.3, 0.3, 0.3, 0.3, 0.3, 0.3],  # ties, but the row is exempt
+                [0.1, 0.5, 0.3, 0.9, 1.0, 1.1],  # a loose row, clear
+                [0.1, 0.5, 0.3, 0.9, 0.3, 1.1],  # a loose row, tied in the tail
+            ]
+        )
+        err = np.array([[0.01]] * 4 + [[0.0]] + [[0.01]] * 2)
+        loose_rows = np.array([[False]] * 5 + [[True]] * 2)
+        loose_cols = np.array([False, True, False, False, False, True])
+        prefix = np.argsort(key, axis=1, kind="stable")[:, :3]
+        ranked = np.take_along_axis(key, prefix, axis=1)
+        after = np.sort(key, axis=1)[:, 3]
+        got = driftrec.recommend._unsettled(key, prefix, ranked, after, err, loose_rows, loose_cols)
+        assert got.tolist() == [1, 3, 6]
+
+
+class TestScoreBlock:
+    """_score_block scores a block of segments in one pass; each row must
+    equal the one-segment reference scorer's, bit for bit."""
+
+    def test_rows_equal_the_one_segment_scorer(self):
+        rng = np.random.default_rng(109)
+        for vectors, l in [
+            (rng.normal(size=(40, 3)), 4),
+            (tie_heavy_vectors(rng, 600, 3), 10),
+            (subnormal_vectors(rng, 600, "nmf"), 20),
+        ]:
+            m = len(vectors)
+            factors = ItemFactors(vectors=vectors, source="bpr")
+            # one-item segments, repeated items, widths across many runs of
+            # 16, every item but a few (l >= m - |U|), and every item
+            segments = [rng.choice(m, size=size) for size in rng.integers(1, m, 60)]
+            segments += [np.array([rng.integers(m)]) for _ in range(5)]
+            segments += [np.repeat(rng.choice(m, 3), 4), np.arange(3, m), np.arange(m)[::-1]]
+            order = rng.permutation(len(segments))
+            block = [segments[i] for i in order]
+            got = driftrec.recommend._score_block(factors, block, l)
+            want = np.stack([segment_scores_reference(factors, segment, l) for segment in block])
+            assert_bits_equal(got, want)
+            for big_l in (m - 3, m):
+                assert_bits_equal(
+                    driftrec.recommend._score_block(factors, block[:7], big_l),
+                    np.stack([segment_scores_reference(factors, segment, big_l) for segment in block[:7]]),
+                )
+
+    def test_score_by_segment_is_a_block_of_one(self):
+        rng = np.random.default_rng(113)
+        factors = ItemFactors(vectors=tie_heavy_vectors(rng, 300, 2), source="nmf")
+        segments = [rng.choice(300, size=size) for size in (1, 2, 9, 40, 299)]
+        block = driftrec.recommend._score_block(factors, segments, 6)
+        for segment, row in zip(segments, block):
+            assert_bits_equal(score_by_segment(factors, segment, 6), row)
+
+    def test_l_past_the_index_type_votes_as_l_equal_to_m(self):
+        """The table holds int16 indices below 2**15 items, and the votes
+        are counted in that type; an l past it must still score."""
+        rng = np.random.default_rng(127)
+        factors = ItemFactors(vectors=rng.normal(size=(40, 3)), source="bpr")
+        segments = [rng.choice(40, size=size) for size in (1, 5, 39)]
+        want = np.stack([segment_scores_reference(factors, segment, 2**15 + 1) for segment in segments])
+        assert_bits_equal(driftrec.recommend._score_block(factors, segments, 2**15 + 1), want)
+        assert_bits_equal(score_by_segment(factors, segments[1], 2**15 + 1), want[1])
+        assert_bits_equal(score_by_segment(factors, segments[1], 40), want[1])
+
+    def test_empty_segment_in_a_block_is_refused(self):
+        factors = ItemFactors(vectors=np.eye(4), source="nmf")
+        with pytest.raises(ValueError, match="segment must not be empty"):
+            driftrec.recommend._score_block(factors, [[0, 1], []], 2)
 
 
 class TestCachedState:

@@ -116,3 +116,17 @@ def test_rerun_into_the_same_work_dir_replaces_each_out_dir(tmp_path):
     run_jobs(PERFBENCH.parent, {"tiny": config}, results)
     assert sorted(p.relative_to(results) for p in results.rglob("*")) == first
     assert not (results / "tiny" / "out").exists()
+
+
+def test_same_outputs_runs_both_bench_jobs_at_each_seed_and_the_unscaled_job_once():
+    job_list = load_module("same_outputs", SAME_OUTPUTS).job_list
+    assert job_list("1") == [("acceptance", "bench", 1), ("wide", "bench", 1), ("acceptance", "full", 39)]
+    assert job_list("1,2,3") == [
+        ("acceptance", "bench", 1),
+        ("wide", "bench", 1),
+        ("acceptance", "bench", 2),
+        ("wide", "bench", 2),
+        ("acceptance", "bench", 3),
+        ("wide", "bench", 3),
+        ("acceptance", "full", 39),
+    ]

@@ -6,6 +6,7 @@ ascending points."""
 import base64
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from driftrec import (
     hmcd_detect_all,
     load_corpus,
     load_factors,
+    load_benchmark,
     load_model,
     ndcg_time_aware,
     partition,
@@ -33,6 +35,7 @@ from driftrec import (
     random_partition,
     rank_by_scores,
     recommend_from_segments,
+    save_benchmark,
     save_factors,
     save_model,
     score_by_segment,
@@ -206,3 +209,30 @@ def test_normalized_values_are_plain_python_numbers():
     exp = ExperimentConfig(corpus="c", out_dir="o", d=np.int32(4), n_grid=np.arange(1, 4))
     assert exp.d == 4 and type(exp.d) is int
     assert exp.n_grid == [1, 2, 3] and all(type(n) is int for n in exp.n_grid)
+
+
+@pytest.mark.parametrize("part", ["items", "holdout"])
+def test_benchmark_item_past_the_vocabulary_names_the_file_line_and_user(tmp_path, part):
+    path = tmp_path / "bench.tsv"
+    size = len(getattr(mixed(), part))
+    past = {part: np.arange(15 - size, 15)}
+    save_benchmark(path, [mixed(user_id="u0"), mixed(user_id="u1", **past)], {"num_items": 14})
+    with pytest.raises(ValueError, match=rf"^bench\.tsv:3: {part} of user 'u1' has item 14; items must lie in \[0, 14\)$"):
+        load_benchmark(path)
+    save_benchmark(path, [mixed(user_id="u0"), mixed(user_id="u1", **past)], {"num_items": 15})
+    assert [mx.user_id for mx in load_benchmark(path)[0]] == ["u0", "u1"]
+
+
+@pytest.mark.parametrize(
+    "value, detail",
+    [
+        ("abc", "invalid literal for int() with base 10: 'abc'"),
+        ("", "invalid literal for int() with base 10: ''"),
+        ("-1", "num_items: must be >= 0, got -1"),
+    ],
+)
+def test_malformed_benchmark_num_items_names_the_file_and_header(tmp_path, value, detail):
+    path = tmp_path / "bench.tsv"
+    save_benchmark(path, [mixed(user_id="u0")], {"num_items": value})
+    with pytest.raises(ValueError, match=rf"^bench\.tsv:1: malformed benchmark header \({re.escape(detail)}\)$"):
+        load_benchmark(path)
