@@ -1,14 +1,11 @@
-"""Preference-drift detection and drift-aware recommendation over interaction sequences."""
+"""Preference-drift detection and drift-aware recommendation over interaction sequences.
 
-import os
-
-# One BLAS thread unless the caller chose otherwise: every stage but
-# synthesize runs one forked worker per CPU (pipeline._map_jobs), and a
-# BLAS pool of one thread per CPU in each worker would oversubscribe the
-# cores.  Takes effect only where numpy is first imported through this
-# package.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+The pipeline runs its jobs on one forked worker per CPU, each job with
+one BLAS thread whatever imported numpy first (pipeline._blas_threads).
+Where no OpenBLAS thread setter is found, as with a numpy built against
+MKL, nothing is set, and each worker may start a BLAS thread per CPU
+unless OMP_NUM_THREADS or MKL_NUM_THREADS is 1 before numpy is imported.
+"""
 
 from driftrec.changepoint import (
     ChangePointResult,

@@ -18,6 +18,7 @@ benchmark.tsv, so the readers below do not check it again.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import functools
 import hashlib
@@ -335,9 +336,35 @@ def _fmt(value: float) -> str:
 _shared = None  # a forked worker's copy of the stage's shared inputs, set by _init_worker
 
 
+@functools.cache
+def _openblas():
+    """The OpenBLAS that numpy's wheels load from numpy.libs, opened again
+    through ctypes (the same library, already loaded), or None where none
+    with a thread setter is found, as with a numpy built against MKL."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+def _blas_threads(count: int | None) -> int | None:
+    """Set this process's BLAS pool to count threads and return the count
+    it had; None, with nothing set, where count is None or _openblas finds
+    no setter.  The jobs are the parallelism, one worker per CPU, so each
+    runs with one BLAS thread rather than a pool per CPU in every worker."""
+    lib = _openblas()
+    if count is None or lib is None:
+        return None
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(count)
+    return before
+
+
 def _init_worker(shared) -> None:
     global _shared
     _shared = shared
+    _blas_threads(1)
 
 
 def _run_job(fn, job):
@@ -354,14 +381,22 @@ def _map_jobs(fn, jobs, shared, key=lambda job: 0) -> list:
     pickled copy of it; fn must be a module-level function, so it pickles
     by reference.  With one worker the jobs run inline, in the same order.
     The exception of the first failing job in that order is raised here,
-    as inline.
+    as inline.  Each worker pins its BLAS pool to one thread, and the
+    inline path pins the caller's for the jobs' duration (_blas_threads).
     """
     order = sorted(range(len(jobs)), key=lambda i: key(jobs[i]))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(jobs), cpus)
     if workers <= 1:
-        done = [fn(shared, *jobs[i]) for i in order]
+        before = _blas_threads(1)
+        try:
+            done = [fn(shared, *jobs[i]) for i in order]
+        finally:
+            _blas_threads(before)
     else:
+        # found once, here: a forked worker opening it itself took 2 ms on
+        # a 2-core x86 host, against stages of tens of ms
+        _openblas()
         context = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(shared,)) as pool:
             done = list(pool.map(functools.partial(_run_job, fn), [jobs[i] for i in order]))

@@ -13,11 +13,11 @@ dot product, ties by ascending index.  A segment with |U| distinct items
 needs only the first min(m, l + |U|) entries of each of its rows, so the
 table keeps the widest prefix asked for so far, rounded up to a power of
 two, at 2 * m * width bytes (int16 indices below 2**15 items).  It is
-built lazily, 256 rows at a time, from products over a copy of the
-vectors with their subnormal entries set to zero, which run several times
-faster; the rows whose order that might change are ranked again from the
-block formed from the vectors themselves.  It is cached on the ItemFactors, whose vectors are a
-read-only copy so the table cannot go stale.  HmmModel is immutable too,
+built lazily, 256 rows at a time, and cached on the ItemFactors.  Its
+vectors are a read-only copy with every subnormal entry set to zero, so
+the table is the exact stable order over the stored vectors and cannot
+go stale; vectors that still hold subnormals can order an exact tie
+differently.  HmmModel is immutable too,
 so hmmr_recommend inverts each model's emissions and builds its table once
 per instance, however many requests it serves.
 
@@ -63,17 +63,16 @@ def _threshold(key: np.ndarray, width: int, scratch: np.ndarray) -> np.ndarray:
     return part[:, width - 1 : width]
 
 
-def _stable_prefix(key: np.ndarray, thr: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _stable_prefix(key: np.ndarray, thr: np.ndarray, width: int) -> np.ndarray:
     """np.argsort(key, axis=1, kind="stable")[:, :width], selected rather
-    than sorted, and the keys it ranks: each row keeps the entries below
-    thr, its width-th smallest key, plus the lowest-index entries tied with
-    it, and sorts only those."""
+    than sorted: each row keeps the entries below thr, its width-th
+    smallest key, plus the lowest-index entries tied with it, and sorts
+    only those."""
     B, m = key.shape
     # NaN sorts last, so a NaN threshold marks a row with fewer than width
     # comparable keys; such a block is sorted in full
     if width == m or np.isnan(thr).any():
-        prefix = np.argsort(key, axis=1, kind="stable")[:, :width]
-        return prefix, np.take_along_axis(key, prefix, axis=1)
+        return np.argsort(key, axis=1, kind="stable")[:, :width]
     sel = key <= thr
     # a row tied at its threshold past the width keeps only its lowest-index ties
     surplus = np.count_nonzero(sel, axis=1) - width
@@ -90,87 +89,27 @@ def _stable_prefix(key: np.ndarray, thr: np.ndarray, width: int) -> tuple[np.nda
     ranked = np.take_along_axis(kept, order, axis=1)
     ties = np.flatnonzero((ranked[:, 1:] == ranked[:, :-1]).any(axis=1))
     order[ties] = kept[ties].argsort(axis=1, kind="stable")
-    return np.take_along_axis(cols, order, axis=1), ranked
-
-
-def _unsettled(key, prefix, ranked, after, err, loose_rows, loose_cols) -> np.ndarray:
-    """The rows of key whose stable prefix (the first width columns by
-    ascending key, whose keys are ranked) might change if every loose key
-    moved by up to err / 2: all keys of the loose_rows (a boolean column)
-    and, in every row, those at the loose_cols.  after is each row's next
-    key past its prefix (inf if none); a row with err 0 is exempt.
-
-    A row is settled when no loose key lies within err of another key up to
-    its width-th key plus err.  A key past that reach stays behind the first
-    width; inside it, two keys that are not loose are exact, and no pair
-    with a loose key can swap or tie.  Sorted, the keys in reach are the
-    prefix and then a tail that ties or nearly ties its last key, so each
-    loose key need only be compared with its neighbors."""
-    active = err[:, 0] > 0
-    loose = loose_cols[prefix] | loose_rows
-    close = np.diff(ranked, axis=1) <= err
-    rows = active & (close & (loose[:, 1:] | loose[:, :-1])).any(axis=1)
-    tails = np.flatnonzero(active & ~rows & (after - ranked[:, -1] <= err[:, 0]))
-    # a tail is harmless only if it and the prefix's last key are exact
-    tail = key[tails] - ranked[tails, -1:] <= err[tails]
-    tail[np.arange(len(tails))[:, None], prefix[tails]] = False
-    rows[tails] = loose[tails, -1] | (tail & loose_cols).any(axis=1)
-    return np.flatnonzero(rows)
+    return np.take_along_axis(cols, order, axis=1)
 
 
 def neighbor_order(vectors: np.ndarray, width: int) -> np.ndarray:
     """The first `width` entries of every item's neighbor order.
 
     Row i ranks all items by descending vectors[i] . vectors[j], ties by
-    ascending j (a stable sort).  The similarities are formed _BLOCK_ROWS
-    rows at a time into one buffer, so the m x m product is never held
-    whole and each block reuses the same memory.
-
-    Products over subnormal entries run several times slower, so each block
-    is first formed from a copy of the vectors with those entries set to
-    zero.  An entry whose two items hold no subnormal is then the same bits,
-    formed by the same operations on the same numbers.  Any other entry
-    moves by at most 2 n u sum_k |v_ik v_jk| (each result lies within n u
-    of its exact sum in any order of summation, fused or not; u = 2**-53
-    and n is the dimension), plus the dropped terms, each below
-    2**-1022 max|v|, plus an underflow error below 2**-1074 per operation.
-    err / 2 bounds that with room to spare, through |v_i| |v_j|, which is
-    at least sum_k |v_ik v_jk|.  The rows that _unsettled cannot prove to
-    rank their first width items as the stored vectors do, ties included,
-    are ranked again from the block formed from the stored vectors (its
-    bits depend on the block's shape, so the whole block is formed).  An
-    all-zero row is exempt: its products are exact zeros either way.
+    ascending j (a stable sort), over the vectors as given.  ItemFactors
+    passes its stored vectors, whose subnormal entries are already zero.
+    The similarities are formed _BLOCK_ROWS rows at a time into one
+    buffer, so the m x m product is never held whole and each block reuses
+    the same memory.
     """
-    m, n = vectors.shape
+    m = len(vectors)
     table = np.empty((m, width), dtype=np.int16 if m < 2**15 else np.int32)
-    subnormal = (vectors != 0) & (np.abs(vectors) < _TINY)
-    loose = subnormal.any(axis=1)
-    norms = np.sqrt(np.square(vectors).sum(axis=1))
-    # below 2**510 no product or partial sum can overflow; NaN fails too
-    flush = bool(loose.any()) and norms.max() < 2.0**510
-    if flush:
-        flushed = np.where(subnormal, 0.0, vectors)
-        # a loose row's entries all move, another row's only at loose columns
-        widest = np.where(loose, norms.max(), norms[loose].max())
-        err = 8 * (n + 2) * 2.0**-53 * norms * widest
-        err += (n + 1) * 2.0**-1020 * max(1.0, float(np.abs(vectors).max()))
-        err[~vectors.any(axis=1)] = 0.0
     product = np.empty((min(m, _BLOCK_ROWS), m))
     scratch = np.empty_like(product)
     for lo in range(0, m, _BLOCK_ROWS):
         hi = min(m, lo + _BLOCK_ROWS)
-        rows = slice(None)
-        if flush:
-            key = np.negative(np.matmul(flushed[lo:hi], flushed.T, out=product[: hi - lo]), out=product[: hi - lo])
-            thr = _threshold(key, width, scratch)
-            table[lo:hi], ranked = _stable_prefix(key, thr, width)
-            # the partition leaves every key past the width-th behind it
-            after = scratch[: hi - lo, width:].min(axis=1) if width < m else np.full(hi - lo, np.inf)
-            rows = _unsettled(key, table[lo:hi], ranked, after, err[lo:hi, None], loose[lo:hi, None], loose)
-            if not len(rows):
-                continue
-        key = np.negative(np.matmul(vectors[lo:hi], vectors.T, out=product[: hi - lo]), out=product[: hi - lo])[rows]
-        table[lo:hi][rows] = _stable_prefix(key, _threshold(key, width, scratch), width)[0]
+        key = np.negative(np.matmul(vectors[lo:hi], vectors.T, out=product[: hi - lo]), out=product[: hi - lo])
+        table[lo:hi] = _stable_prefix(key, _threshold(key, width, scratch), width)
     return table
 
 
@@ -180,8 +119,12 @@ class ItemFactors:
 
     For source "hmm" each row is the item's posterior distribution over
     hidden states and must be a probability vector.  vectors is a
-    read-only copy of the input, and the read-only neighbor-order table
-    derived from it is cached here.
+    read-only copy of the input with every subnormal entry set to zero:
+    products over subnormals run several times slower, and NMF factors
+    hold hundreds of them.  The read-only neighbor-order table derived
+    from it, the exact stable order over these stored vectors, is cached
+    here.  A caller whose own vectors hold subnormals can order an exact
+    tie differently from this table.
     """
 
     vectors: np.ndarray
@@ -197,6 +140,7 @@ class ItemFactors:
         _check_entries(vectors, nonnegative=self.source == "hmm", name="vectors")
         if self.source == "hmm" and np.any(np.abs(vectors.sum(axis=1) - 1.0) > _ROW_SUM_TOL):
             raise ValueError("state posterior rows must sum to 1")
+        vectors[np.abs(vectors) < _TINY] = 0.0
         vectors.setflags(write=False)
         object.__setattr__(self, "vectors", vectors)
         object.__setattr__(self, "_order", np.empty((len(vectors), 0), dtype=np.int16))
@@ -209,7 +153,7 @@ class ItemFactors:
         logarithmically often.
         """
         m = len(self.vectors)
-        width = min(width, m)
+        width = min(_check_count("width", width), m)
         if width > self._order.shape[1]:
             order = neighbor_order(self.vectors, min(m, 1 << (width - 1).bit_length()))
             order.setflags(write=False)
@@ -221,6 +165,7 @@ class ItemFactors:
         so a run of ever-longer segments does not widen it again and again.
         The width adds the most distinct items in any user's last usable
         segment, counted for all users by one sort of (user, item) keys."""
+        _check_count("l", l)
         segments = [_last_usable_segment(segs)[0] for segs in segment_lists]
         m = len(self.vectors)
         distinct = int(np.bincount(_distinct_keys(segments, m, "segment")[0] // m).max()) if segments else 0
@@ -355,7 +300,8 @@ def score_by_segment(factors: ItemFactors, segment, l: int) -> np.ndarray:
     """Vote-fraction scores: how often each item neighbors the segment.
 
     Every segment occurrence contributes one vote to each of its item's
-    top-l dot-product neighbors; neighbor lists never include any item
+    top-l dot-product neighbors over factors' stored vectors, whose
+    subnormal entries are zero; neighbor lists never include any item
     present in the segment, and similarity ties prefer the smaller item
     index.  Scores are votes divided by segment length, so they live in
     [0, 1].  At most |U| of a row's first l + |U| neighbors lie in the

@@ -4,9 +4,9 @@ per-sequence sliding-window split behind sliding_window_detect_all, the
 per-sequence switch scoring behind hmcd_detect_all, the per-user ranking
 walk behind the evaluation module's array metrics, the E-step on one
 (h, cells) array and the all-pairs farthest-point start behind
-baum_welch_train, and the neighbor-order table from the stored vectors and
-the one-segment scorer behind the recommend module's subnormal-free table
-and block scorer, which must give the same bits."""
+baum_welch_train, and the neighbor-order table from given vectors and the
+one-segment scorer behind the recommend module's table and block scorer,
+which must give the same bits."""
 
 import math
 
@@ -209,8 +209,8 @@ def packed_baum_welch(corpus, h, cfg, m):
 
 
 def neighbor_order_reference(vectors, width, rows=256):
-    """The first `width` columns of the neighbor-order table, from the stored
-    vectors: each block of `rows` rows is multiplied by all items in one
+    """The first `width` columns of the neighbor-order table over vectors:
+    each block of `rows` rows is multiplied by all items in one
     product, as neighbor_order forms it (BLAS's bits depend on the shape),
     and its negated similarities are sorted in full, stably."""
     vectors = np.asarray(vectors, dtype=float)

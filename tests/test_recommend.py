@@ -326,7 +326,7 @@ def subnormal_vectors(rng, m, source, posterior=False):
     product and sum of them is exact; hmm rows sum to 1, and duplicated
     rows tie exactly.  Row m - 5 is the first unit vector and most items
     hold a subnormal or zero first entry, so that row's few normal
-    similarities are followed by subnormal ones, which flushing reorders.
+    similarities are followed by subnormal ones, which flushing ties at zero.
     Subnormals also fill some zero entries elsewhere.  For nmf and bpr, row
     3 is all zero and row 7 all subnormal; bpr flips the sign of about half
     the entries.  posterior divides each row by its sum, as hmm_item_factors
@@ -359,44 +359,22 @@ def flushed(vectors):
 
 
 class TestSubnormalFreeTable:
-    """neighbor_order forms each block from vectors with their subnormal
-    entries set to zero, and ranks again, from the block formed from the
-    stored vectors, each row whose order it cannot prove unchanged; the
-    table must equal the one from the stored vectors, bit for bit."""
+    """ItemFactors stores its vectors with every subnormal entry set to
+    zero and every other entry bit for bit, and its table is the exact
+    stable order over those stored vectors."""
 
     @pytest.mark.parametrize("posterior", [False, True])
     @pytest.mark.parametrize("source", ["nmf", "hmm", "bpr"])
     def test_equals_the_stored_vector_table(self, source, posterior):
-        # with this seed the nmf and bpr posterior rows at m = 600 include
-        # some whose flushed similarities round a tie the other way, though
-        # none of them is near the subnormal range
         for m in (40, 300, 600):
             rng = np.random.default_rng([123, m])
-            vectors = ItemFactors(vectors=subnormal_vectors(rng, m, source, posterior), source=source).vectors
-            assert (vectors != flushed(vectors)).sum() > m // 8
+            given = subnormal_vectors(rng, m, source, posterior)
+            want = flushed(given)
+            assert (want != given).sum() > m // 8
+            factors = ItemFactors(vectors=given, source=source)
+            assert_bits_equal(factors.vectors, want)
             for width in (1, 8, 37, m - 1, m):
-                np.testing.assert_array_equal(neighbor_order(vectors, width), neighbor_order_reference(vectors, width))
-
-    def test_ranks_again_only_the_rows_it_cannot_prove(self, monkeypatch):
-        """Of 300 items with distinct similarities, row 10 holds a subnormal
-        and row 20 is all zero, which is exempt.  Row 290 is the first unit
-        vector, and all but three items hold a subnormal first entry, so its
-        8th similarity is subnormal: flushed, the rest of its first 8 tie at
-        zero.  Only that row is ranked again, from block 1 formed again."""
-        thresholds = counting(monkeypatch, "_threshold")
-        rng = np.random.default_rng(103)
-        vectors = rng.uniform(0.5, 1.0, size=(300, 4))
-        vectors[:, 0] = rng.choice(SUBNORMALS, 300) * rng.uniform(0.6, 1.0, 300)
-        vectors[[40, 50, 260], 0] = 0.25
-        vectors[10, 2] = 1e-310
-        vectors[20] = 0.0
-        vectors[290] = [1.0, 0.0, 0.0, 0.0]
-        want = neighbor_order_reference(vectors, 8)
-        assert not np.array_equal(neighbor_order_reference(flushed(vectors), 8)[290], want[290])
-        np.testing.assert_array_equal(neighbor_order(vectors, 8), want)
-        # the two blocks, then row 290 alone
-        assert [len(call[0]) for call in thresholds] == [256, 44, 1]
-        np.testing.assert_array_equal(thresholds[-1][0][0], -(vectors[256:] @ vectors.T)[290 - 256])
+                np.testing.assert_array_equal(factors.neighbors(width), neighbor_order_reference(want, width))
 
     def test_vectors_without_subnormals_are_multiplied_once_per_block(self, monkeypatch):
         thresholds = counting(monkeypatch, "_threshold")
@@ -405,30 +383,6 @@ class TestSubnormalFreeTable:
         vectors[9] = 1e-300
         np.testing.assert_array_equal(neighbor_order(vectors, 20), neighbor_order_reference(vectors, 20))
         assert len(thresholds) == 2
-
-    def test_unsettled_rows(self):
-        """A loose key within err of a key it might swap or tie with, in
-        the prefix or in a tail past it, unsettles its row; exact keys,
-        wide gaps and exempt rows do not."""
-        key = np.array(
-            [
-                [0.1, 0.2, 0.3, 0.9, 1.0, 1.1],  # the loose key 0.2 stands clear
-                [0.1, 0.105, 0.3, 0.9, 1.0, 1.1],  # it nearly ties 0.1
-                [0.1, 0.2, 0.3, 0.9, 0.3, 1.1],  # exact keys tie in the tail
-                [0.1, 0.2, 0.3, 0.9, 1.0, 0.305],  # a loose key in the tail
-                [0.3, 0.3, 0.3, 0.3, 0.3, 0.3],  # ties, but the row is exempt
-                [0.1, 0.5, 0.3, 0.9, 1.0, 1.1],  # a loose row, clear
-                [0.1, 0.5, 0.3, 0.9, 0.3, 1.1],  # a loose row, tied in the tail
-            ]
-        )
-        err = np.array([[0.01]] * 4 + [[0.0]] + [[0.01]] * 2)
-        loose_rows = np.array([[False]] * 5 + [[True]] * 2)
-        loose_cols = np.array([False, True, False, False, False, True])
-        prefix = np.argsort(key, axis=1, kind="stable")[:, :3]
-        ranked = np.take_along_axis(key, prefix, axis=1)
-        after = np.sort(key, axis=1)[:, 3]
-        got = driftrec.recommend._unsettled(key, prefix, ranked, after, err, loose_rows, loose_cols)
-        assert got.tolist() == [1, 3, 6]
 
 
 class TestScoreBlock:

@@ -93,6 +93,11 @@ CASES = {
     "recommend_from_segments.l-zero": (
         lambda: recommend_from_segments(factors(), [[0]], [0], np.ones(4), l=0), "l"
     ),
+    "ItemFactors.neighbors.width-zero": (lambda: factors().neighbors(0), "width"),
+    "ItemFactors.neighbors.width-negative": (lambda: factors().neighbors(-3), "width"),
+    "ItemFactors.neighbors.width-bool": (lambda: factors().neighbors(True), "width"),
+    "ItemFactors.neighbors.width-float": (lambda: factors().neighbors(2.5), "width"),
+    "ItemFactors.reserve.l-float": (lambda: factors().reserve(2.5, [[[0, 1]]]), "l"),
     "rank_by_scores.N-float": (lambda: rank_by_scores(np.ones(4), np.ones(4), [0], N=2.0), "N"),
     "precision_recall_at.N-bool": (lambda: precision_recall_at([1], [1], True), "N"),
     "ndcg_time_aware.N-zero": (lambda: ndcg_time_aware([1], [1], 0), "N"),
