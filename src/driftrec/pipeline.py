@@ -4,8 +4,9 @@ A run turns a playlist corpus into a drift benchmark, trains the sequence
 models, applies every detector and recommender named in the configuration,
 and renders evaluation reports.  Stages communicate only through files in
 the output directory, so each can be rerun or inspected in isolation.
-Every artifact embeds the hash of the configuration that produced it plus
-the run seed, and reruns with the same configuration are byte-identical.
+Every artifact but manifest.tsv embeds the hash of the configuration that
+produced it plus the run seed, and reruns with the same configuration are
+byte-identical.
 
 manifest.tsv in the output directory records what each artifact was made
 from: its sha256 digest, the stage that wrote it and the digests of the
@@ -277,21 +278,26 @@ def _verify(out: Path, names) -> dict[str, str]:
     return {name: digest(name) for name in names}
 
 
-def _record(out: Path, stage: str, paths, inputs: dict[str, str]) -> None:
+def _record(out: Path, stage: str, paths: list[Path], inputs: dict[str, str]) -> list[Path]:
     """Put a row for each of paths, written by stage from inputs (digests by
-    name), into manifest.tsv, replacing the row it had; rows are sorted by name."""
+    name), into manifest.tsv, replacing the row it had, and return paths;
+    rows are sorted by name."""
     rows = _manifest(out) or {}
     made_from = ",".join(f"{name}={inputs[name]}" for name in sorted(inputs)) or "-"
     for path in paths:
         rows[path.name] = [_digest(path), stage, made_from]
     lines = ["# artifact\tsha256\tstage\tinputs", *("\t".join([name, *rows[name]]) for name in sorted(rows))]
     (out / "manifest.tsv").write_text("\n".join(lines) + "\n")
+    return paths
 
 
-def _load_sequences(out: Path):
-    """benchmark.tsv's records and num_items."""
+def _stage(cfg: ExperimentConfig, reads) -> tuple[Path, dict, dict[str, str], list, int]:
+    """out_dir and provenance (_out), the digests of benchmark.tsv and of
+    reads (_verify), and benchmark.tsv's records and num_items."""
+    out, provenance = _out(cfg)
+    inputs = _verify(out, ["benchmark.tsv", *reads])
     mixed, meta = load_benchmark(out / "benchmark.tsv")
-    return mixed, int(meta["num_items"])
+    return out, provenance, inputs, mixed, int(meta["num_items"])
 
 
 def _read_changepoints(path: Path, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -333,7 +339,7 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-_shared = None  # a forked worker's copy of the stage's shared inputs, set by _init_worker
+_job = None  # a forked worker's (fn, jobs) from _map_jobs, set by _init_worker
 
 
 @functools.cache
@@ -361,25 +367,27 @@ def _blas_threads(count: int | None) -> int | None:
     return before
 
 
-def _init_worker(shared) -> None:
-    global _shared
-    _shared = shared
+def _init_worker(fn, jobs) -> None:
+    global _job
+    _job = fn, jobs
     _blas_threads(1)
 
 
-def _run_job(fn, job):
-    return fn(_shared, *job)
+def _run_job(i: int):
+    fn, jobs = _job
+    return fn(*jobs[i])
 
 
-def _map_jobs(fn, jobs, shared, key=lambda job: 0) -> list:
-    """[fn(shared, *job) for job in jobs], in job order, on one forked
-    worker per available CPU.
+def _map_jobs(fn, jobs, key=lambda job: 0) -> list:
+    """[fn(*job) for job in jobs], in job order, on one forked worker per
+    available CPU.
 
     The jobs start in ascending key(job) order, ties in job order: a key
     that puts the longest jobs first lets the short ones fill in behind
-    them.  Forked workers inherit shared rather than a
-    pickled copy of it; fn must be a module-level function, so it pickles
-    by reference.  With one worker the jobs run inline, in the same order.
+    them.  Forked workers inherit fn and jobs, which fork does not pickle,
+    so fn may be a closure over its stage's inputs; only job indices go to
+    the workers and only results come back, and a result must pickle.
+    With one worker the jobs run inline, in the same order.
     The exception of the first failing job in that order is raised here,
     as inline.  Each worker pins its BLAS pool to one thread, and the
     inline path pins the caller's for the jobs' duration (_blas_threads).
@@ -390,7 +398,7 @@ def _map_jobs(fn, jobs, shared, key=lambda job: 0) -> list:
     if workers <= 1:
         before = _blas_threads(1)
         try:
-            done = [fn(shared, *jobs[i]) for i in order]
+            done = [fn(*jobs[i]) for i in order]
         finally:
             _blas_threads(before)
     else:
@@ -398,8 +406,8 @@ def _map_jobs(fn, jobs, shared, key=lambda job: 0) -> list:
         # a 2-core x86 host, against stages of tens of ms
         _openblas()
         context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(shared,)) as pool:
-            done = list(pool.map(functools.partial(_run_job, fn), [jobs[i] for i in order]))
+        with ProcessPoolExecutor(workers, mp_context=context, initializer=_init_worker, initargs=(fn, jobs)) as pool:
+            done = list(pool.map(_run_job, order))
     by_job = dict(zip(order, done))
     return [by_job[i] for i in range(len(jobs))]
 
@@ -430,16 +438,7 @@ def cmd_synthesize(cfg: ExperimentConfig) -> list[Path]:
         ("index", "item_key"),
         [(str(i), key) for i, key in enumerate(corpus.item_keys)],
     )
-    paths = [out / "benchmark.tsv", out / "vocab.tsv"]
-    _record(out, "synthesize", paths, {})
-    return paths
-
-
-def _train_one(shared, h: int, tc: TrainConfig) -> tuple[float, HmmModel]:
-    """One EM restart: its corpus log-likelihood and its model."""
-    seqs, m = shared
-    model = baum_welch_train(seqs, h, tc, num_items=m)
-    return total_log_likelihood(model, seqs), model
+    return _record(out, "synthesize", [out / "benchmark.tsv", out / "vocab.tsv"], {})
 
 
 def cmd_train(cfg: ExperimentConfig) -> list[Path]:
@@ -451,9 +450,7 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
     nothing and go through _map_jobs, the largest state count first, as
     its E-steps cost the most.
     """
-    out, provenance = _out(cfg)
-    inputs = _verify(out, ["benchmark.tsv"])
-    seqs, m = _load_sequences(out)
+    out, provenance, inputs, seqs, m = _stage(cfg, [])
     restarts = range(cfg.hmm_restarts)
     em = dict(max_iters=cfg.hmm_max_iters, log_lik_tol=cfg.hmm_tol)
     jobs = [
@@ -461,7 +458,12 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
         for h in cfg.hidden_state_counts
         for r in restarts
     ]
-    results = _map_jobs(_train_one, jobs, (seqs, m), key=lambda job: -job[0])
+
+    def restart(h: int, tc: TrainConfig) -> tuple[float, HmmModel]:
+        model = baum_welch_train(seqs, h, tc, num_items=m)
+        return total_log_likelihood(model, seqs), model
+
+    results = _map_jobs(restart, jobs, key=lambda job: -job[0])
     paths = []
     for i, h in enumerate(cfg.hidden_state_counts):
         first = i * len(restarts)
@@ -470,24 +472,7 @@ def cmd_train(cfg: ExperimentConfig) -> list[Path]:
         path = out / f"hmm_s{h}.json"
         save_model(path, model, jobs[first + r][1], meta=dict(provenance, h=h, restart=r, log_likelihood=ll))
         paths.append(path)
-    _record(out, "train", paths, inputs)
-    return paths
-
-
-def _detect_one(shared, label: str) -> tuple[float | None, list]:
-    """Detector label over every sequence: CUSUM's tuned threshold (None
-    for the others) and each sequence's (points, scores)."""
-    cfg, out, seqs, m = shared
-    if label.startswith("HMCD-S"):
-        model, _ = load_model(out / f"hmm_s{label[6:]}.json")
-        return None, [(res.predicted, res.score_per_point) for res in hmcd_detect_all(model, seqs, k=cfg.k)]
-    if label == "CUSUM":
-        tau = tune_cusum_threshold(seqs)
-        return tau, [([cusum_detect(seq, tau)[0]], []) for seq in seqs]
-    if label == "SW":
-        splits = sliding_window_detect_all(seqs, cooccurrence_item_vectors(seqs, m))
-        return None, [([split], []) for split, _ in splits]
-    return None, [([random_partition(seq, stable_seed(cfg.seed, f"rp:{seq.user_id}"))], []) for seq in seqs]
+    return _record(out, "train", paths, inputs)
 
 
 def _detect_start_order(job) -> tuple[bool, int]:
@@ -500,17 +485,25 @@ def _detect_start_order(job) -> tuple[bool, int]:
 def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
     """Run every configured detector over the benchmark, one report each.
 
-    Each detector is one job of _map_jobs; the reports are written here,
-    in detector order.
+    Each detector is one job of _map_jobs and writes its own change-point
+    table.
     """
-    out, provenance = _out(cfg)
-    inputs = _verify(out, ["benchmark.tsv"] + [f"hmm_s{h}.json" for h in cfg.hidden_state_counts])
-    seqs, m = _load_sequences(out)
+    out, provenance, inputs, seqs, m = _stage(cfg, [f"hmm_s{h}.json" for h in cfg.hidden_state_counts])
     columns = ("user_id", "T", "truth", "predicted", "scores", "method")
-    labels = cfg.detector_labels()
-    results = _map_jobs(_detect_one, [(label,) for label in labels], (cfg, out, seqs, m), key=_detect_start_order)
-    paths = []
-    for label, (tau, per_seq) in zip(labels, results):
+
+    def detect(label: str) -> Path:
+        """Detector label's table; CUSUM's header holds its tuned threshold."""
+        tau = None
+        if label.startswith("HMCD-S"):
+            model, _ = load_model(out / f"hmm_s{label[6:]}.json")
+            found = [(res.predicted, res.score_per_point) for res in hmcd_detect_all(model, seqs, k=cfg.k)]
+        elif label == "CUSUM":
+            tau = tune_cusum_threshold(seqs)
+            found = [([cusum_detect(seq, tau)[0]], []) for seq in seqs]
+        elif label == "SW":
+            found = [([split], []) for split, _ in sliding_window_detect_all(seqs, cooccurrence_item_vectors(seqs, m))]
+        else:
+            found = [([random_partition(seq, stable_seed(cfg.seed, f"rp:{seq.user_id}"))], []) for seq in seqs]
         rows = [
             (
                 seq.user_id,
@@ -520,55 +513,49 @@ def cmd_detect(cfg: ExperimentConfig) -> list[Path]:
                 ",".join(_fmt(s) for s in scores) if scores else "-",
                 label,
             )
-            for seq, (points, scores) in zip(seqs, per_seq)
+            for seq, (points, scores) in zip(seqs, found)
         ]
         path = out / f"changepoints_{label}.tsv"
         _write_rows(path, provenance if tau is None else dict(provenance, tau=_fmt(tau)), columns, rows)
-        paths.append(path)
-    _record(out, "detect", paths, inputs)
-    return paths
+        return path
+
+    paths = _map_jobs(detect, [(label,) for label in cfg.detector_labels()], key=_detect_start_order)
+    return _record(out, "detect", paths, inputs)
 
 
-def _factors_path(out: Path, label: str) -> Path:
+def _factors_name(label: str) -> str:
     """Ranker label's factors file: factors_smf_s{h}.json, factors_nmf.json or factors_bpr.json."""
     name = {"NMF": "nmf", "BPR-MF": "bpr"}.get(label) or f"smf_s{label[5:]}"
-    return out / f"factors_{name}.json"
-
-
-def _fit_one(shared, label: str, fc: FactorizationConfig) -> Path:
-    """Factorize ranker label's matrix and write its factors file: NMF of
-    the HMCD segments for SMF-S{h}, NMF or BPR of the user matrix raw."""
-    cfg, out, provenance, seqs, m, raw = shared
-    if label.startswith("SMF-S"):
-        matrix = build_segmented_matrix(_segments_by_user(out, seqs, int(label[5:]), cfg.k), m)
-    else:
-        matrix = raw
-    fit = bpr_fit if label == "BPR-MF" else nmf_fit
-    path = _factors_path(out, label)
-    save_factors(path, fit(matrix, fc), meta=dict(provenance, model=label))
-    return path
+    return f"factors_{name}.json"
 
 
 def cmd_fit(cfg: ExperimentConfig) -> list[Path]:
-    """Factorize the segmented matrices plus the raw matrix for the
-    baselines, each factorization one job of _map_jobs."""
-    out, provenance = _out(cfg)
+    """Factorize each SMF-S{h}'s matrix of HMCD segments by NMF, and the raw
+    user matrix by NMF and BPR-MF for the baselines.  Each factorization is
+    one job of _map_jobs and writes its own factors file."""
     nmf = dict(d=cfg.d, max_iters=cfg.nmf_max_iters)
     jobs = [
         (f"SMF-S{h}", FactorizationConfig(**nmf, seed=stable_seed(cfg.seed, f"nmf:smf-s{h}")))
         for h in cfg.hidden_state_counts
         if f"SMF-S{h}" in cfg.methods
     ]
-    inputs = _verify(out, ["benchmark.tsv"] + [f"changepoints_HMCD-S{label[5:]}.tsv" for label, _ in jobs])
-    seqs, m = _load_sequences(out)
+    out, provenance, inputs, seqs, m = _stage(cfg, [f"changepoints_HMCD-S{label[5:]}.tsv" for label, _ in jobs])
     if "NMF" in cfg.methods:
         jobs.append(("NMF", FactorizationConfig(**nmf, seed=stable_seed(cfg.seed, "nmf:raw"))))
     if "BPR-MF" in cfg.methods:
         jobs.append(("BPR-MF", FactorizationConfig(d=cfg.d, max_iters=cfg.bpr_epochs, seed=stable_seed(cfg.seed, "bpr"))))
     raw = _user_matrix(seqs, m) if {"NMF", "BPR-MF"} & set(cfg.methods) else None
-    paths = _map_jobs(_fit_one, jobs, (cfg, out, provenance, seqs, m, raw), key=_fit_start_order)
-    _record(out, "fit", paths, inputs)
-    return paths
+
+    def fit(label: str, fc: FactorizationConfig) -> Path:
+        if label.startswith("SMF-S"):
+            matrix = build_segmented_matrix(_segments_by_user(out, seqs, int(label[5:]), cfg.k), m)
+        else:
+            matrix = raw
+        path = out / _factors_name(label)
+        save_factors(path, (bpr_fit if label == "BPR-MF" else nmf_fit)(matrix, fc), meta=dict(provenance, model=label))
+        return path
+
+    return _record(out, "fit", _map_jobs(fit, jobs, key=_fit_start_order), inputs)
 
 
 def _fit_start_order(job) -> bool:
@@ -585,62 +572,6 @@ def _fit_start_order(job) -> bool:
     return job[0] != "BPR-MF"
 
 
-def _recommend_one(shared, label: str) -> Path:
-    """Rank every user for ranker label, _BLOCK_ROWS users at a time, and
-    write its recommendations file.  A block's scores are its users'
-    score_by_segment rows for SMF-S{h} and HMMR-S{h}, scored together by
-    _score_block from each user's last usable HMCD segment; their factor
-    products for NMF and BPR-MF; the popularity row for PopRank."""
-    cfg, out, provenance, seqs, m, popularity, segments_of = shared
-    fallback = [False] * len(seqs)
-    if label.startswith(("SMF-S", "HMMR-S")):
-        h = int(label.partition("-S")[2])
-        if label.startswith("SMF-S"):
-            factors = factors_from_pair(load_factors(_factors_path(out, label))[0], "nmf")
-        else:
-            factors = hmm_item_factors(load_model(out / f"hmm_s{h}.json")[0])
-        segments = segments_of[h]
-        factors.reserve(cfg.l, segments.values())
-        last = [_last_usable_segment(segments[seq.user_id]) for seq in seqs]
-        fallback = [used for _, used in last]
-
-        def block(a, b):
-            return _score_block(factors, [segment for segment, _ in last[a:b]], cfg.l)
-
-    elif label == "PopRank":
-
-        def block(a, b):
-            return np.broadcast_to(popularity, (b - a, m))
-
-    else:
-        pair, _ = load_factors(_factors_path(out, label))
-
-        def block(a, b):
-            # one gemv per user, as p[u] @ q.T runs; a block's gemm may sum
-            # in another order and differ in the last bit
-            return np.matmul(pair.p[a:b, None, :], pair.q.T)[:, 0]
-
-    lines = ["# user_id\trank\titem\tscore"]
-    for a in range(0, len(seqs), _BLOCK_ROWS):
-        users = seqs[a : a + _BLOCK_ROWS]
-        recs = _rank_block(
-            block(a, a + len(users)),
-            popularity,
-            [seq.items for seq in users],
-            max(cfg.n_grid),
-            [seq.user_id for seq in users],
-            fallback[a : a + len(users)],
-        )
-        lines += [
-            f"{rec.user_id}\t{rank}\t{item}\t{score!r}"
-            for rec in recs
-            for rank, (item, score) in enumerate(zip(rec.ranked_items, rec.scores), start=1)
-        ]
-    path = out / f"recommendations_{label}.tsv"
-    _write_lines(path, dict(provenance, method=label), lines)
-    return path
-
-
 def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     """Produce a ranked list per user for every configured recommender.
 
@@ -648,39 +579,73 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     file.  The benchmark, the item popularity and each state count's HMCD
     segments are read here, once, before the jobs start.
     """
-    out, provenance = _out(cfg)
     labels = cfg.ranker_labels()
     segmented = [h for h in cfg.hidden_state_counts if {f"SMF-S{h}", f"HMMR-S{h}"} & set(labels)]
     models = [
-        f"hmm_s{label[6:]}.json" if label.startswith("HMMR-S") else _factors_path(out, label).name
+        f"hmm_s{label[6:]}.json" if label.startswith("HMMR-S") else _factors_name(label)
         for label in labels
         if label != "PopRank"
     ]
-    inputs = _verify(out, ["benchmark.tsv", *(f"changepoints_HMCD-S{h}.tsv" for h in segmented), *models])
-    seqs, m = _load_sequences(out)
+    out, provenance, inputs, seqs, m = _stage(cfg, [*(f"changepoints_HMCD-S{h}.tsv" for h in segmented), *models])
     popularity = _list_popularity([seq.items for seq in seqs], m)
     # one read of each state count's detections, shared by its SMF and HMMR rankers
     segments_of = {h: _segments_by_user(out, seqs, h, cfg.k) for h in segmented}
-    shared = (cfg, out, provenance, seqs, m, popularity, segments_of)
-    paths = _map_jobs(_recommend_one, [(label,) for label in labels], shared)
-    _record(out, "recommend", paths, inputs)
-    return paths
 
+    def recommend(label: str) -> Path:
+        """Rank every user for ranker label, _BLOCK_ROWS users at a time, and
+        write its recommendations file.  A block's scores are its users'
+        score_by_segment rows for SMF-S{h} and HMMR-S{h}, scored together by
+        _score_block from each user's last usable HMCD segment; their factor
+        products for NMF and BPR-MF; the popularity row for PopRank."""
+        fallback = [False] * len(seqs)
+        if label.startswith(("SMF-S", "HMMR-S")):
+            h = int(label.partition("-S")[2])
+            if label.startswith("SMF-S"):
+                factors = factors_from_pair(load_factors(out / _factors_name(label))[0], "nmf")
+            else:
+                factors = hmm_item_factors(load_model(out / f"hmm_s{h}.json")[0])
+            segments = segments_of[h]
+            factors.reserve(cfg.l, segments.values())
+            last = [_last_usable_segment(segments[seq.user_id]) for seq in seqs]
+            fallback = [used for _, used in last]
 
-def _evaluate_one(shared, label: str) -> tuple[dict, dict, dict]:
-    """Ranker label's mean precision, recall and NDCG, each {N: mean}, from
-    its recommendations file against the held-out tails.  Each user's rows
-    run together, ranked 1, 2, ..., as recommend writes them; a user who
-    has seen every item has no run."""
-    out, metric_row, n_grid, relevance = shared
-    (users, ranks, items, _), _ = _read_table(out / f"recommendations_{label}.tsv", "recommendation", 4)
-    starts = np.flatnonzero([user != before for user, before in zip(users, [None, *users])])
-    owner = np.array([metric_row[users[a]] for a in starts], dtype=np.int64).repeat(np.diff(starts, append=len(users)))
-    ranks, items = np.array(ranks, dtype=np.int64), np.array(items, dtype=np.int64)
-    top = ranks <= n_grid[-1]
-    ranked = np.full((len(metric_row), n_grid[-1]), -1, dtype=np.int64)
-    ranked[owner[top], ranks[top] - 1] = items[top]
-    return _mean_metrics(ranked, relevance, n_grid)
+            def block(a, b):
+                return _score_block(factors, [segment for segment, _ in last[a:b]], cfg.l)
+
+        elif label == "PopRank":
+
+            def block(a, b):
+                return np.broadcast_to(popularity, (b - a, m))
+
+        else:
+            pair, _ = load_factors(out / _factors_name(label))
+
+            def block(a, b):
+                # one gemv per user, as p[u] @ q.T runs; a block's gemm may sum
+                # in another order and differ in the last bit
+                return np.matmul(pair.p[a:b, None, :], pair.q.T)[:, 0]
+
+        lines = ["# user_id\trank\titem\tscore"]
+        for a in range(0, len(seqs), _BLOCK_ROWS):
+            users = seqs[a : a + _BLOCK_ROWS]
+            recs = _rank_block(
+                block(a, a + len(users)),
+                popularity,
+                [seq.items for seq in users],
+                max(cfg.n_grid),
+                [seq.user_id for seq in users],
+                fallback[a : a + len(users)],
+            )
+            lines += [
+                f"{rec.user_id}\t{rank}\t{item}\t{score!r}"
+                for rec in recs
+                for rank, (item, score) in enumerate(zip(rec.ranked_items, rec.scores), start=1)
+            ]
+        path = out / f"recommendations_{label}.tsv"
+        _write_lines(path, dict(provenance, method=label), lines)
+        return path
+
+    return _record(out, "recommend", _map_jobs(recommend, [(label,) for label in labels]), inputs)
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
@@ -689,11 +654,9 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     Each ranker's recommendations are read and scored by one job of
     _map_jobs; the tables and the summary are written here, in ranker order.
     """
-    out, provenance = _out(cfg)
     labels = cfg.ranker_labels()
     detections = [f"changepoints_{label}.tsv" for label in cfg.detector_labels()]
-    inputs = _verify(out, ["benchmark.tsv", *detections, *(f"recommendations_{label}.tsv" for label in labels)])
-    seqs, m = _load_sequences(out)
+    out, provenance, inputs, seqs, m = _stage(cfg, [*detections, *(f"recommendations_{label}.tsv" for label in labels)])
 
     # displacement of the point nearest the truth (earlier on a tie); none counts as the last index
     users = [seq.user_id for seq in seqs]
@@ -731,7 +694,22 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
     by_user = sorted(range(len(seqs)), key=lambda i: users[i])
     metric_row = {users[i]: row for row, i in enumerate(by_user)}
     relevance = _relevance([seqs[i].holdout for i in by_user])
-    results = _map_jobs(_evaluate_one, [(label,) for label in labels], (out, metric_row, cfg.n_grid, relevance))
+
+    def score(label: str) -> tuple[dict, dict, dict]:
+        """Ranker label's mean precision, recall and NDCG, each {N: mean}, from
+        its recommendations file against the held-out tails.  Each user's rows
+        run together, ranked 1, 2, ..., as recommend writes them; a user who
+        has seen every item has no run."""
+        (ids, ranks, items, _), _ = _read_table(out / f"recommendations_{label}.tsv", "recommendation", 4)
+        starts = np.flatnonzero([user != before for user, before in zip(ids, [None, *ids])])
+        owner = np.array([metric_row[ids[a]] for a in starts], dtype=np.int64).repeat(np.diff(starts, append=len(ids)))
+        ranks, items = np.array(ranks, dtype=np.int64), np.array(items, dtype=np.int64)
+        top = ranks <= cfg.n_grid[-1]
+        ranked = np.full((len(metric_row), cfg.n_grid[-1]), -1, dtype=np.int64)
+        ranked[owner[top], ranks[top] - 1] = items[top]
+        return _mean_metrics(ranked, relevance, cfg.n_grid)
+
+    results = _map_jobs(score, [(label,) for label in labels])
     tables_of = {label: dict(zip(("precision", "recall", "ndcg"), tables)) for label, tables in zip(labels, results)}
     metric_rows = [
         (label, name, str(N), _fmt(table[N]))
@@ -760,8 +738,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> list[Path]:
         ]
     _write_lines(out / "summary.txt", provenance, summary)
     paths = [out / name for name in ("cpd_table.tsv", "state_count_trend.tsv", "ranking_metrics.tsv", "summary.txt")]
-    _record(out, "evaluate", paths, inputs)
-    return paths
+    return _record(out, "evaluate", paths, inputs)
 
 
 def cmd_run_all(cfg: ExperimentConfig) -> list[Path]:

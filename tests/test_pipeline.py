@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -441,6 +442,32 @@ def test_block_size_changes_no_recommendation(cli_run, tmp_path, monkeypatch):
     assert written[1] == written[7] == written[default]
 
 
+def record_starts(monkeypatch):
+    """The first argument of each job _map_jobs starts, in start order; run
+    at one CPU, where the jobs run inline."""
+    started = []
+    map_jobs = driftrec.pipeline._map_jobs
+
+    def recorded(fn, jobs, **kwargs):
+        return map_jobs(lambda *job: started.append(job[0]) or fn(*job), jobs, **kwargs)
+
+    monkeypatch.setattr(driftrec.pipeline, "_map_jobs", recorded)
+    return started
+
+
+def test_a_job_may_close_over_what_cannot_be_pickled(monkeypatch):
+    """Forked workers inherit the job function and the jobs, so a job may be
+    a lambda over a lock; started out of job order, the results still come
+    back in job order."""
+    pools = use_cpus(monkeypatch, 2)
+    lock = threading.Lock()
+    jobs = [(1,), (2,), (3,), (4,)]
+    done = driftrec.pipeline._map_jobs(lambda i: (i * i, lock.locked()), jobs, key=lambda job: -job[0])
+    assert done == [(1, False), (4, False), (9, False), (16, False)]
+    assert pools == [(2,)]
+    assert multiprocessing.active_children() == []
+
+
 def test_train_and_detect_start_their_longest_jobs_first(tmp_path, monkeypatch):
     """Restarts start by descending state count; detectors with SW, then HMCD
     by descending state count, then CUSUM and RP.  Only the start order
@@ -448,11 +475,7 @@ def test_train_and_detect_start_their_longest_jobs_first(tmp_path, monkeypatch):
     cfg = small_config(tmp_path / "out", mixed_count=12, hidden_state_counts=[2, 5], bpr_epochs=2)
     use_cpus(monkeypatch, 1)
     cmd_synthesize(cfg)
-    started = []
-    for name in ("_train_one", "_detect_one"):
-        job = getattr(driftrec.pipeline, name)
-        recorded = lambda shared, *args, job=job: started.append(args[0]) or job(shared, *args)  # noqa: E731
-        monkeypatch.setattr(driftrec.pipeline, name, recorded)
+    started = record_starts(monkeypatch)
     assert [load_model(path)[0].num_states for path in cmd_train(cfg)] == [2, 5]
     tables = cmd_detect(cfg)
     assert [path.name for path in tables] == [f"changepoints_{label}.tsv" for label in cfg.detector_labels()]
@@ -469,9 +492,7 @@ def test_fit_starts_its_longest_job_first(tmp_path, monkeypatch):
     use_cpus(monkeypatch, 1)
     for stage in (cmd_synthesize, cmd_train, cmd_detect):
         stage(cfg)
-    started = []
-    job = driftrec.pipeline._fit_one
-    monkeypatch.setattr(driftrec.pipeline, "_fit_one", lambda shared, *args: started.append(args[0]) or job(shared, *args))
+    started = record_starts(monkeypatch)
     paths = cmd_fit(cfg)
     assert started == ["BPR-MF", "SMF-S2", "SMF-S5", "NMF"]
     assert [path.name for path in paths] == ["factors_smf_s2.json", "factors_smf_s5.json", "factors_nmf.json", "factors_bpr.json"]
@@ -543,12 +564,12 @@ if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
 lib.scipy_openblas_set_num_threads64_(2)
 threads = lib.scipy_openblas_get_num_threads64_
 
-def job(shared, i):
+def job(i):
     return threads()
 
 os.sched_getaffinity = lambda pid: set(range(%d))
 from driftrec.pipeline import _map_jobs
-print(threads(), *_map_jobs(job, [(0,), (1,)], None), threads())
+print(threads(), *_map_jobs(job, [(0,), (1,)]), threads())
 """
 
 

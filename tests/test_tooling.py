@@ -7,6 +7,7 @@ runs; a stale entry in `driftrec.__all__` would break `from driftrec import *`."
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import yaml
@@ -96,6 +97,25 @@ def test_api_change_lists_the_names_all_loses_and_gains(tmp_path):
     assert same_outputs.api_change({"A", "B"}, {"A"}) == "driftrec.__all__: loses B; gains nothing"
     package = same_outputs.exported(SAME_OUTPUTS.parent.parent / "src" / "driftrec" / "__init__.py")
     assert package == set(importlib.import_module("driftrec").__all__)
+
+
+def test_module_lines_sum_to_the_benchmarks_package_count(tmp_path, monkeypatch):
+    """Summed, the per-module counts are the benchmark's driftrec_loc count.
+    Importing perfbench's run module sets the BLAS variables and extends
+    sys.path; the test puts both back."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    same_outputs = load_module("same_outputs", SAME_OUTPUTS)
+    package = tmp_path / "package"
+    package.mkdir()
+    (package / "a.py").write_text("import os\n\nx = 1\n")
+    (package / "b.py").write_text('"""b"""\ny = 2')
+    (package / "notes.txt").write_text("not a module\n")
+    _, run = same_outputs.load_perfbench()
+    counts = same_outputs.module_lines(package)
+    assert counts == {"a.py": 3, "b.py": 2}
+    assert sum(counts.values()) == run.count_loc(package) == 5
 
 
 def test_rerun_into_the_same_work_dir_replaces_each_out_dir(tmp_path):

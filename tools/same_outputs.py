@@ -12,9 +12,9 @@ byte for byte.  For each job that differs, prints the files found only at
 REV, those found only in the working tree, and the first shared file whose
 bytes differ; exits 1 on any difference, else 0.  Also prints the line
 count of src/driftrec at REV and in the working tree, counted as the
-benchmark's driftrec_loc counts it, and the names driftrec.__all__ loses
-and gains from REV to the working tree.  With --seeds 1,2,3,4,5, eleven
-jobs, both sides took about 55 s on 2 cores.
+benchmark's driftrec_loc counts it, then each module's, and the names
+driftrec.__all__ loses and gains from REV to the working tree.  With
+--seeds 1,2,3,4,5, eleven jobs, both sides took about 55 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -66,6 +66,12 @@ def populate(checkout: Path, rev: str | None) -> None:
         if source.is_file():
             (checkout / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(source, checkout / name)
+
+
+def module_lines(package: Path) -> dict[str, int]:
+    """Each module's line count in package, by file name, counted as
+    count_loc counts the package's total."""
+    return {p.name: len(p.read_text().splitlines()) for p in sorted(package.glob("*.py"))}
 
 
 def exported(init: Path) -> set[str]:
@@ -131,11 +137,12 @@ def main(argv=None) -> int:
     checkout = work / "checkout"
     inputs, run = load_perfbench()
     try:
-        results, loc, names = {}, {}, {}
+        results, loc, modules, names = {}, {}, {}, {}
         for side, rev in (("rev", args.rev), ("tree", None)):
             print(f"{side}: {rev or 'working tree'}", flush=True)
             populate(checkout, rev)
             loc[side] = run.count_loc(checkout / "src" / "driftrec")
+            modules[side] = module_lines(checkout / "src" / "driftrec")
             names[side] = exported(checkout / "src" / "driftrec" / "__init__.py")
             configs = {}
             cwd = Path.cwd()
@@ -152,6 +159,8 @@ def main(argv=None) -> int:
             results[side].mkdir(parents=True, exist_ok=True)
             run_jobs(checkout, configs, results[side])
         print(f"src/driftrec: {loc['rev']} lines at {args.rev}, {loc['tree']} in the working tree")
+        for name in sorted(modules["rev"].keys() | modules["tree"].keys()):
+            print(f"  {name}: {modules['rev'].get(name, 0)} -> {modules['tree'].get(name, 0)}")
         print(api_change(names["rev"], names["tree"]))
         status = 0
         for workload, scale, seed in jobs:
