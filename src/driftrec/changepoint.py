@@ -70,7 +70,7 @@ def hmcd_detect_all(
     new state.  The k highest-scoring candidates are returned in ascending
     order; score ties prefer the earliest step.  A switchless path yields
     an empty result flagged no_change.  The candidates of the whole corpus
-    are found, scored and ranked in one pass over its joined state paths.
+    are found and scored in one pass, and ranked by one lexsort.
     """
     _check_count("k", k)
     states, bounds, _ = _decode_all(model, corpus)
@@ -84,19 +84,11 @@ def hmcd_detect_all(
     after = states[at]
     scores = model.trans[before, after] * model.emit[after, items[at]]
     owner = bounds[1:].searchsorted(at, "right")
-    # k rounds of a max over each sequence's switches, which run grouped by
-    # sequence: a round keeps, per sequence with switches left, the earliest
-    # switch of the highest score left (the first hit at or after the group's
-    # start) and marks it -1, as scores are nonnegative
-    count = np.bincount(owner)
-    count = count[count > 0]
-    first = count.cumsum() - count
-    left = scores.copy()
-    for _ in range(min(k, count.max(initial=0))):
-        best = np.maximum.reduceat(left, first)
-        hit = np.flatnonzero(left == best.repeat(count))
-        left[hit[hit.searchsorted(first[best >= 0])]] = -1.0
-    keep = np.flatnonzero(left < 0)
+    # one sort ranks each sequence's switches, best score first and ties to
+    # the earliest step; each sequence keeps its first k, in step order
+    order = np.lexsort((at, -scores, owner))
+    ranked = owner[order]
+    keep = np.sort(order[np.arange(len(order)) - ranked.searchsorted(ranked) < k])
     owner = owner[keep]
     cuts = owner.searchsorted(np.arange(len(corpus) + 1)).tolist()
     points = (at[keep] - bounds[owner]).tolist()

@@ -132,14 +132,14 @@ def pr_curve(ranked_by_user: dict, truth_by_user: dict, n_grid) -> list[tuple[fl
 def aggregate_cpd(per_method: dict[str, dict[str, tuple[int, int]]]) -> dict[str, float]:
     """Mean absolute displacement per method, over one shared user set."""
     if not per_method:
-        raise ValueError("no methods to aggregate")
+        raise ValueError("per_method: no methods to aggregate")
     user_sets = {method: set(results) for method, results in per_method.items()}
     reference = next(iter(user_sets.values()))
     for method, users in user_sets.items():
         if users != reference:
             raise ValueError(f"method {method!r} covers a different user set")
     if not reference:
-        raise ValueError("no users to aggregate")
+        raise ValueError("per_method: no users to aggregate")
     return {
         method: float(
             np.mean([abs(truth - pred) for truth, pred in (results[u] for u in sorted(results))])

@@ -14,7 +14,8 @@ artifacts that stage read.  Before its jobs start, a stage checks every
 artifact it will read against it, so a file edited by hand, or made from
 an input that has since changed, is refused by name with the stage to
 rerun.  What passes is byte for byte what its stage wrote from the current
-benchmark.tsv, so the readers below do not check it again.
+benchmark.tsv, yet fit and recommend still cut every change-point row with
+partition, which refuses points that do not ascend strictly within [1, T).
 """
 
 from __future__ import annotations
@@ -167,7 +168,7 @@ class ExperimentConfig:
         names = [f.name for f in dataclasses.fields(cls)]
         unknown = set(mapping) - set(names)
         if unknown:
-            raise ValueError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+            raise ValueError(f"unknown config field(s): {', '.join(sorted(map(str, unknown)))}")
         missing = [n for n in ("corpus", "out_dir") if n not in mapping]
         if missing:
             raise ValueError(f"missing required config field(s): {', '.join(missing)}")
@@ -576,8 +577,8 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     """Produce a ranked list per user for every configured recommender.
 
     Each ranker is one job of _map_jobs and writes its own recommendations
-    file.  The benchmark, the item popularity and each state count's HMCD
-    segments are read here, once, before the jobs start.
+    file.  The benchmark, the item popularity and each state count's last
+    HMCD segments are read here, once, before the jobs start.
     """
     labels = cfg.ranker_labels()
     segmented = [h for h in cfg.hidden_state_counts if {f"SMF-S{h}", f"HMMR-S{h}"} & set(labels)]
@@ -588,8 +589,8 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     ]
     out, provenance, inputs, seqs, m = _stage(cfg, [*(f"changepoints_HMCD-S{h}.tsv" for h in segmented), *models])
     popularity = _list_popularity([seq.items for seq in seqs], m)
-    # one read of each state count's detections, shared by its SMF and HMMR rankers
-    segments_of = {h: _segments_by_user(out, seqs, h, cfg.k) for h in segmented}
+    # each state count's last usable segments and fallback flags, shared by its SMF and HMMR rankers
+    last_of = {h: [_last_usable_segment(s) for s in _segments_by_user(out, seqs, h, cfg.k).values()] for h in segmented}
 
     def recommend(label: str) -> Path:
         """Rank every user for ranker label, _BLOCK_ROWS users at a time, and
@@ -604,9 +605,7 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
                 factors = factors_from_pair(load_factors(out / _factors_name(label))[0], "nmf")
             else:
                 factors = hmm_item_factors(load_model(out / f"hmm_s{h}.json")[0])
-            segments = segments_of[h]
-            factors.reserve(cfg.l, segments.values())
-            last = [_last_usable_segment(segments[seq.user_id]) for seq in seqs]
+            last = last_of[h]
             fallback = [used for _, used in last]
 
             def block(a, b):

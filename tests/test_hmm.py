@@ -265,8 +265,8 @@ class TestViterbiBatch:
         self._each_alone_matches_the_batch(model, corpus)
 
     def test_many_states_match_scalar_recursion(self):
-        # 300 states need two-byte backpointers, and 90000 scores per cell
-        # split each step's cells into blocks
+        # 300 states need two-byte backpointers, and each step's running
+        # argmax passes over 300 predecessor states
         rng = np.random.default_rng(67)
         model = random_model(rng, 300, 6)
         corpus = [

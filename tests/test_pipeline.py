@@ -614,6 +614,16 @@ class TestCli:
         assert main(["synthesize", "--config", str(path)]) == 2
         assert "k: must be >= 1" in capsys.readouterr().err
 
+    def test_config_key_that_is_not_a_string_is_named(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("1: 2\n")
+        assert main(["synthesize", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown config field(s): 1\n"
+        # int and string keys sort together, as strings
+        path.write_text("zoom: 3\n1: 2\n")
+        assert main(["synthesize", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: unknown config field(s): 1, zoom\n"
+
     def test_missing_artifact_exits_nonzero_with_file(self, tmp_path, capsys):
         config = self.write_config(tmp_path)
         assert main(["detect", "--config", str(config)]) == 2

@@ -490,31 +490,6 @@ class TestCachedState:
             ItemFactors(vectors=[[1.0, np.nan]], source="bpr")
 
 
-class TestReserve:
-    def test_builds_once_for_the_widest_last_segment(self, monkeypatch):
-        builds = counting(monkeypatch, "neighbor_order")
-        factors = ItemFactors(vectors=np.random.default_rng(83).normal(size=(40, 3)), source="bpr")
-        users = [
-            # an earlier segment's 20 items do not count, only the last one's 3
-            [np.arange(20, 40), np.array([4, 5, 5, 6])],
-            # the last segment is empty, so the fallback's 9 distinct items count
-            [np.arange(10, 19).repeat(2), np.array([], dtype=np.int64)],
-            [np.array([7]), np.array([33, 34, 35, 36, 37])],
-        ]
-        factors.reserve(4, users)
-        # 4 + 9 = 13, rounded up to a power of two
-        assert [width for _, width in builds] == [16]
-        for segments in users:
-            recommend_from_segments(factors, segments, np.concatenate(segments), np.zeros(40), l=4, N=5)
-        assert len(builds) == 1
-
-    def test_no_users_builds_at_l(self, monkeypatch):
-        builds = counting(monkeypatch, "neighbor_order")
-        ItemFactors(vectors=np.eye(12), source="nmf").reserve(5, [])
-        # l = 5, rounded up to a power of two
-        assert [width for _, width in builds] == [8]
-
-
 class TestSegmentRecommenders:
     def _cluster_factors(self):
         # two tight clusters in factor space: items 0-3 and items 4-7

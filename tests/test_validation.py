@@ -1,7 +1,7 @@
 """Every public entry point refuses each kind of invalid input with a
 ValueError that names the field: counts (a bool, a float, too small),
-tolerances and rates (NaN), item indices (fractional, out of range) and
-ascending points."""
+tolerances and rates (NaN), item indices (fractional, out of range),
+ascending points, config fields, array shapes and empty inputs."""
 
 import base64
 import json
@@ -18,10 +18,13 @@ from driftrec import (
     InteractionSequence,
     ItemFactors,
     MixedSequence,
+    Recommendation,
     PlaylistCorpus,
     FactorPair,
     TrainConfig,
+    aggregate_cpd,
     baum_welch_train,
+    build_segmented_matrix,
     cooccurrence_item_vectors,
     cusum_detect,
     hmcd_detect_all,
@@ -30,6 +33,7 @@ from driftrec import (
     load_benchmark,
     load_model,
     ndcg_time_aware,
+    nmf_fit,
     partition,
     precision_recall_at,
     random_partition,
@@ -97,7 +101,6 @@ CASES = {
     "ItemFactors.neighbors.width-negative": (lambda: factors().neighbors(-3), "width"),
     "ItemFactors.neighbors.width-bool": (lambda: factors().neighbors(True), "width"),
     "ItemFactors.neighbors.width-float": (lambda: factors().neighbors(2.5), "width"),
-    "ItemFactors.reserve.l-float": (lambda: factors().reserve(2.5, [[[0, 1]]]), "l"),
     "rank_by_scores.N-float": (lambda: rank_by_scores(np.ones(4), np.ones(4), [0], N=2.0), "N"),
     "precision_recall_at.N-bool": (lambda: precision_recall_at([1], [1], True), "N"),
     "ndcg_time_aware.N-zero": (lambda: ndcg_time_aware([1], [1], 0), "N"),
@@ -160,6 +163,33 @@ CASES = {
     "partition.points-beyond-T": (lambda: partition(seq(), [4]), "points"),
     "ranking_metrics.n_grid-float": (lambda: ranking_metrics({"u": [1]}, {"u": [1]}, [1, 2.5]), "n_grid"),
     "ExperimentConfig.n_grid-bool": (lambda: ExperimentConfig(corpus="c", out_dir="o", n_grid=[True, 2]), "n_grid"),
+    # configs
+    "ExperimentConfig.corpus-int": (lambda: ExperimentConfig(corpus=5, out_dir="o"), "corpus"),
+    "ExperimentConfig.methods-string": (lambda: ExperimentConfig(corpus="c", out_dir="o", methods="SW"), "methods"),
+    "ExperimentConfig.methods-repeated": (
+        lambda: ExperimentConfig(corpus="c", out_dir="o", methods=["SW", "SW"]), "methods"
+    ),
+    "ExperimentConfig.n_grid-int": (lambda: ExperimentConfig(corpus="c", out_dir="o", n_grid=5), "n_grid"),
+    "ExperimentConfig.from_mapping-list": (lambda: ExperimentConfig.from_mapping(["a"]), "config root"),
+    # shapes
+    "HmmModel.emit-rows": (
+        lambda: HmmModel(pi=[0.5, 0.5], trans=np.full((2, 2), 0.5), emit=np.full((3, 3), 1 / 3)), "emit"
+    ),
+    "FactorPair.q-1-D": (lambda: FactorPair(p=np.ones((2, 2)), q=np.ones(3)), "q"),
+    "FactorPair.p-width": (lambda: FactorPair(p=np.ones((2, 3)), q=np.ones((3, 2))), "p"),
+    "nmf_fit.M-1-D": (lambda: nmf_fit(np.ones(4)), "matrix"),
+    "ItemFactors.vectors-1-D": (lambda: ItemFactors(vectors=np.ones(4), source="nmf"), "vectors"),
+    # other refusals
+    "Recommendation.scores-misaligned": (
+        lambda: Recommendation(user_id="u", ranked_items=[1, 2], scores=[1.0]), "ranked_items"
+    ),
+    "rank_by_scores.scores-2-D": (lambda: rank_by_scores(np.ones((2, 4)), np.ones(4), [0], N=2), "scores"),
+    "build_segmented_matrix.segments_by_user-empty": (lambda: build_segmented_matrix({}, 3), "segments_by_user"),
+    "tune_cusum_threshold.corpus-empty": (lambda: tune_cusum_threshold([]), "corpus"),
+    "synthesize_mixed.pool_split-at-end": (lambda: synthesize_mixed(corpus(), 5, pool_split=4), "pool_split"),
+    "synthesize_mixed.pool_split-past-end": (lambda: synthesize_mixed(corpus(), 5, pool_split=5), "pool_split"),
+    "aggregate_cpd.per_method-empty": (lambda: aggregate_cpd({}), "per_method"),
+    "aggregate_cpd.per_method-no-users": (lambda: aggregate_cpd({"A": {}}), "per_method"),
 }
 
 
@@ -182,6 +212,7 @@ STORED_ARRAY_DEFECTS = {
     "shape-non-integer": (lambda a: dict(a, shape=[a["shape"][0], 1.5]), "shape entry: expected an integer"),
     "shape-negative": (lambda a: dict(a, shape=[-a["shape"][0], a["shape"][1]]), "shape entry: must be >= 0"),
     "shape-missing": (lambda a: {"data": a["data"]}, "expected an object with fields 'shape' and 'data'"),
+    "shape-not-a-list": (lambda a: dict(a, shape=a["shape"][0]), "shape must be a list of integers"),
 }
 
 
@@ -199,6 +230,14 @@ def test_malformed_stored_array_names_the_file_and_the_field(tmp_path, loader, d
         load(path)
     assert str(err.value).startswith(f"{path}: {field}"), str(err.value)
     assert detail in str(err.value)
+
+
+@pytest.mark.parametrize("loader", LOADERS)
+def test_file_holding_a_json_list_names_the_file(tmp_path, loader):
+    path = tmp_path / f"{loader}.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a driftrec-\w+-v2 file$"):
+        LOADERS[loader][1](path)
 
 
 def test_item_vectors_are_checked_only_where_the_sequence_reads_them():
