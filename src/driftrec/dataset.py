@@ -101,6 +101,9 @@ def load_corpus(
     """
     path = Path(path)
     _check_count("min_len", min_len)
+    _check_count("seed", seed, 0)
+    if sample_size is not None:
+        _check_count("sample_size", sample_size)
     raw = _read_slice_directory(path) if path.is_dir() else _read_line_format(path)
     kept = [keys for keys in raw if len(keys) >= min_len]
     if not kept:
@@ -143,6 +146,7 @@ def synthesize_mixed(
     """
     _check_count("count", count)
     _check_count("min_window", min_window)
+    _check_count("seed", seed, 0)
     lengths = np.array([len(pl) for pl in corpus.playlists])
     first_ok = np.flatnonzero(lengths >= min_window)
     second_ok = np.flatnonzero(lengths >= min_window + HOLDOUT_SIZE)

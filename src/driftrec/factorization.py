@@ -50,6 +50,7 @@ class FactorizationConfig:
     def __post_init__(self):
         self.d = _check_count("d", self.d)
         self.max_iters = _check_count("max_iters", self.max_iters)
+        self.seed = _check_count("seed", self.seed, 0)
         self.learning_rate = _check_real("learning_rate", self.learning_rate, "(0, inf)")
         self.regularization = _check_real("regularization", self.regularization, "[0, inf)")
         self.convergence_tol = _check_real("convergence_tol", self.convergence_tol, "[0, inf]")

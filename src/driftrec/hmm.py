@@ -12,9 +12,9 @@ from __future__ import annotations
 import base64
 import contextlib
 import dataclasses
+import functools
 import json
 import math
-import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -148,6 +148,19 @@ class HmmModel:
     def num_items(self) -> int:
         return self.emit.shape[1]
 
+    @functools.cached_property
+    def log_tables(self) -> tuple[np.ndarray, ...]:
+        """log(pi), log(trans), log(trans).T and log(emit).T, the transposes
+        contiguous, all read-only; computed on first use and kept, which
+        the frozen arrays allow.  Row i of log(emit).T holds every state's
+        log probability of emitting item i."""
+        with np.errstate(divide="ignore"):
+            log_trans = np.log(self.trans)
+            tables = (np.log(self.pi), log_trans, log_trans.T.copy(), np.log(self.emit).T.copy())
+        for table in tables:
+            table.setflags(write=False)
+        return tables
+
     def __reduce__(self):
         # unpickled through the constructor, so a model sent between processes stays read-only
         return HmmModel, (self.pi, self.trans, self.emit)
@@ -199,6 +212,7 @@ class TrainConfig:
 
     def __post_init__(self):
         self.max_iters = _check_count("max_iters", self.max_iters)
+        self.seed = _check_count("seed", self.seed, 0)
         self.log_lik_tol = _check_real("log_lik_tol", self.log_lik_tol, "[0, inf]")
         self.emission_floor = _check_real("emission_floor", self.emission_floor, "(0, inf)")
 
@@ -213,26 +227,6 @@ def viterbi_decode(model: HmmModel, seq: InteractionSequence) -> DecodedPath:
     return viterbi_decode_all(model, [seq])[0]
 
 
-# each model's log tables, computed on first use; a model is frozen, so they never go stale
-_LOG_TABLES: "weakref.WeakKeyDictionary[HmmModel, tuple[np.ndarray, ...]]" = weakref.WeakKeyDictionary()
-
-
-def _log_tables(model: HmmModel) -> tuple[np.ndarray, ...]:
-    """The model's log(pi), log(trans), log(trans).T and log(emit).T, the
-    transposes contiguous, all read-only; computed on the first call for
-    the model.  Row i of log(emit).T holds every state's log probability
-    of emitting item i."""
-    tables = _LOG_TABLES.get(model)
-    if tables is None:
-        with np.errstate(divide="ignore"):
-            log_trans = np.log(model.trans)
-            tables = (np.log(model.pi), log_trans, log_trans.T.copy(), np.log(model.emit).T.copy())
-        for table in tables:
-            table.setflags(write=False)
-        _LOG_TABLES[model] = tables
-    return tables
-
-
 def viterbi_decode_all(
     model: HmmModel, corpus: list[InteractionSequence]
 ) -> list[DecodedPath]:
@@ -244,12 +238,12 @@ def viterbi_decode_all(
     and its first-index argmax as a running maximum over the predecessor
     states, on (cells, h) arrays, and then every sequence's backpointers
     are walked back together, one vector step per time index.  Both read
-    the model's cached log tables and make the same floating-point
-    additions, and ties are broken toward the lowest state index, both in
-    the per-step backpointers and in the final state, so decoding is
-    deterministic and each path is bit for bit the one a corpus of one
-    gives.  Raises ValueError naming the first sequence, in corpus order,
-    whose every path has probability zero.
+    HmmModel.log_tables and make the same floating-point additions, and
+    ties are broken toward the lowest state index, both in the per-step
+    backpointers and in the final state, so decoding is deterministic and
+    each path is bit for bit the one a corpus of one gives.  Raises
+    ValueError naming the first sequence, in corpus order, whose every
+    path has probability zero.
     """
     states, bounds, log_joint = _decode_all(model, corpus)
     bounds = bounds.tolist()
@@ -267,7 +261,7 @@ def _decode_all(model: HmmModel, corpus: list[InteractionSequence]) -> tuple[np.
         return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), []
     order, start, obs = _pack_corpus(corpus, model.num_items)
     h = model.num_states
-    log_pi, log_trans, _, log_emit_t = _log_tables(model)
+    log_pi, log_trans, _, log_emit_t = model.log_tables
 
     # delta[c, j]: best log prob of a path ending in state j at cell c
     delta = log_emit_t[obs]
@@ -325,7 +319,7 @@ def _viterbi_one(model: HmmModel, seq: InteractionSequence) -> tuple[np.ndarray,
     transposed log(trans), and takes the same first-index argmax; the
     step's best score is read at that argmax, which is the maximum itself."""
     items = _index_array(seq.items, f"sequence {seq.user_id!r}", model.num_items)
-    log_pi, _, log_trans_t, log_emit_t = _log_tables(model)
+    log_pi, _, log_trans_t, log_emit_t = model.log_tables
     h = model.num_states
     emitted = log_emit_t[items]
     back = np.empty((len(items), h), dtype=np.intp)

@@ -589,8 +589,8 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
     ]
     out, provenance, inputs, seqs, m = _stage(cfg, [*(f"changepoints_HMCD-S{h}.tsv" for h in segmented), *models])
     popularity = _list_popularity([seq.items for seq in seqs], m)
-    # each state count's last usable segments and fallback flags, shared by its SMF and HMMR rankers
-    last_of = {h: [_last_usable_segment(s) for s in _segments_by_user(out, seqs, h, cfg.k).values()] for h in segmented}
+    # each state count's last usable segments, shared by its SMF and HMMR rankers
+    last_of = {h: [_last_usable_segment(s)[0] for s in _segments_by_user(out, seqs, h, cfg.k).values()] for h in segmented}
 
     def recommend(label: str) -> Path:
         """Rank every user for ranker label, _BLOCK_ROWS users at a time, and
@@ -598,7 +598,6 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
         score_by_segment rows for SMF-S{h} and HMMR-S{h}, scored together by
         _score_block from each user's last usable HMCD segment; their factor
         products for NMF and BPR-MF; the popularity row for PopRank."""
-        fallback = [False] * len(seqs)
         if label.startswith(("SMF-S", "HMMR-S")):
             h = int(label.partition("-S")[2])
             if label.startswith("SMF-S"):
@@ -606,10 +605,9 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
             else:
                 factors = hmm_item_factors(load_model(out / f"hmm_s{h}.json")[0])
             last = last_of[h]
-            fallback = [used for _, used in last]
 
             def block(a, b):
-                return _score_block(factors, [segment for segment, _ in last[a:b]], cfg.l)
+                return _score_block(factors, last[a:b], cfg.l)
 
         elif label == "PopRank":
 
@@ -627,18 +625,11 @@ def cmd_recommend(cfg: ExperimentConfig) -> list[Path]:
         lines = ["# user_id\trank\titem\tscore"]
         for a in range(0, len(seqs), _BLOCK_ROWS):
             users = seqs[a : a + _BLOCK_ROWS]
-            recs = _rank_block(
-                block(a, a + len(users)),
-                popularity,
-                [seq.items for seq in users],
-                max(cfg.n_grid),
-                [seq.user_id for seq in users],
-                fallback[a : a + len(users)],
-            )
+            rows = _rank_block(block(a, a + len(users)), popularity, [seq.items for seq in users], max(cfg.n_grid))
             lines += [
-                f"{rec.user_id}\t{rank}\t{item}\t{score!r}"
-                for rec in recs
-                for rank, (item, score) in enumerate(zip(rec.ranked_items, rec.scores), start=1)
+                f"{seq.user_id}\t{rank}\t{item}\t{score!r}"
+                for seq, (items, scores) in zip(users, rows)
+                for rank, (item, score) in enumerate(zip(items, scores), start=1)
             ]
         path = out / f"recommendations_{label}.tsv"
         _write_lines(path, dict(provenance, method=label), lines)

@@ -35,8 +35,10 @@ ties included, then sorts only those by score, popularity and index.
 One function ranks a block of users: one partition along the item axis
 finds every row's N-th best score, and one lexsort over (item,
 -popularity, -score, row) orders the kept entries of every row at once.
-rank_by_scores, recommend_from_segments and hmmr_recommend each rank a
-block of one user; the recommend stage ranks _BLOCK_ROWS users at a time.
+It returns each row's items and scores.  rank_by_scores,
+recommend_from_segments and hmmr_recommend rank a block of one and wrap
+its row in a Recommendation; the recommend stage ranks _BLOCK_ROWS users
+at a time and writes the rows.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def _stable_prefix(key: np.ndarray, thr: np.ndarray, width: int) -> np.ndarray:
 
 
 def neighbor_order(vectors: np.ndarray, width: int) -> np.ndarray:
-    """The first `width` entries of every item's neighbor order.
+    """The first min(width, m) entries of every item's neighbor order.
 
     Row i ranks all items by descending vectors[i] . vectors[j], ties by
     ascending j (a stable sort), over the vectors as given.  ItemFactors
@@ -103,6 +105,7 @@ def neighbor_order(vectors: np.ndarray, width: int) -> np.ndarray:
     the same memory.
     """
     m = len(vectors)
+    width = min(_check_count("width", width), m)
     table = np.empty((m, width), dtype=np.int16 if m < 2**15 else np.int32)
     product = np.empty((min(m, _BLOCK_ROWS), m))
     scratch = np.empty_like(product)
@@ -319,8 +322,9 @@ def _last_usable_segment(segments) -> tuple:
     raise ValueError("every segment is empty")
 
 
-def _rank_block(scores, popularity, training_items, N, user_ids, used_fallback) -> list[Recommendation]:
-    """Top-N unseen items for each row of a B x m block of finite scores.
+def _rank_block(scores, popularity, training_items, N) -> list[tuple[list[int], list[float]]]:
+    """Top-N unseen items of each row of a B x m block of finite scores, as
+    the row's (items, scores) lists, best first.
 
     Row r drops training_items[r] and ranks the rest by score desc, then
     popularity desc, then index asc, as one lexsort of every unseen item
@@ -338,8 +342,7 @@ def _rank_block(scores, popularity, training_items, N, user_ids, used_fallback) 
     popularity = np.asarray(popularity, dtype=float)
     if popularity.shape != (m,):
         raise ValueError(f"popularity must have shape ({m},)")
-    if not np.isfinite(popularity).all():
-        raise ValueError("popularity must be finite")
+    _check_entries(popularity, nonnegative=False, name="popularity")
     seen = _index_array(np.concatenate(training_items), "training_items", m)
     # array methods rather than their np.* wrappers: a served request ranks
     # a block of one, where each wrapper's call costs as much as its work
@@ -363,15 +366,12 @@ def _rank_block(scores, popularity, training_items, N, user_ids, used_fallback) 
     bounds = rows.searchsorted(np.arange(B + 1)).tolist()
     ends = [min(b, a + N) for a, b in zip(bounds, bounds[1:])]
     items, values = cols[order].tolist(), np.negative(kept[order]).tolist()
-    return [
-        Recommendation(user_id=user, ranked_items=items[a:b], scores=values[a:b], used_fallback=fallback)
-        for user, fallback, a, b in zip(user_ids, used_fallback, bounds, ends)
-    ]
+    return [(items[a:b], values[a:b]) for a, b in zip(bounds, ends)]
 
 
 def _rank(scores, popularity, exclude, N, user_id, used_fallback) -> Recommendation:
-    """One user's top N: a block of one."""
-    return _rank_block(scores[None], popularity, [exclude], N, [user_id], [used_fallback])[0]
+    """One user's top N: the row of a block of one, as a Recommendation."""
+    return Recommendation(user_id, *_rank_block(scores[None], popularity, [exclude], N)[0], used_fallback)
 
 
 def rank_by_scores(
@@ -386,8 +386,7 @@ def rank_by_scores(
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 1:
         raise ValueError("scores must be a vector")
-    if not np.isfinite(scores).all():
-        raise ValueError("scores must be finite")
+    _check_entries(scores, nonnegative=False, name="scores")
     return _rank(scores, popularity, training_items, N, user_id, False)
 
 

@@ -105,6 +105,11 @@ class TestConfig:
             FactorizationConfig(learning_rate=0.0)
 
 
+def test_pair_with_no_rows_constructs():
+    pair = FactorPair(p=np.empty((0, 2)), q=np.ones((3, 2)))
+    assert pair.p.shape == (0, 2) and pair.d == 2
+
+
 class TestNmf:
     def test_identity_fully_reconstructed(self):
         M = np.eye(2)

@@ -94,6 +94,7 @@ class TestForward:
     def test_degenerate_single_state(self):
         model = HmmModel(pi=[1.0], trans=[[1.0]], emit=[[1.0]])
         assert total_log_likelihood(model, [seq([0, 0, 0])]) == 0.0
+        assert total_log_likelihood(model, []) == 0.0
 
     def test_impossible_observation_is_neg_inf(self):
         model = HmmModel(pi=[0.5, 0.5], trans=np.eye(2), emit=np.eye(2))
@@ -356,9 +357,9 @@ class TestViterbiBatch:
     def test_log_tables_are_computed_once_per_model_and_read_only(self):
         rng = np.random.default_rng(83)
         model = random_model(rng, 3, 4)
-        tables = hmm._log_tables(model)
-        assert hmm._log_tables(model) is tables
-        assert hmm._log_tables(random_model(rng, 3, 4)) is not tables
+        tables = model.log_tables
+        assert model.log_tables is tables
+        assert random_model(rng, 3, 4).log_tables is not tables
         log_pi, log_trans, log_trans_t, log_emit_t = tables
         np.testing.assert_array_equal(log_pi, np.log(model.pi))
         np.testing.assert_array_equal(log_trans, np.log(model.trans))

@@ -455,6 +455,19 @@ def record_starts(monkeypatch):
     return started
 
 
+def test_without_a_thread_setter_jobs_run_inline_in_order(monkeypatch):
+    """Where no OpenBLAS with a thread setter is found, as with a numpy built
+    against MKL, the pool is left alone and one CPU runs the jobs inline."""
+    monkeypatch.setattr(driftrec.pipeline, "_openblas", lambda: None)
+    pools = use_cpus(monkeypatch, 1)
+    assert driftrec.pipeline._blas_threads(1) is None
+    started = []
+    done = driftrec.pipeline._map_jobs(lambda i: started.append(i) or i * i, [(3,), (1,), (2,)], key=lambda job: job[0])
+    assert done == [9, 1, 4]
+    assert started == [1, 2, 3]
+    assert pools == []
+
+
 def test_a_job_may_close_over_what_cannot_be_pickled(monkeypatch):
     """Forked workers inherit the job function and the jobs, so a job may be
     a lambda over a lock; started out of job order, the results still come

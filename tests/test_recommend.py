@@ -241,6 +241,8 @@ class TestScoreBySegment:
             assert table.dtype == np.int16
             np.testing.assert_array_equal(table, whole)
             np.testing.assert_array_equal(neighbor_order(vectors, 37), whole[:, :37])
+            # a width past m is capped at m
+            np.testing.assert_array_equal(neighbor_order(vectors, 650), whole)
 
     def test_selected_table_matches_stable_argsort(self):
         """Bit-equal to the prefix of a full stable argsort at widths 1,
@@ -668,10 +670,12 @@ class TestRankSelection:
             rank_by_scores(np.array([1.0, bad, 0.0]), np.zeros(3), training_items=[], N=2)
 
 
-def rank_block(scores, popularity, excludes, N):
-    """_rank_block over the rows of scores, user ids u0, u1, ..."""
-    users = [f"u{r}" for r in range(len(scores))]
-    return driftrec.recommend._rank_block(scores, popularity, excludes, N, users, [False] * len(scores))
+def rank_block(scores, popularity, excludes, N, first=0, fallback=None):
+    """_rank_block's rows of scores as Recommendations, user ids u{first},
+    u{first + 1}, ... and fallback flags fallback (all False by default)."""
+    rows = driftrec.recommend._rank_block(scores, popularity, excludes, N)
+    fallback = fallback or [False] * len(rows)
+    return [Recommendation(f"u{first + r}", *row, used) for r, (row, used) in enumerate(zip(rows, fallback))]
 
 
 class TestRankBlock:
@@ -731,10 +735,7 @@ class TestRankBlock:
             ranked[rows] = [
                 rec
                 for a in range(0, 37, rows)
-                for rec in driftrec.recommend._rank_block(
-                    scores[a : a + rows], popularity, excludes[a : a + rows], 10,
-                    [f"u{r}" for r in range(a, min(a + rows, 37))], fallback[a : a + rows],
-                )
+                for rec in rank_block(scores[a : a + rows], popularity, excludes[a : a + rows], 10, a, fallback[a : a + rows])
             ]
         assert ranked[1] == ranked[8] == ranked[37]
         assert [rec.used_fallback for rec in ranked[8]] == fallback

@@ -51,6 +51,7 @@ from driftrec import (
 from driftrec.changepoint import incidence_matrix
 from driftrec.evaluation import ranking_metrics
 from driftrec.pipeline import ExperimentConfig
+from driftrec.recommend import neighbor_order
 
 NAN = math.nan
 
@@ -82,6 +83,9 @@ CASES = {
     "TrainConfig.max_iters-bool": (lambda: TrainConfig(max_iters=True), "max_iters"),
     "TrainConfig.max_iters-float": (lambda: TrainConfig(max_iters=2.5), "max_iters"),
     "TrainConfig.max_iters-zero": (lambda: TrainConfig(max_iters=0), "max_iters"),
+    "TrainConfig.seed-negative": (lambda: TrainConfig(seed=-1), "seed"),
+    "TrainConfig.seed-float": (lambda: TrainConfig(seed=2.5), "seed"),
+    "TrainConfig.seed-bool": (lambda: TrainConfig(seed=True), "seed"),
     "baum_welch_train.h-bool": (lambda: baum_welch_train([seq()], True), "h"),
     "baum_welch_train.num_items-bool": (lambda: baum_welch_train([seq()], 2, num_items=True), "num_items"),
     "baum_welch_train.num_items-float": (lambda: baum_welch_train([seq()], 2, num_items=3.5), "num_items"),
@@ -89,6 +93,9 @@ CASES = {
     "cooccurrence_item_vectors.m-float": (lambda: cooccurrence_item_vectors([seq()], 2.5), "m"),
     "FactorizationConfig.d-bool": (lambda: FactorizationConfig(d=True), "d"),
     "FactorizationConfig.max_iters-float": (lambda: FactorizationConfig(max_iters=3.0), "max_iters"),
+    "FactorizationConfig.seed-negative": (lambda: FactorizationConfig(seed=-1), "seed"),
+    "FactorizationConfig.seed-float": (lambda: FactorizationConfig(seed=2.5), "seed"),
+    "FactorizationConfig.seed-bool": (lambda: FactorizationConfig(seed=True), "seed"),
     "hmcd_detect_all.k-float": (lambda: hmcd_detect_all(model(), [seq()], k=1.5), "k"),
     "tune_cusum_threshold.grid_size-bool": (lambda: tune_cusum_threshold([seq(truth=2)], grid_size=True), "grid_size"),
     "random_partition.rng_seed-negative": (lambda: random_partition(seq(), -1), "rng_seed"),
@@ -101,10 +108,20 @@ CASES = {
     "ItemFactors.neighbors.width-negative": (lambda: factors().neighbors(-3), "width"),
     "ItemFactors.neighbors.width-bool": (lambda: factors().neighbors(True), "width"),
     "ItemFactors.neighbors.width-float": (lambda: factors().neighbors(2.5), "width"),
+    "neighbor_order.width-zero": (lambda: neighbor_order(np.eye(4), 0), "width"),
+    "neighbor_order.width-float": (lambda: neighbor_order(np.eye(4), 2.0), "width"),
     "rank_by_scores.N-float": (lambda: rank_by_scores(np.ones(4), np.ones(4), [0], N=2.0), "N"),
     "precision_recall_at.N-bool": (lambda: precision_recall_at([1], [1], True), "N"),
     "ndcg_time_aware.N-zero": (lambda: ndcg_time_aware([1], [1], 0), "N"),
     "load_corpus.min_len-float": (lambda: load_corpus("unread.txt", min_len=0.5), "min_len"),
+    "load_corpus.seed-negative": (lambda: load_corpus("unread.txt", sample_size=2, seed=-1), "seed"),
+    "load_corpus.sample_size-negative": (lambda: load_corpus("unread.txt", sample_size=-1), "sample_size"),
+    "load_corpus.sample_size-zero": (lambda: load_corpus("unread.txt", sample_size=0), "sample_size"),
+    "load_corpus.sample_size-float": (lambda: load_corpus("unread.txt", sample_size=2.5), "sample_size"),
+    "load_corpus.sample_size-bool": (lambda: load_corpus("unread.txt", sample_size=True), "sample_size"),
+    "synthesize_mixed.seed-negative": (lambda: synthesize_mixed(None, 3, seed=-1), "seed"),
+    "synthesize_mixed.seed-float": (lambda: synthesize_mixed(None, 3, seed=2.5), "seed"),
+    "synthesize_mixed.seed-bool": (lambda: synthesize_mixed(None, 3, seed=True), "seed"),
     "synthesize_mixed.count-bool": (lambda: synthesize_mixed(None, True), "count"),
     "synthesize_mixed.min_window-float": (lambda: synthesize_mixed(None, 5, min_window=2.5), "min_window"),
     "synthesize_mixed.pool_split-bool": (lambda: synthesize_mixed(corpus(), 5, pool_split=True), "pool_split"),
@@ -198,6 +215,19 @@ def test_invalid_input_names_the_field(call, field):
     with pytest.raises(ValueError) as err:
         call()
     assert str(err.value).startswith(field + " ") or str(err.value).startswith(field + ":"), str(err.value)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rank_by_scores([1.0, 2.0, 0.0], [0.0, NAN, 1.0], [], N=2), "popularity entry (1) is nan"),
+        (lambda: rank_by_scores([1.0, math.inf, 0.0], np.zeros(3), [], N=2), "scores entry (1) is inf"),
+    ],
+    ids=["popularity", "scores"],
+)
+def test_non_finite_ranking_input_names_the_first_bad_entry(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 LOADERS = {
